@@ -91,7 +91,7 @@
 use std::collections::HashMap;
 
 use grm_core::{
-    ContextStrategy, MiningPipeline, MiningReport, PipelineConfig, Resilience, RunStatus, RAG_QUERY,
+    ContextStrategy, MiningPipeline, MiningReport, PipelineConfig, RunOptions, RunStatus, RAG_QUERY,
 };
 use grm_datasets::{generate, DatasetId, GenConfig};
 use grm_llm::{MiningPrompt, ModelKind, PromptStyle};
@@ -429,11 +429,11 @@ fn events_run(args: &Args) {
     );
     cfg.seed = args.seed;
     let chaos = ChaosConfig { fault_rate: 0.2, ..ChaosConfig::default() };
-    let resil = Resilience::chaos(chaos);
+    let opts = RunOptions { chaos, ..RunOptions::default() };
     let recorder = Recorder::deterministic();
     let counting = CountingSink::new();
     recorder.attach_sink(counting.clone());
-    let status = MiningPipeline::new(cfg).run_resilient(&data.graph, 1, &recorder, &resil);
+    let status = MiningPipeline::new(cfg).run_with(&data.graph, &recorder, &opts);
     let RunStatus::Complete(_) = status else {
         eprintln!("events run was killed without --kill-after — impossible");
         std::process::exit(1);
@@ -687,7 +687,11 @@ fn timeline_run(args: &Args, path: &str) {
     );
     cfg.seed = args.seed;
     let recorder = Recorder::deterministic();
-    let report = MiningPipeline::new(cfg).run_with_workers_traced(&data.graph, workers, &recorder);
+    let opts = RunOptions { workers, ..RunOptions::default() };
+    let report = MiningPipeline::new(cfg)
+        .run_with(&data.graph, &recorder, &opts)
+        .report()
+        .expect("a fault-free run has no kill point");
     let journal = recorder.snapshot();
     if let Err(e) = std::fs::write(path, journal.to_jsonl()) {
         eprintln!("writing {path}: {e}");
@@ -865,9 +869,9 @@ fn chaos_run(args: &Args, path: &str) {
     );
     cfg.seed = args.seed;
     let chaos = ChaosConfig { fault_rate: 0.2, ..ChaosConfig::default() };
-    let resil = Resilience::chaos(chaos);
+    let opts = RunOptions { chaos, ..RunOptions::default() };
     let recorder = Recorder::deterministic();
-    let status = MiningPipeline::new(cfg).run_resilient(&data.graph, 1, &recorder, &resil);
+    let status = MiningPipeline::new(cfg).run_with(&data.graph, &recorder, &opts);
     let RunStatus::Complete(report) = status else {
         eprintln!("chaos run was killed without --kill-after — impossible");
         std::process::exit(1);

@@ -30,10 +30,8 @@ pub mod resilience;
 pub mod session;
 
 pub use config::{ContextStrategy, PipelineConfig, ScoringConfig};
-pub use parallel::{
-    mine_parallel, mine_parallel_resilient, mine_parallel_traced, ParallelMining, ResilientMining,
-};
+pub use parallel::{mine_parallel, ParallelMining};
 pub use pipeline::{MiningPipeline, RAG_QUERY};
 pub use report::{MiningReport, ResilienceSummary, RuleOutcome};
-pub use resilience::{Resilience, ResumeState, RunStatus};
+pub use resilience::{ResumeState, RunOptions, RunStatus};
 pub use session::{Feedback, InteractiveSession, Proposal};

@@ -1,4 +1,5 @@
-//! Parallel rule mining — the paper's §5 future-work direction
+//! Rule mining: the one unit loop behind the serial run and every
+//! worker of the fleet — the paper's §5 future-work direction
 //! ("future research on efficient rule mining with LLMs should focus
 //! on parallelizing the prompting process (e.g., distributing
 //! different parts of the graph to multiple LLMs)"), implemented.
@@ -8,26 +9,31 @@
 //! on its own OS thread. The simulated mining time becomes the
 //! *maximum* over workers — the wall-clock of the fleet — while the
 //! summed compute is also reported. Results are deterministic for a
-//! fixed `(seed, workers)`: each worker's model is seeded from the
-//! run seed and its worker index, and mined rules are concatenated in
-//! worker order before the merge step.
+//! fixed `(seed, workers)`: without chaos each worker's model is
+//! seeded from the run seed and its worker index, and mined rules are
+//! concatenated in worker order before the merge step; with chaos
+//! every unit draws its own seed and rules are reassembled in
+//! context order, so the rule set is worker-count-independent.
 
 use std::collections::HashMap;
 
 use grm_llm::{
-    CallSkip, GeneratedRule, MiningPrompt, MiningResponse, PromptStyle, ResilientLlm, SimLlm,
+    GeneratedRule, MiningPrompt, MiningResponse, ModelKind, PromptStyle, ResilientLlm, SimLlm,
 };
-use grm_obs::{CheckpointRecord, Counter, DegradedRecord, Scope};
-use grm_resil::{FaultPlan, StageSchedule};
+use grm_obs::Scope;
+use grm_resil::{ChaosConfig, FaultPlan, Stage, StageSchedule};
 
 use crate::config::PipelineConfig;
+use crate::pipeline::settle;
 
 /// Outcome of mining a set of contexts with a worker fleet.
 #[derive(Debug, Clone)]
 pub struct ParallelMining {
-    /// Mined rules, in deterministic (worker-major) order.
+    /// Mined rules, in deterministic order (worker-major, or context
+    /// order under chaos).
     pub rules: Vec<GeneratedRule>,
-    /// Simulated wall-clock: the slowest worker's total.
+    /// Simulated wall-clock: the slowest worker's total, including
+    /// fault costs and backoff.
     pub wall_seconds: f64,
     /// Simulated total compute across all workers.
     pub compute_seconds: f64,
@@ -35,7 +41,7 @@ pub struct ParallelMining {
     pub busy_workers: usize,
 }
 
-/// Mines `contexts` with `workers` model replicas.
+/// Mines `contexts` with `workers` fault-free model replicas.
 ///
 /// # Panics
 /// Panics when `workers == 0`.
@@ -46,196 +52,134 @@ pub fn mine_parallel(
     target_rules: Option<usize>,
     workers: usize,
 ) -> ParallelMining {
-    mine_parallel_traced(contexts, cfg, style, target_rules, workers, &Scope::disabled(), 0.0)
+    let schedule = FaultPlan::new(ChaosConfig::default()).schedule(Stage::Mine, contexts.len());
+    let job = MineJob {
+        contexts,
+        style,
+        target_rules,
+        llm: ResilientLlm::new(cfg.model, cfg.seed),
+        schedule: &schedule,
+        checkpoints: &HashMap::new(),
+        chaos: false,
+    };
+    job.fleet(cfg.model, cfg.seed, workers, &Scope::disabled())
 }
 
-/// [`mine_parallel`] with instrumentation: one `worker-<id>` child
-/// span per replica under `obs_scope`, carrying that worker's prompt
-/// and rule counters plus its simulated busy time. Every worker span
-/// starts at `stage_start` — the stage's simulated start offset (all
-/// replicas begin mining the moment the stage opens), so `grm trace
-/// timeline` can place each worker's busy segment on the sim axis.
-///
-/// Worker spans are opened *before* the threads spawn so span ids in
-/// the journal are deterministic; each thread records onto its own
-/// span, which keeps per-worker counter sums exact under concurrency.
-///
-/// # Panics
-/// Panics when `workers == 0`.
-#[allow(clippy::too_many_arguments)]
-pub fn mine_parallel_traced(
-    contexts: &[String],
-    cfg: &PipelineConfig,
-    style: PromptStyle,
-    target_rules: Option<usize>,
-    workers: usize,
-    obs_scope: &Scope,
-    stage_start: f64,
-) -> ParallelMining {
-    assert!(workers > 0, "at least one worker is required");
-    let workers = workers.min(contexts.len().max(1));
-
-    // Deal contexts round-robin, preserving index order per worker.
-    // Each context keeps its original index so mined rules can be
-    // stamped with their origin for lineage records.
-    let mut assignments: Vec<Vec<(usize, &String)>> = vec![Vec::new(); workers];
-    for (i, context) in contexts.iter().enumerate() {
-        assignments[i % workers].push((i, context));
-    }
-
-    let results: Vec<(Vec<GeneratedRule>, f64)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = assignments
-            .iter()
-            .enumerate()
-            .map(|(worker_id, batch)| {
-                let cfg = cfg.clone();
-                let span = obs_scope.span_at(&format!("worker-{worker_id}"), stage_start);
-                scope.spawn(move || {
-                    // Each replica gets its own deterministic stream.
-                    let mut model = SimLlm::new(cfg.model, cfg.seed ^ ((worker_id as u64) << 32));
-                    let worker_scope = span.scope();
-                    let mut rules = Vec::new();
-                    let mut seconds = 0.0;
-                    for (ci, context) in batch {
-                        let mut prompt = MiningPrompt::new(style, (*context).clone());
-                        prompt.target_rules = target_rules;
-                        let resp = model.mine_traced(&prompt, &worker_scope);
-                        seconds += resp.seconds;
-                        // Stamped after mining, so the model's RNG
-                        // stream is identical to the serial path.
-                        rules.extend(resp.rules.into_iter().map(|mut r| {
-                            r.origin = *ci;
-                            r
-                        }));
-                    }
-                    span.finish();
-                    (rules, seconds)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("worker thread panicked")).collect()
-    });
-
-    let wall_seconds = results.iter().map(|(_, s)| *s).fold(0.0, f64::max);
-    let compute_seconds = results.iter().map(|(_, s)| *s).sum();
-    let busy_workers = results.iter().filter(|(r, _)| !r.is_empty()).count();
-    let rules = results.into_iter().flat_map(|(r, _)| r).collect();
-    ParallelMining { rules, wall_seconds, compute_seconds, busy_workers }
+/// What every mining lane of one run shares: the contexts, the prompt
+/// shape, the mine stage's fault schedule and any checkpoints to
+/// replay. `chaos` (`fault_rate > 0`) turns on checkpoint records and
+/// per-unit model seeds.
+pub(crate) struct MineJob<'a> {
+    pub contexts: &'a [String],
+    pub style: PromptStyle,
+    pub target_rules: Option<usize>,
+    pub llm: ResilientLlm,
+    pub schedule: &'a StageSchedule,
+    pub checkpoints: &'a HashMap<u64, MiningResponse>,
+    pub chaos: bool,
 }
 
-/// Outcome of chaos-mode parallel mining.
-#[derive(Debug, Clone)]
-pub struct ResilientMining {
-    /// Mined rules, reassembled in context order — so the merge step
-    /// sees the same sequence regardless of the worker count, and a
-    /// killed run can be resumed with a different fleet size.
+/// One lane's mined rules and simulated busy time. `killed` holds the
+/// units completed when the kill point stopped the lane early.
+#[derive(Debug, Default)]
+pub(crate) struct Lane {
     pub rules: Vec<GeneratedRule>,
-    /// Simulated wall-clock: the slowest worker's total, including
-    /// fault costs and backoff.
-    pub wall_seconds: f64,
-    /// Simulated total compute across all workers.
-    pub compute_seconds: f64,
-    /// Contexts that produced nothing (abandoned or breaker-open).
-    pub degraded_contexts: usize,
+    pub seconds: f64,
+    pub killed: Option<usize>,
 }
 
-/// [`mine_parallel_traced`] under a fault plan: each worker runs its
-/// units through [`ResilientLlm`], emitting fault/retry/checkpoint
-/// records onto its own `worker-<id>` span (started at
-/// `stage_start`, like the fault-free path). `checkpoints` holds a
-/// resumed run's completed mine responses by context index; replayed
-/// units skip the model but re-emit identical records.
-///
-/// # Panics
-/// Panics when `workers == 0`.
-#[allow(clippy::too_many_arguments)]
-pub fn mine_parallel_resilient(
-    contexts: &[String],
-    cfg: &PipelineConfig,
-    style: PromptStyle,
-    target_rules: Option<usize>,
-    workers: usize,
-    plan: &FaultPlan,
-    schedule: &StageSchedule,
-    checkpoints: &HashMap<u64, MiningResponse>,
-    obs_scope: &Scope,
-    stage_start: f64,
-) -> ResilientMining {
-    assert!(workers > 0, "at least one worker is required");
-    let workers = workers.min(contexts.len().max(1));
-
-    let mut assignments: Vec<Vec<(usize, &String)>> = vec![Vec::new(); workers];
-    for (i, context) in contexts.iter().enumerate() {
-        assignments[i % workers].push((i, context));
+impl MineJob<'_> {
+    /// The mining unit loop: mines the contexts `units` names, in
+    /// order, recording onto `scope`. Live calls draw from `replica`
+    /// when given (one model stream per replica), else from per-unit
+    /// seeds. With `kill_after = Some(k)` the lane stops once `k`
+    /// units are done, leaving their checkpoints behind for resume.
+    pub fn lane(
+        &self,
+        units: impl Iterator<Item = usize>,
+        mut replica: Option<&mut SimLlm>,
+        scope: &Scope,
+        kill_after: Option<usize>,
+    ) -> Lane {
+        let mut lane = Lane::default();
+        for (done, ci) in units.enumerate() {
+            let mut prompt = MiningPrompt::new(self.style, self.contexts[ci].clone());
+            prompt.target_rules = self.target_rules;
+            let replay = self.checkpoints.get(&(ci as u64)).cloned();
+            let unit = &self.schedule.units[ci];
+            let call = self.llm.mine(unit, &prompt, replay, replica.as_deref_mut(), scope);
+            if let Some(response) =
+                settle(call, Stage::Mine, ci, self.chaos, &mut lane.seconds, scope)
+            {
+                // Stamp the context index after mining: the model
+                // never sees it, so lineage cannot perturb its RNG.
+                lane.rules.extend(response.rules.into_iter().map(|mut r| {
+                    r.origin = ci;
+                    r
+                }));
+            }
+            if kill_after.is_some_and(|k| done + 1 >= k && done + 1 < self.contexts.len()) {
+                lane.killed = Some(done + 1);
+                break;
+            }
+        }
+        lane
     }
 
-    let llm = ResilientLlm::new(cfg.model, cfg.seed);
-    let results: Vec<(Vec<GeneratedRule>, f64, usize)> = std::thread::scope(|ts| {
-        let handles: Vec<_> = assignments
-            .iter()
-            .enumerate()
-            .map(|(worker_id, batch)| {
-                let span = obs_scope.span_at(&format!("worker-{worker_id}"), stage_start);
-                ts.spawn(move || {
-                    let worker_scope = span.scope();
-                    let mut rules = Vec::new();
-                    let mut seconds = 0.0;
-                    let mut degraded = 0usize;
-                    for (ci, context) in batch {
-                        let unit = &schedule.units[*ci];
-                        let mut prompt = MiningPrompt::new(style, (*context).clone());
-                        prompt.target_rules = target_rules;
-                        let replay = checkpoints.get(&(*ci as u64)).cloned();
-                        match llm.mine(plan, unit, &prompt, replay, &worker_scope) {
-                            Ok(call) => {
-                                seconds += call.response.seconds + call.fault_seconds;
-                                worker_scope.checkpoint(CheckpointRecord {
-                                    span: None,
-                                    stage: unit.stage.name().to_owned(),
-                                    unit: *ci as u64,
-                                    payload: serde_json::to_string(&call.response)
-                                        .unwrap_or_default(),
-                                });
-                                rules.extend(call.response.rules.into_iter().map(|mut r| {
-                                    r.origin = *ci;
-                                    r
-                                }));
-                            }
-                            Err(skip) => {
-                                if let CallSkip::Abandoned { fault_seconds, .. } = skip {
-                                    seconds += fault_seconds;
-                                }
-                                degraded += 1;
-                                worker_scope.add(Counter::WindowsDegraded, 1);
-                                worker_scope.degraded(DegradedRecord {
-                                    span: None,
-                                    stage: unit.stage.name().to_owned(),
-                                    unit: format!("context-{ci}"),
-                                    reason: match skip {
-                                        CallSkip::BreakerOpen => "breaker_open",
-                                        CallSkip::Abandoned { .. } => "retries_exhausted",
-                                    }
-                                    .to_owned(),
-                                });
-                            }
-                        }
-                    }
-                    span.finish();
-                    (rules, seconds, degraded)
+    /// Mines every context with `workers` replicas, one `worker-<id>`
+    /// child span per replica under `scope`, each starting at the sim
+    /// origin (all replicas begin mining the moment the stage opens),
+    /// so `grm trace timeline` can place each worker's busy segment.
+    ///
+    /// Worker spans are opened *before* the threads spawn so span ids
+    /// in the journal are deterministic; each thread records onto its
+    /// own span, which keeps per-worker counter sums exact under
+    /// concurrency.
+    ///
+    /// # Panics
+    /// Panics when `workers == 0`.
+    pub fn fleet(
+        &self,
+        model: ModelKind,
+        seed: u64,
+        workers: usize,
+        scope: &Scope,
+    ) -> ParallelMining {
+        assert!(workers > 0, "at least one worker is required");
+        let n = self.contexts.len();
+        let workers = workers.min(n.max(1));
+        let lanes: Vec<Lane> = std::thread::scope(|ts| {
+            let handles: Vec<_> = (0..workers)
+                .map(|w| {
+                    let span = scope.span_at(&format!("worker-{w}"), 0.0);
+                    ts.spawn(move || {
+                        // Each replica gets its own deterministic stream.
+                        let mut replica =
+                            (!self.chaos).then(|| SimLlm::new(model, seed ^ ((w as u64) << 32)));
+                        let lane = self.lane(
+                            (w..n).step_by(workers),
+                            replica.as_mut(),
+                            &span.scope(),
+                            None,
+                        );
+                        span.finish();
+                        lane
+                    })
                 })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("worker thread panicked")).collect()
-    });
-
-    let wall_seconds = results.iter().map(|(_, s, _)| *s).fold(0.0, f64::max);
-    let compute_seconds = results.iter().map(|(_, s, _)| *s).sum();
-    let degraded_contexts = results.iter().map(|(_, _, d)| *d).sum();
-    let mut rules: Vec<GeneratedRule> = results.into_iter().flat_map(|(r, _, _)| r).collect();
-    // Stable by origin: within one context the model's order holds,
-    // across contexts the serial order is restored.
-    rules.sort_by_key(|r| r.origin);
-    ResilientMining { rules, wall_seconds, compute_seconds, degraded_contexts }
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("worker thread panicked")).collect()
+        });
+        let wall_seconds = lanes.iter().map(|l| l.seconds).fold(0.0, f64::max);
+        let compute_seconds = lanes.iter().map(|l| l.seconds).sum();
+        let busy_workers = lanes.iter().filter(|l| !l.rules.is_empty()).count();
+        let mut rules: Vec<GeneratedRule> = lanes.into_iter().flat_map(|l| l.rules).collect();
+        if self.chaos {
+            // Stable by origin: within one context the model's order
+            // holds, across contexts the serial order is restored.
+            rules.sort_by_key(|r| r.origin);
+        }
+        ParallelMining { rules, wall_seconds, compute_seconds, busy_workers }
+    }
 }
 
 #[cfg(test)]

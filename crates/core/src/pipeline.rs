@@ -14,18 +14,17 @@
 use std::collections::HashMap;
 
 use grm_cypher::{BatchConfig, BatchSession, PlanCacheConfig};
-use grm_llm::{CallSkip, MiningPrompt, ResilientLlm, SimLlm, TranslationResponse};
+use grm_llm::{CallSkip, ResilientCall, ResilientLlm, SimLlm, Timed, TranslationResponse};
 use grm_metrics::{
-    aggregate, class_counter, classify, correct, evaluate_labeled, evaluate_labeled_batched,
-    evaluate_resilient, evaluate_resilient_batched, record_batch_stats, ClassTally, QueryClass,
-    RuleMetrics,
+    aggregate, class_counter, classify, correct, evaluate_resilient, record_batch_stats,
+    ClassTally, QueryClass, RuleMetrics,
 };
 use grm_obs::{
     ChaosRecord, CheckpointRecord, Counter, DegradedRecord, FootprintRow, Histo, LineageRecord,
-    MemRecord, OriginRef, Recorder, Scope, Span,
+    MemRecord, OriginRef, Recorder, Scope,
 };
 use grm_pgraph::{GraphSchema, PropertyGraph};
-use grm_resil::{ChaosConfig, FaultPlan, Stage};
+use grm_resil::{FaultPlan, Stage};
 use grm_rules::RuleQueries;
 use grm_textenc::{chunk_traced, encode_summary_traced, encode_traced, token_count};
 use grm_vecstore::Retriever;
@@ -33,8 +32,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::config::{ContextStrategy, PipelineConfig};
+use crate::parallel::MineJob;
 use crate::report::{MiningReport, ResilienceSummary, RuleOutcome};
-use crate::resilience::{Resilience, ResumeState, RunStatus};
+use crate::resilience::{ResumeState, RunOptions, RunStatus};
 
 /// The retrieval query of the RAG pathway — deliberately generic, as
 /// in the paper ("the prompt itself indicates only the request to
@@ -47,6 +47,18 @@ pub struct MiningPipeline {
     pub config: PipelineConfig,
 }
 
+/// The model context(s) of one run, with the lineage origins of each.
+struct Contexts {
+    /// One prompt context per window, or the single RAG/summary text.
+    texts: Vec<String>,
+    /// Per context, the stable origin ids (`window-<i>`, `chunk-<i>`,
+    /// `summary`) and token spans lineage records trace rules back to.
+    origins: Vec<Vec<OriginRef>>,
+    windows: usize,
+    broken_patterns: usize,
+    rag_coverage: Option<f64>,
+}
+
 impl MiningPipeline {
     /// Builds a pipeline for `config`.
     pub fn new(config: PipelineConfig) -> Self {
@@ -54,23 +66,13 @@ impl MiningPipeline {
     }
 
     /// Builds the model context(s) per the configured strategy, with
-    /// encode/chunk/retrieve spans recorded on `scope`. Alongside each
-    /// context comes its list of origin references — the stable ids
-    /// (`window-<i>`, `chunk-<i>`, `summary`) and token spans lineage
-    /// records trace rules back to.
-    /// Returns `(contexts, origins, windows, broken_patterns, rag_coverage)`.
-    #[allow(clippy::type_complexity)]
-    fn build_contexts(
-        &self,
-        graph: &PropertyGraph,
-        scope: &Scope,
-    ) -> (Vec<String>, Vec<Vec<OriginRef>>, usize, usize, Option<f64>) {
+    /// encode/chunk/retrieve spans recorded on `scope`.
+    fn build_contexts(&self, graph: &PropertyGraph, scope: &Scope) -> Contexts {
         let cfg = &self.config;
         // Deterministic graph footprint for the journal's memory
-        // records — capacity arithmetic only, identical on the
-        // serial, parallel and chaos paths (all three call through
-        // here), so byte-identity comparisons are unaffected. Guarded
-        // so untraced runs pay nothing.
+        // records — capacity arithmetic only, so byte-identity
+        // comparisons are unaffected. Guarded so untraced runs pay
+        // nothing.
         if scope.is_enabled() {
             scope.mem(MemRecord::footprint_of(
                 "graph",
@@ -90,8 +92,6 @@ impl MiningPipeline {
         match &cfg.strategy {
             ContextStrategy::SlidingWindow(wc) => {
                 let ws = chunk_traced(&encoded, *wc, scope);
-                let windows = ws.len();
-                let broken = ws.broken_patterns;
                 let origins = ws
                     .windows
                     .iter()
@@ -103,8 +103,13 @@ impl MiningPipeline {
                         }]
                     })
                     .collect();
-                let contexts = ws.windows.into_iter().map(|w| w.text).collect();
-                (contexts, origins, windows, broken, None)
+                Contexts {
+                    windows: ws.len(),
+                    broken_patterns: ws.broken_patterns,
+                    texts: ws.windows.into_iter().map(|w| w.text).collect(),
+                    origins,
+                    rag_coverage: None,
+                }
             }
             ContextStrategy::Rag(rc) => {
                 let retriever = Retriever::ingest_traced(&encoded, *rc, scope);
@@ -132,7 +137,6 @@ impl MiningPipeline {
                     ));
                 }
                 let retrieval = retriever.retrieve_traced(RAG_QUERY, scope);
-                let cov = retrieval.coverage();
                 let origins = retrieval
                     .chunk_ids
                     .iter()
@@ -143,7 +147,13 @@ impl MiningPipeline {
                         token_len: *len as u64,
                     })
                     .collect();
-                (vec![retrieval.context()], vec![origins], 0, 0, Some(cov))
+                Contexts {
+                    texts: vec![retrieval.context()],
+                    origins: vec![origins],
+                    windows: 0,
+                    broken_patterns: 0,
+                    rag_coverage: Some(retrieval.coverage()),
+                }
             }
             ContextStrategy::Summary(sc) => {
                 let text = encode_summary_traced(graph, *sc, scope);
@@ -152,7 +162,13 @@ impl MiningPipeline {
                     start_token: 0,
                     token_len: token_count(&text) as u64,
                 }]];
-                (vec![text], origins, 0, 0, None)
+                Contexts {
+                    texts: vec![text],
+                    origins,
+                    windows: 0,
+                    broken_patterns: 0,
+                    rag_coverage: None,
+                }
             }
         }
     }
@@ -168,490 +184,112 @@ impl MiningPipeline {
         }
     }
 
-    /// Runs the full pipeline against `graph`.
-    ///
-    /// Always records through an internal [`Recorder`] so the
-    /// report's stage-timing breakdown is populated; use
-    /// [`MiningPipeline::run_traced`] to keep the journal too.
+    /// Runs the full pipeline against `graph`: serial and fault-free,
+    /// recording through an internal [`Recorder`] so the report's
+    /// stage-timing breakdown is populated.
     pub fn run(&self, graph: &PropertyGraph) -> MiningReport {
         self.run_traced(graph, &Recorder::new())
     }
 
     /// [`MiningPipeline::run`] recording spans and counters on
-    /// `recorder` — one stage span per Figure-1 step under a root
-    /// `pipeline` span. Tracing never touches the model's RNG
-    /// streams, so traced and untraced runs produce identical
-    /// reports.
+    /// `recorder`. Tracing never touches the model's RNG streams, so
+    /// traced and untraced runs produce identical reports.
     pub fn run_traced(&self, graph: &PropertyGraph, recorder: &Recorder) -> MiningReport {
+        self.run_with(graph, recorder, &RunOptions::default()).report().expect("no kill point")
+    }
+
+    /// The pipeline's one run path: one stage span per Figure-1 step
+    /// under a root `pipeline` span, with every LLM call and rule
+    /// evaluation issued through the fault plan of `opts.chaos`.
+    ///
+    /// `opts.workers > 1` distributes window prompts over a fleet of
+    /// model replicas (see [`crate::parallel`]), each recording onto
+    /// its own `worker-<id>` span; the reported `mining_seconds` is
+    /// the fleet wall-clock (the slowest replica).
+    ///
+    /// A zero fault rate is an inert plan: no fault fires and no
+    /// chaos record is written. Each replica then keeps one model
+    /// stream — the serial model also translates, a fleet translates
+    /// on a dedicated replica — and fleet rules stay in worker order.
+    /// With `fault_rate > 0` transient errors are injected
+    /// deterministically, retried with backoff, and degraded out of
+    /// the run when retries exhaust or a stage breaker opens; every
+    /// unit draws its own model seed, completed LLM units are
+    /// checkpointed into the journal, `opts.resume` replays them
+    /// without re-calling the model, and `opts.kill_after` stops a
+    /// serial run mid-mine.
+    pub fn run_with(
+        &self,
+        graph: &PropertyGraph,
+        recorder: &Recorder,
+        opts: &RunOptions,
+    ) -> RunStatus {
         let cfg = &self.config;
-        let mut model = SimLlm::new(cfg.model, cfg.seed);
+        let chaos = opts.chaos.fault_rate > 0.0;
+        let serial = opts.workers <= 1;
+        let plan = FaultPlan::new(opts.chaos);
+        let llm = ResilientLlm::new(cfg.model, cfg.seed);
+        let empty = ResumeState::default();
+        let resume = opts.resume.as_ref().filter(|_| chaos).unwrap_or(&empty);
+        if chaos {
+            recorder.set_chaos(ChaosRecord {
+                run_seed: cfg.seed,
+                fault_seed: opts.chaos.fault_seed,
+                fault_rate: opts.chaos.fault_rate,
+                max_retries: opts.chaos.max_retries,
+                breaker_threshold: opts.chaos.breaker_threshold,
+                model: cfg.model.name().to_owned(),
+                strategy: cfg.strategy.name().to_owned(),
+                prompting: cfg.prompting.name().to_owned(),
+                graph_nodes: graph.node_count() as u64,
+                graph_edges: graph.edge_count() as u64,
+            });
+        }
+        let mut model = (!chaos).then(|| {
+            SimLlm::new(cfg.model, if serial { cfg.seed } else { cfg.seed ^ 0x7a41_5000 })
+        });
         let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x9e3779b97f4a7c15);
         let root = recorder.root_scope().span("pipeline");
         let root_scope = root.scope();
 
         // Steps 1–2: encode and build contexts.
-        let (contexts, origins, windows, broken_patterns, rag_coverage) =
-            self.build_contexts(graph, &root_scope);
+        let contexts = self.build_contexts(graph, &root_scope);
 
-        // Step 3: mine rules per context.
+        // Step 3: mine rules per context. The whole stage schedule is
+        // a pure function of the chaos config, so the breaker state
+        // cannot depend on worker scheduling.
         let budget = cfg.rule_budget.unwrap_or_else(|| self.derive_budget(&mut rng));
-        let per_prompt_target = self.per_prompt_target(budget);
         let mine_span = root_scope.span("mine");
         let mine_scope = mine_span.scope();
-        let mut mining_seconds = 0.0;
-        let mut mined: Vec<grm_llm::GeneratedRule> = Vec::new();
-        for (ci, context) in contexts.iter().enumerate() {
-            let mut prompt = MiningPrompt::new(cfg.prompting, context.clone());
-            prompt.target_rules = per_prompt_target;
-            let resp = model.mine_traced(&prompt, &mine_scope);
-            mining_seconds += resp.seconds;
-            // Stamp the context index after mining: the model never
-            // sees it, so traced lineage cannot perturb its RNG.
-            mined.extend(resp.rules.into_iter().map(|mut r| {
-                r.origin = ci;
-                r
-            }));
-        }
-        mine_span.finish();
-
-        self.finish(
-            graph,
-            &mut model,
-            mined,
-            &origins,
-            budget,
-            contexts.len(),
-            windows,
-            broken_patterns,
-            rag_coverage,
-            mining_seconds,
-            root,
-            recorder,
-        )
-    }
-
-    /// Parallel variant of [`MiningPipeline::run`] — the §5
-    /// future-work direction, distributing window prompts over
-    /// `workers` model replicas (see [`crate::parallel`]). Reported
-    /// `mining_seconds` is the fleet wall-clock (the slowest
-    /// replica); deterministic for a fixed `(seed, workers)`.
-    pub fn run_with_workers(&self, graph: &PropertyGraph, workers: usize) -> MiningReport {
-        self.run_with_workers_traced(graph, workers, &Recorder::new())
-    }
-
-    /// [`MiningPipeline::run_with_workers`] recording on `recorder`,
-    /// with one `worker-<id>` child span per replica under the `mine`
-    /// stage span. The `mine` span itself carries the fleet
-    /// wall-clock; each worker span carries that replica's busy time.
-    pub fn run_with_workers_traced(
-        &self,
-        graph: &PropertyGraph,
-        workers: usize,
-        recorder: &Recorder,
-    ) -> MiningReport {
-        let cfg = &self.config;
-        let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x9e3779b97f4a7c15);
-        let root = recorder.root_scope().span("pipeline");
-        let root_scope = root.scope();
-        let (contexts, origins, windows, broken_patterns, rag_coverage) =
-            self.build_contexts(graph, &root_scope);
-        let budget = cfg.rule_budget.unwrap_or_else(|| self.derive_budget(&mut rng));
-        let mine_span = root_scope.span("mine");
-        let mining = crate::parallel::mine_parallel_traced(
-            &contexts,
-            cfg,
-            cfg.prompting,
-            self.per_prompt_target(budget),
-            workers,
-            &mine_span.scope(),
-            0.0, // mining starts at the sim origin
-        );
-        mine_span.scope().add_sim_seconds(mining.wall_seconds);
-        mine_span.finish();
-        // The translator is one dedicated replica with its own stream.
-        let mut translator = SimLlm::new(cfg.model, cfg.seed ^ 0x7a41_5000);
-        self.finish(
-            graph,
-            &mut translator,
-            mining.rules,
-            &origins,
-            budget,
-            contexts.len(),
-            windows,
-            broken_patterns,
-            rag_coverage,
-            mining.wall_seconds,
-            root,
-            recorder,
-        )
-    }
-
-    /// Runs the pipeline under a [`Resilience`] plan: the entry point
-    /// behind `grm mine --fault-rate/--resume/--kill-after`.
-    ///
-    /// Without chaos this *is* the plain traced run (fault rate 0 is
-    /// normalised away by [`Resilience::chaos`]), so fault-free
-    /// resilient runs produce byte-identical journals to
-    /// [`MiningPipeline::run_traced`] by construction. With chaos,
-    /// every LLM call and rule evaluation runs under the fault plan:
-    /// transient errors are injected deterministically, retried with
-    /// backoff, and degraded out of the run when retries exhaust or a
-    /// stage breaker opens — the pipeline keeps mining with what it
-    /// has. Completed LLM units are checkpointed into the journal;
-    /// `resil.resume` replays them without re-calling the model.
-    pub fn run_resilient(
-        &self,
-        graph: &PropertyGraph,
-        workers: usize,
-        recorder: &Recorder,
-        resil: &Resilience,
-    ) -> RunStatus {
-        match resil.chaos {
-            None => RunStatus::Complete(Box::new(if workers > 1 {
-                self.run_with_workers_traced(graph, workers, recorder)
-            } else {
-                self.run_traced(graph, recorder)
-            })),
-            Some(chaos) => self.run_chaos(graph, workers, recorder, chaos, resil),
-        }
-    }
-
-    /// The chaos-mode pipeline: [`MiningPipeline::run_traced`] with
-    /// every fallible call routed through the fault plan.
-    fn run_chaos(
-        &self,
-        graph: &PropertyGraph,
-        workers: usize,
-        recorder: &Recorder,
-        chaos: ChaosConfig,
-        resil: &Resilience,
-    ) -> RunStatus {
-        let cfg = &self.config;
-        let plan = FaultPlan::new(chaos);
-        let llm = ResilientLlm::new(cfg.model, cfg.seed);
-        let empty = ResumeState::default();
-        let resume = resil.resume.as_ref().unwrap_or(&empty);
-        recorder.set_chaos(ChaosRecord {
-            run_seed: cfg.seed,
-            fault_seed: chaos.fault_seed,
-            fault_rate: chaos.fault_rate,
-            max_retries: chaos.max_retries,
-            breaker_threshold: chaos.breaker_threshold,
-            model: cfg.model.name().to_owned(),
-            strategy: cfg.strategy.name().to_owned(),
-            prompting: cfg.prompting.name().to_owned(),
-            graph_nodes: graph.node_count() as u64,
-            graph_edges: graph.edge_count() as u64,
-        });
-        let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x9e3779b97f4a7c15);
-        let root = recorder.root_scope().span("pipeline");
-        let root_scope = root.scope();
-        let (contexts, origins, windows, broken_patterns, rag_coverage) =
-            self.build_contexts(graph, &root_scope);
-        let budget = cfg.rule_budget.unwrap_or_else(|| self.derive_budget(&mut rng));
-        let per_prompt_target = self.per_prompt_target(budget);
-
-        // Step 3 under the fault plan. The whole stage schedule is a
-        // pure function of the chaos config, so the breaker state
-        // cannot depend on worker scheduling.
-        let mine_span = root_scope.span("mine");
-        let schedule = plan.schedule(Stage::Mine, contexts.len());
+        let schedule = plan.schedule(Stage::Mine, contexts.texts.len());
         if schedule.breaker_trips > 0 {
-            mine_span.scope().add(Counter::BreakerTrips, schedule.breaker_trips);
+            mine_scope.add(Counter::BreakerTrips, schedule.breaker_trips);
         }
-        let (mined, mining_seconds) = if workers > 1 {
-            let mining = crate::parallel::mine_parallel_resilient(
-                &contexts,
-                cfg,
-                cfg.prompting,
-                per_prompt_target,
-                workers,
-                &plan,
-                &schedule,
-                &resume.mined,
-                &mine_span.scope(),
-                0.0, // mining starts at the sim origin
-            );
-            mine_span.scope().add_sim_seconds(mining.wall_seconds);
-            (mining.rules, mining.wall_seconds)
-        } else {
-            let mine_scope = mine_span.scope();
-            let mut mining_seconds = 0.0;
-            let mut mined: Vec<grm_llm::GeneratedRule> = Vec::new();
-            for (ci, context) in contexts.iter().enumerate() {
-                let unit = &schedule.units[ci];
-                let mut prompt = MiningPrompt::new(cfg.prompting, context.clone());
-                prompt.target_rules = per_prompt_target;
-                let replay = resume.mined.get(&(ci as u64)).cloned();
-                match llm.mine(&plan, unit, &prompt, replay, &mine_scope) {
-                    Ok(call) => {
-                        mining_seconds += call.response.seconds + call.fault_seconds;
-                        mine_scope.checkpoint(CheckpointRecord {
-                            span: None,
-                            stage: Stage::Mine.name().to_owned(),
-                            unit: ci as u64,
-                            payload: serde_json::to_string(&call.response).unwrap_or_default(),
-                        });
-                        mined.extend(call.response.rules.into_iter().map(|mut r| {
-                            r.origin = ci;
-                            r
-                        }));
-                    }
-                    Err(skip) => {
-                        if let CallSkip::Abandoned { fault_seconds, .. } = skip {
-                            mining_seconds += fault_seconds;
-                        }
-                        mine_scope.add(Counter::WindowsDegraded, 1);
-                        mine_scope.degraded(DegradedRecord {
-                            span: None,
-                            stage: Stage::Mine.name().to_owned(),
-                            unit: format!("context-{ci}"),
-                            reason: skip_reason(skip).to_owned(),
-                        });
-                    }
-                }
-                // The deterministic kill point: stop once `ci + 1`
-                // units are done, leaving their checkpoints behind
-                // for `--resume` (serial runs only; the CLI rejects
-                // `--kill-after` with workers > 1).
-                if let Some(k) = resil.kill_after {
-                    if ci + 1 >= k && ci + 1 < contexts.len() {
-                        mine_span.finish();
-                        root.finish();
-                        return RunStatus::Killed {
-                            stage: Stage::Mine.name(),
-                            completed_units: ci + 1,
-                        };
-                    }
-                }
+        let job = MineJob {
+            contexts: &contexts.texts,
+            style: cfg.prompting,
+            target_rules: self.per_prompt_target(budget),
+            llm,
+            schedule: &schedule,
+            checkpoints: &resume.mined,
+            chaos,
+        };
+        let (mined, mining_seconds) = if serial {
+            let kill_after = opts.kill_after.filter(|_| chaos);
+            let lane = job.lane(0..contexts.texts.len(), model.as_mut(), &mine_scope, kill_after);
+            if let Some(completed_units) = lane.killed {
+                mine_span.finish();
+                root.finish();
+                return RunStatus::Killed { stage: Stage::Mine.name(), completed_units };
             }
-            (mined, mining_seconds)
+            (lane.rules, lane.seconds)
+        } else {
+            let fleet = job.fleet(cfg.model, cfg.seed, opts.workers, &mine_scope);
+            mine_scope.add_sim_seconds(fleet.wall_seconds);
+            (fleet.rules, fleet.wall_seconds)
         };
         mine_span.finish();
 
-        let mut report = self.finish_chaos(
-            graph,
-            &llm,
-            &plan,
-            resume,
-            mined,
-            &origins,
-            budget,
-            contexts.len(),
-            windows,
-            broken_patterns,
-            rag_coverage,
-            mining_seconds,
-            root,
-            recorder,
-        );
-        report.resilience = Some(ResilienceSummary {
-            fault_seed: chaos.fault_seed,
-            fault_rate: chaos.fault_rate,
-            faults_injected: recorder.total(Counter::FaultsInjected),
-            llm_calls_retried: recorder.total(Counter::LlmCallsRetried),
-            llm_calls_abandoned: recorder.total(Counter::LlmCallsAbandoned),
-            windows_degraded: recorder.total(Counter::WindowsDegraded),
-            rules_degraded: recorder.total(Counter::RulesDegraded),
-            queries_degraded: recorder.total(Counter::QueriesDegraded),
-            breaker_trips: recorder.total(Counter::BreakerTrips),
-            resumed_mine_units: resume.mined.len() as u64,
-            resumed_translate_units: resume.translated.len() as u64,
-        });
-        RunStatus::Complete(Box::new(report))
-    }
-
-    /// Steps 4–7 under the fault plan: merge is pure (it cannot
-    /// fault), translation runs unit-by-unit with retries and
-    /// checkpointing (a degraded translation drops the rule),
-    /// evaluation retries transient query errors per rule (a degraded
-    /// evaluation leaves the rule unscored but keeps it in the set —
-    /// its lineage records the loss).
-    #[allow(clippy::too_many_arguments)]
-    fn finish_chaos(
-        &self,
-        graph: &PropertyGraph,
-        llm: &ResilientLlm,
-        plan: &FaultPlan,
-        resume: &ResumeState,
-        mined: Vec<grm_llm::GeneratedRule>,
-        origins: &[Vec<OriginRef>],
-        budget: usize,
-        prompts: usize,
-        windows: usize,
-        broken_patterns: usize,
-        rag_coverage: Option<f64>,
-        mining_seconds: f64,
-        root_span: Span,
-        recorder: &Recorder,
-    ) -> MiningReport {
-        let cfg = &self.config;
-        let root_scope = root_span.scope();
-        // Step 4: merge, exactly as in the fault-free path. Post-mine
-        // stages carry their simulated start offsets (merge itself is
-        // pure, so translate starts at the same sim instant) — the
-        // same f64 arithmetic on the plain, chaos and resume paths,
-        // keeping byte-identity comparisons intact.
-        let merge_span = root_scope.span_at("merge", mining_seconds);
-        let merge_scope = merge_span.scope();
-        let merged = merge_rules(mined);
-        merge_scope.add(Counter::RulesDeduped, merged.len() as u64);
-        let selected: Vec<MergedRule> = merged.into_iter().take(budget).collect();
-        for m in &selected {
-            merge_scope.observe(Histo::RuleFrequency, m.frequency as f64);
-        }
-        merge_span.finish();
-
-        let schema = GraphSchema::infer(graph);
-        let schema_summary = schema.summary();
-
-        // Step 5: translate each selected rule under its unit plan.
-        // Unit keys are post-merge rule indices, which are stable for
-        // a fixed run seed — the property resume relies on.
-        let translate_span = root_scope.span_at("translate", mining_seconds);
-        let translate_scope = translate_span.scope();
-        let t_sched = plan.schedule(Stage::Translate, selected.len());
-        if t_sched.breaker_trips > 0 {
-            translate_scope.add(Counter::BreakerTrips, t_sched.breaker_trips);
-        }
-        let mut translation_seconds = 0.0;
-        let translations: Vec<Option<TranslationResponse>> = selected
-            .iter()
-            .enumerate()
-            .map(|(i, m)| {
-                let unit = &t_sched.units[i];
-                let replay = resume.translated.get(&(i as u64)).cloned();
-                match llm.translate(
-                    plan,
-                    unit,
-                    &m.rule.rule,
-                    &schema_summary,
-                    replay,
-                    &translate_scope,
-                ) {
-                    Ok(call) => {
-                        translation_seconds += call.response.seconds + call.fault_seconds;
-                        translate_scope.checkpoint(CheckpointRecord {
-                            span: None,
-                            stage: Stage::Translate.name().to_owned(),
-                            unit: i as u64,
-                            payload: serde_json::to_string(&call.response).unwrap_or_default(),
-                        });
-                        Some(call.response)
-                    }
-                    Err(skip) => {
-                        if let CallSkip::Abandoned { fault_seconds, .. } = skip {
-                            translation_seconds += fault_seconds;
-                        }
-                        translate_scope.add(Counter::RulesDegraded, 1);
-                        translate_scope.degraded(DegradedRecord {
-                            span: None,
-                            stage: Stage::Translate.name().to_owned(),
-                            unit: format!("rule-{i}"),
-                            reason: skip_reason(skip).to_owned(),
-                        });
-                        None
-                    }
-                }
-            })
-            .collect();
-        translate_span.finish();
-
-        // Steps 6–7: untranslated rules are dropped (their indices
-        // stay reserved, so `rule-<i>` labels match across resumes);
-        // evaluation faults retry per unit without a breaker — the
-        // query engine is local, not a shared provider.
-        let evaluate_span = root_scope.span_at("evaluate", mining_seconds + translation_seconds);
-        let evaluate_scope = evaluate_span.scope();
-        let mut session = self.scoring_session();
-        let mut correctness = ClassTally::default();
-        let mut outcomes = Vec::with_capacity(selected.len());
-        for (i, (m, resp)) in selected.into_iter().zip(translations).enumerate() {
-            let Some(resp) = resp else { continue };
-            let unit = plan.unit(Stage::Evaluate, i as u64);
-            outcomes.push(self.assess_rule(
-                i,
-                m,
-                &resp,
-                &schema,
-                origins,
-                &evaluate_scope,
-                &mut correctness,
-                |queries, label| match session.as_mut() {
-                    Some(session) => evaluate_resilient_batched(
-                        graph,
-                        queries,
-                        &evaluate_scope,
-                        label,
-                        &unit,
-                        session,
-                    ),
-                    None => evaluate_resilient(graph, queries, &evaluate_scope, label, &unit),
-                },
-            ));
-        }
-        if let Some(session) = &session {
-            record_batch_stats(&evaluate_scope, &session.stats());
-        }
-        evaluate_span.finish();
-        root_span.finish();
-
-        let scored: Vec<_> = outcomes.iter().filter_map(|o| o.metrics).collect();
-        MiningReport {
-            model: cfg.model,
-            strategy_name: cfg.strategy.name(),
-            prompting: cfg.prompting,
-            rules: outcomes,
-            prompts,
-            windows,
-            broken_patterns,
-            rag_coverage,
-            mining_seconds,
-            translation_seconds,
-            aggregate: aggregate(&scored),
-            correctness,
-            stage_timings: recorder.snapshot().stage_timings(),
-            resilience: None,
-        }
-    }
-
-    /// The scoring session of one evaluate pass, or `None` on the
-    /// naive path (`--no-optimizer`). Built identically for the plain
-    /// and chaos loops: the session keys every decision on query text
-    /// and the graph epoch, so a resumed or chaos run replaying the
-    /// same rule sequence journals byte-identical counters.
-    fn scoring_session(&self) -> Option<BatchSession> {
-        let scoring = self.config.scoring;
-        scoring.optimize.then(|| {
-            BatchSession::new(BatchConfig {
-                plan_cache: PlanCacheConfig {
-                    capacity: scoring.plan_cache_size,
-                    ..PlanCacheConfig::default()
-                },
-                ..BatchConfig::default()
-            })
-        })
-    }
-
-    /// Steps 4–7: merge, translate, classify/correct, score.
-    #[allow(clippy::too_many_arguments)]
-    fn finish(
-        &self,
-        graph: &PropertyGraph,
-        model: &mut SimLlm,
-        mined: Vec<grm_llm::GeneratedRule>,
-        origins: &[Vec<OriginRef>],
-        budget: usize,
-        prompts: usize,
-        windows: usize,
-        broken_patterns: usize,
-        rag_coverage: Option<f64>,
-        mining_seconds: f64,
-        root_span: Span,
-        recorder: &Recorder,
-    ) -> MiningReport {
-        let cfg = &self.config;
-        let root_scope = root_span.scope();
         // Step 4: merge — dedup with frequency ranking (§3.1.1:
         // per-window rules "combined to create a comprehensive set").
         // Post-mine stages are stamped with their simulated start
@@ -672,51 +310,66 @@ impl MiningPipeline {
         let schema = GraphSchema::infer(graph);
         let schema_summary = schema.summary();
 
-        // Step 5: translate every selected rule. One pass for all
-        // rules keeps the translator's RNG stream identical to the
-        // historical interleaved loop while giving the stage its own
-        // span.
+        // Step 5: translate each selected rule under its unit plan.
+        // Unit keys are post-merge rule indices, which are stable for
+        // a fixed run seed — the property resume relies on. A
+        // degraded translation drops the rule.
         let translate_span = root_scope.span_at("translate", mining_seconds);
         let translate_scope = translate_span.scope();
+        let t_sched = plan.schedule(Stage::Translate, selected.len());
+        if t_sched.breaker_trips > 0 {
+            translate_scope.add(Counter::BreakerTrips, t_sched.breaker_trips);
+        }
         let mut translation_seconds = 0.0;
-        let translations: Vec<_> = selected
+        let translations: Vec<Option<TranslationResponse>> = selected
             .iter()
-            .map(|m| {
-                let resp =
-                    model.translate_rule_traced(&m.rule.rule, &schema_summary, &translate_scope);
-                translation_seconds += resp.seconds;
-                resp
+            .enumerate()
+            .map(|(i, m)| {
+                let replay = resume.translated.get(&(i as u64)).cloned();
+                let call = llm.translate(
+                    &t_sched.units[i],
+                    &m.rule.rule,
+                    &schema_summary,
+                    replay,
+                    model.as_mut(),
+                    &translate_scope,
+                );
+                settle(call, Stage::Translate, i, chaos, &mut translation_seconds, &translate_scope)
             })
             .collect();
         translate_span.finish();
 
-        // Steps 6–7: classify, correct, score.
+        // Steps 6–7: classify, correct, score. Untranslated rules are
+        // dropped (their indices stay reserved, so `rule-<i>` labels
+        // match across resumes); evaluation faults retry per unit
+        // without a breaker — the query engine is local, not a shared
+        // provider — and a degraded evaluation leaves the rule
+        // unscored but keeps it in the set.
         let evaluate_span = root_scope.span_at("evaluate", mining_seconds + translation_seconds);
         let evaluate_scope = evaluate_span.scope();
         let mut session = self.scoring_session();
         let mut correctness = ClassTally::default();
         let mut outcomes = Vec::with_capacity(selected.len());
         for (i, (m, resp)) in selected.into_iter().zip(translations).enumerate() {
+            let Some(resp) = resp else { continue };
+            let unit = plan.unit(Stage::Evaluate, i as u64);
             outcomes.push(self.assess_rule(
                 i,
                 m,
                 &resp,
                 &schema,
-                origins,
+                &contexts.origins,
                 &evaluate_scope,
                 &mut correctness,
                 |queries, label| {
-                    match session.as_mut() {
-                        Some(session) => evaluate_labeled_batched(
-                            graph,
-                            queries,
-                            &evaluate_scope,
-                            label,
-                            session,
-                        )
-                        .ok(),
-                        None => evaluate_labeled(graph, queries, &evaluate_scope, label).ok(),
-                    }
+                    evaluate_resilient(
+                        graph,
+                        queries,
+                        &evaluate_scope,
+                        label,
+                        &unit,
+                        session.as_mut(),
+                    )
                 },
             ));
         }
@@ -724,32 +377,60 @@ impl MiningPipeline {
             record_batch_stats(&evaluate_scope, &session.stats());
         }
         evaluate_span.finish();
-        root_span.finish();
+        root.finish();
 
         let scored: Vec<_> = outcomes.iter().filter_map(|o| o.metrics).collect();
-        MiningReport {
+        RunStatus::Complete(Box::new(MiningReport {
             model: cfg.model,
             strategy_name: cfg.strategy.name(),
             prompting: cfg.prompting,
             rules: outcomes,
-            prompts,
-            windows,
-            broken_patterns,
-            rag_coverage,
+            prompts: contexts.texts.len(),
+            windows: contexts.windows,
+            broken_patterns: contexts.broken_patterns,
+            rag_coverage: contexts.rag_coverage,
             mining_seconds,
             translation_seconds,
             aggregate: aggregate(&scored),
             correctness,
             stage_timings: recorder.snapshot().stage_timings(),
-            resilience: None,
-        }
+            resilience: chaos.then(|| ResilienceSummary {
+                fault_seed: opts.chaos.fault_seed,
+                fault_rate: opts.chaos.fault_rate,
+                faults_injected: recorder.total(Counter::FaultsInjected),
+                llm_calls_retried: recorder.total(Counter::LlmCallsRetried),
+                llm_calls_abandoned: recorder.total(Counter::LlmCallsAbandoned),
+                windows_degraded: recorder.total(Counter::WindowsDegraded),
+                rules_degraded: recorder.total(Counter::RulesDegraded),
+                queries_degraded: recorder.total(Counter::QueriesDegraded),
+                breaker_trips: recorder.total(Counter::BreakerTrips),
+                resumed_mine_units: resume.mined.len() as u64,
+                resumed_translate_units: resume.translated.len() as u64,
+            }),
+        }))
+    }
+
+    /// The scoring session of one evaluate pass, or `None` on the
+    /// naive path (`--no-optimizer`). The session keys every
+    /// decision on query text and the graph epoch, so a resumed or
+    /// chaos run replaying the same rule sequence journals
+    /// byte-identical counters.
+    fn scoring_session(&self) -> Option<BatchSession> {
+        let scoring = self.config.scoring;
+        scoring.optimize.then(|| {
+            BatchSession::new(BatchConfig {
+                plan_cache: PlanCacheConfig {
+                    capacity: scoring.plan_cache_size,
+                    ..PlanCacheConfig::default()
+                },
+                ..BatchConfig::default()
+            })
+        })
     }
 
     /// Steps 6–7 for one rule: classify the generated Cypher, tally
     /// and correct it, score it via `metrics_for`, and emit its
-    /// lineage record. Shared verbatim between the plain and chaos
-    /// paths so their per-rule operation order — and therefore their
-    /// journals — cannot drift apart.
+    /// lineage record.
     #[allow(clippy::too_many_arguments)]
     fn assess_rule(
         &self,
@@ -852,11 +533,52 @@ struct MergedRule {
     origins: Vec<usize>,
 }
 
-/// Journal reason string for a skipped unit.
-fn skip_reason(skip: CallSkip) -> &'static str {
-    match skip {
-        CallSkip::BreakerOpen => "breaker_open",
-        CallSkip::Abandoned { .. } => "retries_exhausted",
+/// Settles one LLM call of `stage`: adds its simulated cost (call
+/// plus faults) to `seconds`, checkpoints a completed unit when
+/// `chaos` is on, and journals a degraded one. Returns the response
+/// of a completed unit.
+pub(crate) fn settle<T: Timed + serde::Serialize>(
+    call: Result<ResilientCall<T>, CallSkip>,
+    stage: Stage,
+    key: usize,
+    chaos: bool,
+    seconds: &mut f64,
+    scope: &Scope,
+) -> Option<T> {
+    match call {
+        Ok(call) => {
+            *seconds += call.response.seconds() + call.fault_seconds;
+            if chaos {
+                scope.checkpoint(CheckpointRecord {
+                    span: None,
+                    stage: stage.name().to_owned(),
+                    unit: key as u64,
+                    payload: serde_json::to_string(&call.response).unwrap_or_default(),
+                });
+            }
+            Some(call.response)
+        }
+        Err(skip) => {
+            if let CallSkip::Abandoned { fault_seconds, .. } = skip {
+                *seconds += fault_seconds;
+            }
+            let (counter, unit) = match stage {
+                Stage::Mine => (Counter::WindowsDegraded, format!("context-{key}")),
+                _ => (Counter::RulesDegraded, format!("rule-{key}")),
+            };
+            scope.add(counter, 1);
+            scope.degraded(DegradedRecord {
+                span: None,
+                stage: stage.name().to_owned(),
+                unit,
+                reason: match skip {
+                    CallSkip::BreakerOpen => "breaker_open",
+                    CallSkip::Abandoned { .. } => "retries_exhausted",
+                }
+                .to_owned(),
+            });
+            None
+        }
     }
 }
 
@@ -992,8 +714,11 @@ mod tests {
         assert!(report.rule_count() <= 3);
     }
 
-    fn chaos(rate: f64) -> Resilience {
-        Resilience::chaos(ChaosConfig { fault_rate: rate, ..ChaosConfig::default() })
+    fn chaos(rate: f64) -> RunOptions {
+        RunOptions {
+            chaos: grm_resil::ChaosConfig { fault_rate: rate, ..Default::default() },
+            ..RunOptions::default()
+        }
     }
 
     #[test]
@@ -1002,8 +727,12 @@ mod tests {
         let pipe = MiningPipeline::new(sw_config(ModelKind::Llama3, PromptStyle::ZeroShot));
         let plain = Recorder::deterministic();
         pipe.run_traced(&g, &plain);
+        // A rate-0 plan is inert whatever its other parameters.
+        let mut inert = chaos(0.0);
+        inert.chaos.fault_seed = 99;
+        inert.chaos.breaker_threshold = 1;
         let resilient = Recorder::deterministic();
-        let status = pipe.run_resilient(&g, 1, &resilient, &chaos(0.0));
+        let status = pipe.run_with(&g, &resilient, &inert);
         assert!(matches!(status, RunStatus::Complete(_)));
         assert_eq!(plain.snapshot().to_jsonl(), resilient.snapshot().to_jsonl());
         // Deterministic mode keeps the v7 start offsets: they are
@@ -1016,9 +745,8 @@ mod tests {
     fn chaos_run_is_deterministic_and_degrades_gracefully() {
         let g = small_graph();
         let pipe = MiningPipeline::new(sw_config(ModelKind::Llama3, PromptStyle::ZeroShot));
-        let run = |rec: &Recorder| {
-            pipe.run_resilient(&g, 1, rec, &chaos(0.35)).report().expect("completes")
-        };
+        let run =
+            |rec: &Recorder| pipe.run_with(&g, rec, &chaos(0.35)).report().expect("completes");
         let rec_a = Recorder::deterministic();
         let a = run(&rec_a);
         let rec_b = Recorder::deterministic();
@@ -1040,13 +768,12 @@ mod tests {
         let pipe = MiningPipeline::new(sw_config(ModelKind::Llama3, PromptStyle::ZeroShot));
         // Uninterrupted reference run.
         let full = Recorder::deterministic();
-        let full_report =
-            pipe.run_resilient(&g, 1, &full, &chaos(0.3)).report().expect("completes");
+        let full_report = pipe.run_with(&g, &full, &chaos(0.3)).report().expect("completes");
 
         // Killed after 2 mine units...
         let killed = Recorder::deterministic();
-        let resil = Resilience { kill_after: Some(2), ..chaos(0.3) };
-        let status = pipe.run_resilient(&g, 1, &killed, &resil);
+        let opts = RunOptions { kill_after: Some(2), ..chaos(0.3) };
+        let status = pipe.run_with(&g, &killed, &opts);
         let RunStatus::Killed { stage, completed_units } = status else {
             panic!("expected a killed run");
         };
@@ -1060,7 +787,7 @@ mod tests {
         assert!(state.units() > 0, "killed run left checkpoints behind");
         let resumed_rec = Recorder::deterministic();
         let resumed = pipe
-            .run_resilient(&g, 1, &resumed_rec, &Resilience { resume: Some(state), ..chaos(0.3) })
+            .run_with(&g, &resumed_rec, &RunOptions { resume: Some(state), ..chaos(0.3) })
             .report()
             .expect("resumed run completes");
         assert_eq!(full.snapshot().to_jsonl(), resumed_rec.snapshot().to_jsonl());
@@ -1082,11 +809,11 @@ mod tests {
         let g = small_graph();
         let pipe = MiningPipeline::new(sw_config(ModelKind::Llama3, PromptStyle::ZeroShot));
         let full = Recorder::deterministic();
-        pipe.run_resilient(&g, 1, &full, &chaos(0.3)).report().expect("completes");
+        pipe.run_with(&g, &full, &chaos(0.3)).report().expect("completes");
 
         let killed = Recorder::deterministic();
-        let resil = Resilience { kill_after: Some(2), ..chaos(0.3) };
-        let RunStatus::Killed { .. } = pipe.run_resilient(&g, 1, &killed, &resil) else {
+        let opts = RunOptions { kill_after: Some(2), ..chaos(0.3) };
+        let RunStatus::Killed { .. } = pipe.run_with(&g, &killed, &opts) else {
             panic!("expected a killed run");
         };
         let mut partial = killed.snapshot();
@@ -1098,7 +825,7 @@ mod tests {
         let replayable = state.units();
         assert_eq!(replayable, partial.checkpoints.len() - 1, "one unit dropped for re-run");
         let resumed_rec = Recorder::deterministic();
-        pipe.run_resilient(&g, 1, &resumed_rec, &Resilience { resume: Some(state), ..chaos(0.3) })
+        pipe.run_with(&g, &resumed_rec, &RunOptions { resume: Some(state), ..chaos(0.3) })
             .report()
             .expect("resumed run completes despite the corrupt checkpoint");
         assert_eq!(full.snapshot().to_jsonl(), resumed_rec.snapshot().to_jsonl());
@@ -1108,10 +835,11 @@ mod tests {
     fn parallel_chaos_matches_serial_rule_set() {
         let g = small_graph();
         let pipe = MiningPipeline::new(sw_config(ModelKind::Mixtral, PromptStyle::ZeroShot));
-        let serial =
-            pipe.run_resilient(&g, 1, &Recorder::new(), &chaos(0.3)).report().expect("serial");
-        let fleet =
-            pipe.run_resilient(&g, 3, &Recorder::new(), &chaos(0.3)).report().expect("fleet");
+        let serial = pipe.run_with(&g, &Recorder::new(), &chaos(0.3)).report().expect("serial");
+        let fleet = pipe
+            .run_with(&g, &Recorder::new(), &RunOptions { workers: 3, ..chaos(0.3) })
+            .report()
+            .expect("fleet");
         // Per-unit model seeds + context-order reassembly: the final
         // rule set is independent of the worker count.
         let keys = |r: &MiningReport| -> Vec<String> {

@@ -1,10 +1,9 @@
-//! Run-level resilience controls: chaos configuration, checkpoint
+//! Run-level controls: worker count, chaos configuration, checkpoint
 //! resume, and the deterministic mid-run kill used to test it.
 //!
-//! [`Resilience`] is what `grm mine --fault-rate` hands the pipeline:
-//! an optional [`ChaosConfig`] (fault rate 0 normalises back to the
-//! plain pipeline, so fault-free chaos runs are byte-identical to
-//! pre-chaos journals *by construction*), an optional [`ResumeState`]
+//! [`RunOptions`] is what `grm mine` hands the pipeline: a worker
+//! count, a [`ChaosConfig`] (a zero fault rate is an inert plan that
+//! injects nothing and journals nothing), an optional [`ResumeState`]
 //! replayed from a previous run's journal, and an optional
 //! deterministic kill point for exercising resume in tests and CI.
 //!
@@ -27,40 +26,28 @@ use grm_resil::ChaosConfig;
 
 use crate::report::MiningReport;
 
-/// Fault-injection and recovery controls for one pipeline run.
-#[derive(Debug, Clone, Default)]
-pub struct Resilience {
-    /// Fault plan parameters; `None` runs the plain pipeline.
-    pub chaos: Option<ChaosConfig>,
-    /// Checkpointed work from a previous run to replay.
+/// How one pipeline run issues its work.
+#[derive(Debug, Clone)]
+pub struct RunOptions {
+    /// Model replicas mining in parallel; 1 (or 0) is the serial run.
+    pub workers: usize,
+    /// Fault plan parameters. `fault_rate > 0` makes a chaos run;
+    /// at rate 0 the plan is inert and the run journals no chaos
+    /// records.
+    pub chaos: ChaosConfig,
+    /// Checkpointed work from a previous chaos run to replay (chaos
+    /// runs only).
     pub resume: Option<ResumeState>,
     /// Deterministic kill: stop after this many mine units (serial
-    /// runs only), returning [`RunStatus::Killed`]. Test/CI hook for
-    /// the resume path.
+    /// chaos runs only), returning [`RunStatus::Killed`]. Test/CI
+    /// hook for the resume path.
     pub kill_after: Option<usize>,
 }
 
-impl Resilience {
-    /// No chaos, no resume: the plain pipeline.
-    pub fn none() -> Self {
-        Resilience::default()
-    }
-
-    /// A chaos run under `chaos`. A fault rate of zero injects
-    /// nothing, so it is normalised to [`Resilience::none`] — the
-    /// run takes the exact fault-free code path and its journal is
-    /// byte-identical to a plain traced run.
-    pub fn chaos(chaos: ChaosConfig) -> Self {
-        if chaos.fault_rate <= 0.0 {
-            Resilience::none()
-        } else {
-            Resilience { chaos: Some(chaos), resume: None, kill_after: None }
-        }
-    }
-
-    /// True when this run injects faults.
-    pub fn is_chaos(&self) -> bool {
-        self.chaos.is_some()
+impl Default for RunOptions {
+    /// Serial, fault-free, nothing to resume.
+    fn default() -> Self {
+        RunOptions { workers: 1, chaos: ChaosConfig::default(), resume: None, kill_after: None }
     }
 }
 
@@ -131,7 +118,7 @@ impl ResumeState {
     }
 }
 
-/// How a resilient run ended.
+/// How a pipeline run ended.
 #[derive(Debug)]
 pub enum RunStatus {
     /// The pipeline ran to the end (possibly degraded — see the
@@ -160,14 +147,6 @@ impl RunStatus {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn zero_rate_normalises_to_plain_run() {
-        let r = Resilience::chaos(ChaosConfig { fault_rate: 0.0, ..ChaosConfig::default() });
-        assert!(!r.is_chaos());
-        let r = Resilience::chaos(ChaosConfig { fault_rate: 0.3, ..ChaosConfig::default() });
-        assert!(r.is_chaos());
-    }
 
     #[test]
     fn resume_requires_a_chaos_journal() {

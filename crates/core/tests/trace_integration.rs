@@ -2,7 +2,7 @@
 //! Figure-1 stage, and the journal's counters must agree with the
 //! `MiningReport` the same run returned.
 
-use grm_core::{ContextStrategy, MiningPipeline, PipelineConfig};
+use grm_core::{ContextStrategy, MiningPipeline, MiningReport, PipelineConfig, RunOptions};
 use grm_datasets::{generate, DatasetId, GenConfig};
 use grm_llm::{ModelKind, PromptStyle};
 use grm_obs::{Recorder, RunJournal};
@@ -23,6 +23,12 @@ fn sw_config() -> PipelineConfig {
             PromptStyle::ZeroShot,
         )
     }
+}
+
+/// A fault-free run with `workers` mining replicas.
+fn fleet(cfg: PipelineConfig, g: &PropertyGraph, workers: usize, rec: &Recorder) -> MiningReport {
+    let opts = RunOptions { workers, ..RunOptions::default() };
+    MiningPipeline::new(cfg).run_with(g, rec, &opts).report().expect("no kill point")
 }
 
 fn stage_names(journal: &RunJournal) -> Vec<String> {
@@ -136,7 +142,7 @@ fn parallel_run_emits_worker_child_spans_that_sum_to_totals() {
     let g = small_graph();
     let workers = 4;
     let rec = Recorder::new();
-    let report = MiningPipeline::new(sw_config()).run_with_workers_traced(&g, workers, &rec);
+    let report = fleet(sw_config(), &g, workers, &rec);
     let journal = rec.snapshot();
 
     let mine = journal.span("mine").expect("mine span");
@@ -335,7 +341,7 @@ fn traced_run_attaches_rule_lineage() {
 fn parallel_run_attaches_rule_lineage_with_window_origins() {
     let g = small_graph();
     let rec = Recorder::new();
-    let report = MiningPipeline::new(sw_config()).run_with_workers_traced(&g, 4, &rec);
+    let report = fleet(sw_config(), &g, 4, &rec);
     let journal = rec.snapshot();
     assert_eq!(journal.lineages.len(), report.rule_count());
     for l in &journal.lineages {

@@ -22,10 +22,17 @@ use crate::ast::*;
 use crate::error::{CypherError, Result, Span};
 use crate::lexer::{lex, Tok, Token};
 
+/// Deepest expression nesting the parser accepts: parentheses, lists,
+/// function arguments and `NOT`/sign/power chains all count. Past it
+/// the parser returns a positioned syntax error instead of recursing
+/// until the stack overflows. An unoptimized build spends about 16 KB
+/// of stack per level, so 64 levels fit a 2 MB thread.
+pub const MAX_EXPR_DEPTH: usize = 64;
+
 /// Parses a full query from source text.
 pub fn parse(src: &str) -> Result<Query> {
     let tokens = lex(src)?;
-    let mut p = Parser { src, tokens, pos: 0 };
+    let mut p = Parser { src, tokens, pos: 0, depth: 0 };
     let q = p.query()?;
     p.expect_eof()?;
     Ok(q)
@@ -35,7 +42,7 @@ pub fn parse(src: &str) -> Result<Query> {
 /// translator).
 pub fn parse_expr(src: &str) -> Result<Expr> {
     let tokens = lex(src)?;
-    let mut p = Parser { src, tokens, pos: 0 };
+    let mut p = Parser { src, tokens, pos: 0, depth: 0 };
     let e = p.expr()?;
     p.expect_eof()?;
     Ok(e)
@@ -45,6 +52,8 @@ struct Parser<'s> {
     src: &'s str,
     tokens: Vec<Token>,
     pos: usize,
+    /// Current expression nesting, bounded by [`MAX_EXPR_DEPTH`].
+    depth: usize,
 }
 
 /// Keyword tokens that double as names in label/type/key positions —
@@ -377,7 +386,22 @@ impl Parser<'_> {
     // -- expressions: precedence ladder --------------------------------------
 
     pub(crate) fn expr(&mut self) -> Result<Expr> {
-        self.or_expr()
+        self.nested(Self::or_expr)
+    }
+
+    /// Runs one recursive step of the expression grammar, one level
+    /// deeper; every cycle of the grammar passes through here.
+    fn nested(&mut self, step: impl FnOnce(&mut Self) -> Result<Expr>) -> Result<Expr> {
+        if self.depth >= MAX_EXPR_DEPTH {
+            return Err(CypherError::parse(
+                format!("expression nested deeper than {MAX_EXPR_DEPTH} levels"),
+                self.span(),
+            ));
+        }
+        self.depth += 1;
+        let e = step(self);
+        self.depth -= 1;
+        e
     }
 
     fn or_expr(&mut self) -> Result<Expr> {
@@ -409,7 +433,7 @@ impl Parser<'_> {
 
     fn not_expr(&mut self) -> Result<Expr> {
         if self.eat(&Tok::Not) {
-            let inner = self.not_expr()?;
+            let inner = self.nested(Self::not_expr)?;
             Ok(Expr::Unary { op: UnaryOp::Not, expr: Box::new(inner) })
         } else {
             self.comparison()
@@ -492,7 +516,7 @@ impl Parser<'_> {
         let lhs = self.unary()?;
         if self.eat(&Tok::Caret) {
             // Right-associative.
-            let rhs = self.power()?;
+            let rhs = self.nested(Self::power)?;
             return Ok(Expr::binary(BinOp::Pow, lhs, rhs));
         }
         Ok(lhs)
@@ -500,11 +524,11 @@ impl Parser<'_> {
 
     fn unary(&mut self) -> Result<Expr> {
         if self.eat(&Tok::Minus) {
-            let inner = self.unary()?;
+            let inner = self.nested(Self::unary)?;
             return Ok(Expr::Unary { op: UnaryOp::Neg, expr: Box::new(inner) });
         }
         if self.eat(&Tok::Plus) {
-            return self.unary();
+            return self.nested(Self::unary);
         }
         self.postfix()
     }
@@ -621,6 +645,35 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn deep_nesting_is_a_positioned_syntax_error() {
+        let n = 10_000;
+        let forms = [
+            ("parentheses", "(".repeat(n) + "1" + &")".repeat(n)),
+            ("lists", "[".repeat(n) + "1" + &"]".repeat(n)),
+            ("NOT chain", "NOT ".repeat(2 * n) + "true"),
+            ("sign chain", "- ".repeat(2 * n) + "1"),
+            ("power chain", "2".to_owned() + &" ^ 2".repeat(2 * n)),
+        ];
+        for (form, expr) in forms {
+            let src = format!("RETURN {expr} AS x");
+            match parse(&src) {
+                Err(CypherError::Parse { message, span }) => {
+                    assert!(message.contains("nested deeper"), "{form}: {message}");
+                    assert!(span.start > 0 && span.end <= src.len(), "{form}: {span:?}");
+                }
+                other => panic!("{form}: expected a parse error, got {other:?}"),
+            }
+        }
+        // Just inside the limit still parses, with room to spare for
+        // the `RETURN` level.
+        let depth = MAX_EXPR_DEPTH - 1;
+        let src = format!("RETURN {}1{} AS x", "(".repeat(depth - 1), ")".repeat(depth - 1));
+        assert!(parse(&src).is_ok());
+        let src = format!("RETURN {}1{} AS x", "(".repeat(depth + 1), ")".repeat(depth + 1));
+        assert!(parse(&src).is_err());
+    }
 
     #[test]
     fn parses_the_papers_tournament_query() {

@@ -1,26 +1,31 @@
 //! Fallible, retryable LLM calls — [`SimLlm`] wrapped behind the
 //! chaos plan from `grm-resil`.
 //!
-//! [`ResilientLlm`] is the failure-path counterpart of [`SimLlm`]:
-//! every call site supplies its precomputed [`UnitPlan`] and gets a
+//! [`ResilientLlm`] issues every LLM call of a pipeline run: each
+//! call site supplies its precomputed [`UnitPlan`] and gets a
 //! `Result` back — `Ok` with the response and the unit's retry cost,
 //! or `Err` when the plan abandoned the unit or the stage breaker
-//! skipped it. Two properties make chaos runs replayable:
+//! skipped it. Under a fault-free plan every unit completes on its
+//! first attempt and no fault record is written, so the same path
+//! serves plain runs. Three properties make runs replayable:
 //!
-//! * **per-unit model seeds** — each unit draws from its own RNG
-//!   stream keyed on `(run seed, stage, unit key)`, so a retried or
-//!   resumed unit converges on the same response regardless of how
-//!   many faults preceded it;
+//! * **replica streams** — a caller passing a `replica` model draws
+//!   the response from that model's running stream: the fault-free
+//!   pipeline's one stream per replica;
+//! * **per-unit model seeds** — without a replica each unit draws
+//!   from its own RNG stream keyed on `(run seed, stage, unit key)`,
+//!   so a retried or resumed unit converges on the same response
+//!   regardless of how many faults preceded it;
 //! * **checkpoint replay** — a caller holding a checkpointed response
 //!   passes it as `replay` and the model is never invoked, yet every
 //!   fault/retry record and counter is re-emitted identically, so a
 //!   resumed run's journal is byte-identical to an uninterrupted one.
 
 use grm_obs::{Counter, Histo, RetryRecord, Scope};
-use grm_resil::{mix, record_unit_faults, FaultPlan, Stage, UnitOutcome, UnitPlan};
+use grm_resil::{mix, record_unit_faults, Stage, UnitOutcome, UnitPlan};
 use grm_rules::ConsistencyRule;
 
-use crate::model::{MiningResponse, SimLlm, TranslationResponse};
+use crate::model::{MiningResponse, SimLlm, Timed, TranslationResponse};
 use crate::persona::ModelKind;
 use crate::prompt::MiningPrompt;
 
@@ -55,8 +60,9 @@ pub enum CallSkip {
 }
 
 /// A [`SimLlm`] factory that runs units under a fault plan. Holds no
-/// model state itself — every unit gets a fresh, unit-seeded model,
-/// which is what makes retries and resume converge.
+/// model state itself — a unit without a caller-supplied replica gets
+/// a fresh, unit-seeded model, which is what makes retries and resume
+/// converge.
 #[derive(Debug, Clone, Copy)]
 pub struct ResilientLlm {
     kind: ModelKind,
@@ -70,101 +76,91 @@ impl ResilientLlm {
 
     /// Mines one context under the unit's fault plan. `replay` is the
     /// checkpointed response of a resumed run, substituted for the
-    /// live model call; records and counters are emitted either way.
+    /// live model call; `replica` is the model whose stream a live
+    /// call draws from (a unit-seeded model when `None`). Records
+    /// and counters are emitted either way.
     pub fn mine(
         &self,
-        plan: &FaultPlan,
         unit: &UnitPlan,
         prompt: &MiningPrompt,
         replay: Option<MiningResponse>,
+        replica: Option<&mut SimLlm>,
         scope: &Scope,
     ) -> Result<ResilientCall<MiningResponse>, CallSkip> {
-        let _ = plan;
-        if unit.outcome == UnitOutcome::SkippedByBreaker {
-            return Err(CallSkip::BreakerOpen);
-        }
-        let response = match replay {
-            Some(response) => response,
-            None => {
-                let mut model =
-                    SimLlm::new(self.kind, unit_model_seed(self.run_seed, unit.stage, unit.key));
-                model.mine(prompt)
-            }
-        };
-        let fault_seconds = record_unit_faults(unit, response.seconds, scope);
-        scope.add_sim_seconds(fault_seconds);
-        match unit.outcome {
-            UnitOutcome::Abandoned => {
-                scope.add(Counter::LlmCallsAbandoned, 1);
-                scope.retry(RetryRecord {
-                    span: None,
-                    stage: unit.stage.name().into(),
-                    unit: unit.key,
-                    attempts: unit.attempts() as u64,
-                    recovered: false,
-                });
-                Err(CallSkip::Abandoned { attempts: unit.attempts(), fault_seconds })
-            }
-            _ => {
-                scope.add(Counter::PromptsIssued, 1);
-                scope.add(Counter::PromptTokens, response.prompt_tokens as u64);
-                scope.add(Counter::CompletionTokens, response.completion_tokens as u64);
-                scope.add(Counter::RulesMined, response.rules.len() as u64);
-                scope.add_sim_seconds(response.seconds);
-                scope.observe(Histo::MineCallSeconds, response.seconds);
-                self.note_recovery(unit, scope);
-                Ok(ResilientCall { response, attempts: unit.attempts(), fault_seconds })
-            }
-        }
+        let call = self.call(unit, replay, replica, scope, |model| model.mine(prompt))?;
+        let response = &call.response;
+        scope.add(Counter::PromptsIssued, 1);
+        scope.add(Counter::PromptTokens, response.prompt_tokens as u64);
+        scope.add(Counter::CompletionTokens, response.completion_tokens as u64);
+        scope.add(Counter::RulesMined, response.rules.len() as u64);
+        scope.add_sim_seconds(response.seconds);
+        scope.observe(Histo::MineCallSeconds, response.seconds);
+        self.note_recovery(unit, scope);
+        Ok(call)
     }
 
-    /// Translates one rule under the unit's fault plan; same replay
-    /// and record semantics as [`ResilientLlm::mine`].
+    /// Translates one rule under the unit's fault plan; same replay,
+    /// replica and record semantics as [`ResilientLlm::mine`].
+    /// `prompts_issued` stays a mining-only counter so it matches
+    /// the report's prompt count.
     pub fn translate(
         &self,
-        plan: &FaultPlan,
         unit: &UnitPlan,
         rule: &ConsistencyRule,
         schema_summary: &str,
         replay: Option<TranslationResponse>,
+        replica: Option<&mut SimLlm>,
         scope: &Scope,
     ) -> Result<ResilientCall<TranslationResponse>, CallSkip> {
-        let _ = plan;
+        let call = self.call(unit, replay, replica, scope, |model| {
+            model.translate_rule(rule, schema_summary)
+        })?;
+        let response = &call.response;
+        scope.add(Counter::RulesTranslated, 1);
+        scope.add(Counter::PromptTokens, response.prompt_tokens as u64);
+        scope.add(Counter::CompletionTokens, response.completion_tokens as u64);
+        scope.add_sim_seconds(response.seconds);
+        scope.observe(Histo::TranslateCallSeconds, response.seconds);
+        self.note_recovery(unit, scope);
+        Ok(call)
+    }
+
+    /// The shared retry envelope: skips breaker-open units, obtains
+    /// the response (replayed, from the replica, or from a unit-seeded
+    /// model), records the unit's faults, and fails abandoned units.
+    fn call<T: Timed>(
+        &self,
+        unit: &UnitPlan,
+        replay: Option<T>,
+        replica: Option<&mut SimLlm>,
+        scope: &Scope,
+        live: impl FnOnce(&mut SimLlm) -> T,
+    ) -> Result<ResilientCall<T>, CallSkip> {
         if unit.outcome == UnitOutcome::SkippedByBreaker {
             return Err(CallSkip::BreakerOpen);
         }
-        let response = match replay {
-            Some(response) => response,
-            None => {
-                let mut model =
-                    SimLlm::new(self.kind, unit_model_seed(self.run_seed, unit.stage, unit.key));
-                model.translate_rule(rule, schema_summary)
-            }
+        let response = match (replay, replica) {
+            (Some(response), _) => response,
+            (None, Some(model)) => live(model),
+            (None, None) => live(&mut SimLlm::new(
+                self.kind,
+                unit_model_seed(self.run_seed, unit.stage, unit.key),
+            )),
         };
-        let fault_seconds = record_unit_faults(unit, response.seconds, scope);
+        let fault_seconds = record_unit_faults(unit, response.seconds(), scope);
         scope.add_sim_seconds(fault_seconds);
-        match unit.outcome {
-            UnitOutcome::Abandoned => {
-                scope.add(Counter::LlmCallsAbandoned, 1);
-                scope.retry(RetryRecord {
-                    span: None,
-                    stage: unit.stage.name().into(),
-                    unit: unit.key,
-                    attempts: unit.attempts() as u64,
-                    recovered: false,
-                });
-                Err(CallSkip::Abandoned { attempts: unit.attempts(), fault_seconds })
-            }
-            _ => {
-                scope.add(Counter::RulesTranslated, 1);
-                scope.add(Counter::PromptTokens, response.prompt_tokens as u64);
-                scope.add(Counter::CompletionTokens, response.completion_tokens as u64);
-                scope.add_sim_seconds(response.seconds);
-                scope.observe(Histo::TranslateCallSeconds, response.seconds);
-                self.note_recovery(unit, scope);
-                Ok(ResilientCall { response, attempts: unit.attempts(), fault_seconds })
-            }
+        if unit.outcome == UnitOutcome::Abandoned {
+            scope.add(Counter::LlmCallsAbandoned, 1);
+            scope.retry(RetryRecord {
+                span: None,
+                stage: unit.stage.name().into(),
+                unit: unit.key,
+                attempts: unit.attempts() as u64,
+                recovered: false,
+            });
+            return Err(CallSkip::Abandoned { attempts: unit.attempts(), fault_seconds });
         }
+        Ok(ResilientCall { response, attempts: unit.attempts(), fault_seconds })
     }
 
     /// Emits the recovered-retry record and counter for a completed
@@ -188,7 +184,7 @@ impl ResilientLlm {
 mod tests {
     use super::*;
     use grm_obs::Recorder;
-    use grm_resil::ChaosConfig;
+    use grm_resil::{ChaosConfig, FaultPlan};
 
     fn prompt() -> MiningPrompt {
         use crate::prompt::PromptStyle;
@@ -209,7 +205,7 @@ mod tests {
         let unit = p.unit(Stage::Mine, 3);
         let rec = Recorder::new();
         let scope = rec.root_scope();
-        let call = llm.mine(&p, &unit, &prompt(), None, &scope).unwrap();
+        let call = llm.mine(&unit, &prompt(), None, None, &scope).unwrap();
         assert_eq!(call.attempts, 1);
         assert_eq!(call.fault_seconds, 0.0);
         let mut direct = SimLlm::new(ModelKind::Llama3, unit_model_seed(42, Stage::Mine, 3));
@@ -217,6 +213,24 @@ mod tests {
         assert_eq!(call.response, expected);
         assert_eq!(rec.total(Counter::PromptsIssued), 1);
         assert_eq!(rec.total(Counter::FaultsInjected), 0);
+    }
+
+    #[test]
+    fn replica_calls_continue_the_replica_stream() {
+        // Under an inert plan a replica-backed unit is exactly the
+        // replica's next call: two units on one replica match two
+        // calls on a plain model of the same seed.
+        let llm = ResilientLlm::new(ModelKind::Mixtral, 42);
+        let p = plan(0.0);
+        let mut replica = SimLlm::new(ModelKind::Mixtral, 42);
+        let mut direct = SimLlm::new(ModelKind::Mixtral, 42);
+        let scope = Scope::disabled();
+        for key in 0..2 {
+            let unit = p.unit(Stage::Mine, key);
+            let call = llm.mine(&unit, &prompt(), None, Some(&mut replica), &scope).unwrap();
+            assert_eq!(call.response, direct.mine(&prompt()));
+            assert_eq!(call.fault_seconds, 0.0);
+        }
     }
 
     #[test]
@@ -229,10 +243,10 @@ mod tests {
             .find(|u| !u.faults.is_empty() && !u.is_degraded())
             .expect("some unit retries and recovers at rate 0.4");
         let live_rec = Recorder::new();
-        let live = llm.mine(&p, &unit, &prompt(), None, &live_rec.root_scope()).unwrap();
+        let live = llm.mine(&unit, &prompt(), None, None, &live_rec.root_scope()).unwrap();
         let replay_rec = Recorder::new();
         let replayed = llm
-            .mine(&p, &unit, &prompt(), Some(live.response.clone()), &replay_rec.root_scope())
+            .mine(&unit, &prompt(), Some(live.response.clone()), None, &replay_rec.root_scope())
             .unwrap();
         assert_eq!(replayed, live);
         assert_eq!(live_rec.snapshot().to_jsonl(), replay_rec.snapshot().to_jsonl());
@@ -245,7 +259,7 @@ mod tests {
         let p = plan(1.0);
         let unit = p.unit(Stage::Mine, 0);
         let rec = Recorder::new();
-        let err = llm.mine(&p, &unit, &prompt(), None, &rec.root_scope()).unwrap_err();
+        let err = llm.mine(&unit, &prompt(), None, None, &rec.root_scope()).unwrap_err();
         assert!(matches!(
             err,
             CallSkip::Abandoned { attempts, fault_seconds }
@@ -267,7 +281,7 @@ mod tests {
             .find(|u| u.outcome == UnitOutcome::SkippedByBreaker)
             .expect("breaker opens at rate 1.0");
         let rec = Recorder::new();
-        let err = llm.mine(&p, skipped, &prompt(), None, &rec.root_scope()).unwrap_err();
+        let err = llm.mine(skipped, &prompt(), None, None, &rec.root_scope()).unwrap_err();
         assert_eq!(err, CallSkip::BreakerOpen);
         assert_eq!(rec.total(Counter::FaultsInjected), 0);
     }

@@ -31,6 +31,24 @@ pub struct TranslationResponse {
     pub seconds: f64,
 }
 
+/// A model response that carries its simulated call time.
+pub trait Timed {
+    /// Simulated wall-clock seconds of the call.
+    fn seconds(&self) -> f64;
+}
+
+impl Timed for MiningResponse {
+    fn seconds(&self) -> f64 {
+        self.seconds
+    }
+}
+
+impl Timed for TranslationResponse {
+    fn seconds(&self) -> f64 {
+        self.seconds
+    }
+}
+
 /// A simulated LLM with a fixed persona and seeded randomness.
 ///
 /// The same `(kind, seed)` pair reproduces the same behaviour — the
@@ -91,22 +109,6 @@ impl SimLlm {
         MiningResponse { rules, prompt_tokens, completion_tokens, seconds }
     }
 
-    /// [`SimLlm::mine`] with instrumentation: records the prompt on
-    /// `scope` (counters land on the enclosing stage or worker span)
-    /// and attributes the simulated call time there. Identical
-    /// output — tracing never perturbs the model's RNG stream.
-    pub fn mine_traced(&mut self, prompt: &MiningPrompt, scope: &grm_obs::Scope) -> MiningResponse {
-        let resp = self.mine(prompt);
-        use grm_obs::{Counter, Histo};
-        scope.add(Counter::PromptsIssued, 1);
-        scope.add(Counter::PromptTokens, resp.prompt_tokens as u64);
-        scope.add(Counter::CompletionTokens, resp.completion_tokens as u64);
-        scope.add(Counter::RulesMined, resp.rules.len() as u64);
-        scope.add_sim_seconds(resp.seconds);
-        scope.observe(Histo::MineCallSeconds, resp.seconds);
-        resp
-    }
-
     /// Translates one mined rule to Cypher (step 2 of the pipeline),
     /// with the persona's error profile.
     pub fn translate_rule(
@@ -124,26 +126,6 @@ impl SimLlm {
         let seconds = invocation_seconds(&self.persona, prompt_tokens, completion_tokens);
         self.stopwatch.record(&self.persona, prompt_tokens, completion_tokens);
         TranslationResponse { translation, prompt_tokens, completion_tokens, seconds }
-    }
-
-    /// [`SimLlm::translate_rule`] with instrumentation. Counts the
-    /// translated rule and its tokens on `scope` and attributes the
-    /// simulated call time there; `prompts_issued` stays a
-    /// mining-only counter so it matches `MiningReport::prompts`.
-    pub fn translate_rule_traced(
-        &mut self,
-        rule: &ConsistencyRule,
-        schema_summary: &str,
-        scope: &grm_obs::Scope,
-    ) -> TranslationResponse {
-        let resp = self.translate_rule(rule, schema_summary);
-        use grm_obs::{Counter, Histo};
-        scope.add(Counter::RulesTranslated, 1);
-        scope.add(Counter::PromptTokens, resp.prompt_tokens as u64);
-        scope.add(Counter::CompletionTokens, resp.completion_tokens as u64);
-        scope.add_sim_seconds(resp.seconds);
-        scope.observe(Histo::TranslateCallSeconds, resp.seconds);
-        resp
     }
 }
 

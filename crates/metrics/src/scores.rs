@@ -50,7 +50,7 @@ pub fn evaluate_traced(
     queries: &RuleQueries,
     scope: &Scope,
 ) -> Result<RuleMetrics, CypherError> {
-    evaluate_labeled(graph, queries, scope, "rule")
+    evaluate_labeled(graph, queries, scope, "rule", None)
 }
 
 /// [`evaluate`] with full observability on `scope`: counters for the
@@ -58,32 +58,64 @@ pub fn evaluate_traced(
 /// tracing is on — every query runs under `PROFILE`. The three plans
 /// are folded into one [`PlanRecord`] labelled `label` and attached
 /// to the scope's span, where the recorder's slow-query policy can
-/// flag it. On a disabled scope this is exactly [`evaluate`]: the
-/// engine does zero db-hit accounting.
+/// flag it. On a disabled scope nothing is profiled: the engine does
+/// zero db-hit accounting.
+///
+/// With a shared [`BatchSession`] each distinct query compiles once
+/// via the plan cache, and repeated counts (the head-total query
+/// recurs verbatim across rules sharing a head) come from the
+/// session's result memo at zero db-hits. A memoized answer bumps
+/// `cypher_queries_memoized` and attaches no plan — nothing ran. An
+/// executed query accounts exactly like the naive (`None`) path, so
+/// a session whose memo never hits journals the same per-rule plan
+/// shape.
 pub fn evaluate_labeled(
     graph: &PropertyGraph,
     queries: &RuleQueries,
     scope: &Scope,
     label: &str,
+    mut session: Option<&mut BatchSession>,
 ) -> Result<RuleMetrics, CypherError> {
     scope.add(Counter::SupportEvaluations, 1);
     let mut plan = scope.is_enabled().then(|| PlanRecord::new(label));
     let result = {
         let mut count = |query: &str| -> Result<i64, CypherError> {
-            let rs = match &mut plan {
-                Some(plan) => {
-                    scope.add(Counter::CypherQueriesExecuted, 1);
-                    scope.add(Counter::CypherQueriesProfiled, 1);
+            let Some(plan) = plan.as_mut() else {
+                return match session.as_deref_mut() {
+                    Some(session) => single_count(&*session.execute(graph, query)?, query),
+                    None => single_count(&execute(graph, query)?, query),
+                };
+            };
+            let executed = || {
+                scope.add(Counter::CypherQueriesExecuted, 1);
+                scope.add(Counter::CypherQueriesProfiled, 1);
+            };
+            let (count, rows, profile) = match session.as_deref_mut() {
+                Some(session) => {
+                    let (rs, profile) = session.execute_profiled(graph, query)?;
+                    if profile.is_some() {
+                        executed();
+                    }
+                    (single_count(&rs, query), rs.len(), profile)
+                }
+                // The naive path counts a query before it runs, so a
+                // query that fails to execute still shows as executed.
+                None => {
+                    executed();
                     let (rs, profile) = execute_profiled(graph, query)?;
-                    scope.add(Counter::CypherRowsMatched, rs.len() as u64);
-                    scope.observe(Histo::CypherRowsPerQuery, rs.len() as f64);
+                    (single_count(&rs, query), rs.len(), Some(profile))
+                }
+            };
+            match profile {
+                Some(profile) => {
+                    scope.add(Counter::CypherRowsMatched, rows as u64);
+                    scope.observe(Histo::CypherRowsPerQuery, rows as f64);
                     scope.observe(Histo::CypherDbHitsPerQuery, profile.db_hits().total() as f64);
                     plan.absorb(profile.plan_ops(), profile.rows, profile.total_us, profile.sim_us);
-                    rs
                 }
-                None => execute(graph, query)?,
-            };
-            single_count(&rs, query)
+                None => scope.add(Counter::CypherQueriesMemoized, 1),
+            }
+            count
         };
         let mut run = || -> Result<(i64, i64, i64), CypherError> {
             Ok((count(&queries.satisfied)?, count(&queries.body)?, count(&queries.head_total)?))
@@ -101,71 +133,10 @@ pub fn evaluate_labeled(
     Ok(metrics_from(satisfied, body, head_total))
 }
 
-/// [`evaluate_labeled`] through a shared [`BatchSession`]: each
-/// distinct query compiles once via the plan cache, and repeated
-/// counts (the head-total query recurs verbatim across rules sharing
-/// a head) come from the session's result memo at zero db-hits. A
-/// memoized answer bumps `cypher_queries_memoized` and attaches no
-/// plan — nothing ran. An executed query accounts exactly like
-/// [`evaluate_labeled`], so a session whose memo never hits journals
-/// the same per-rule plan shape as the naive path.
-pub fn evaluate_labeled_batched(
-    graph: &PropertyGraph,
-    queries: &RuleQueries,
-    scope: &Scope,
-    label: &str,
-    session: &mut BatchSession,
-) -> Result<RuleMetrics, CypherError> {
-    scope.add(Counter::SupportEvaluations, 1);
-    let mut plan = scope.is_enabled().then(|| PlanRecord::new(label));
-    let result = {
-        let mut count = |query: &str| -> Result<i64, CypherError> {
-            let rs = match &mut plan {
-                Some(plan) => {
-                    let (rs, profile) = session.execute_profiled(graph, query)?;
-                    match profile {
-                        Some(profile) => {
-                            scope.add(Counter::CypherQueriesExecuted, 1);
-                            scope.add(Counter::CypherQueriesProfiled, 1);
-                            scope.add(Counter::CypherRowsMatched, rs.len() as u64);
-                            scope.observe(Histo::CypherRowsPerQuery, rs.len() as f64);
-                            scope.observe(
-                                Histo::CypherDbHitsPerQuery,
-                                profile.db_hits().total() as f64,
-                            );
-                            plan.absorb(
-                                profile.plan_ops(),
-                                profile.rows,
-                                profile.total_us,
-                                profile.sim_us,
-                            );
-                        }
-                        None => scope.add(Counter::CypherQueriesMemoized, 1),
-                    }
-                    rs
-                }
-                None => session.execute(graph, query)?,
-            };
-            single_count(&rs, query)
-        };
-        let mut run = || -> Result<(i64, i64, i64), CypherError> {
-            Ok((count(&queries.satisfied)?, count(&queries.body)?, count(&queries.head_total)?))
-        };
-        run()
-    };
-    if let Some(plan) = plan {
-        if plan.queries > 0 {
-            scope.plan(plan);
-        }
-    }
-    let (satisfied, body, head_total) = result?;
-    Ok(metrics_from(satisfied, body, head_total))
-}
-
 /// Folds a finished session's plan-cache and optimizer counters into
 /// `scope` — call once per run, after the evaluate loop, so journals
 /// carry run-wide cache hit-rates. Memo hits are *not* re-added here:
-/// [`evaluate_labeled_batched`] counts them per query. Zero counters
+/// [`evaluate_labeled`] counts them per query. Zero counters
 /// stay unrecorded to keep journals free of noise rows.
 pub fn record_batch_stats(scope: &Scope, stats: &BatchStats) {
     let add = |counter: Counter, value: u64| {
@@ -208,42 +179,27 @@ fn metrics_from(satisfied: i64, body: i64, head_total: i64) -> RuleMetrics {
     }
 }
 
-/// [`evaluate_labeled`] under a chaos unit plan: injects the unit's
+/// [`evaluate_labeled`] under a unit plan: records the unit's
 /// transient query faults before evaluating. A degraded unit
 /// (retries exhausted or breaker-open) records its faults, bumps
 /// `queries_degraded`, and returns `None` — the rule simply stays
 /// unscored, exactly like a rule too broken to query. A completed
 /// unit records any recovered retries and evaluates normally;
-/// evaluation errors also come back as `None` (matching the
-/// fault-free pipeline's `.ok()` at the call site).
+/// evaluation errors also come back as `None`. Under a fault-free
+/// plan the gate records nothing, so this is the scorer of every
+/// pipeline run.
 pub fn evaluate_resilient(
     graph: &PropertyGraph,
     queries: &RuleQueries,
     scope: &Scope,
     label: &str,
     unit: &grm_resil::UnitPlan,
+    session: Option<&mut BatchSession>,
 ) -> Option<RuleMetrics> {
     if !chaos_gate(scope, label, unit) {
         return None;
     }
-    evaluate_labeled(graph, queries, scope, label).ok()
-}
-
-/// [`evaluate_resilient`] through a shared [`BatchSession`] — the
-/// chaos path of the batched scorer. Fault accounting is identical;
-/// only the surviving evaluation goes through the session.
-pub fn evaluate_resilient_batched(
-    graph: &PropertyGraph,
-    queries: &RuleQueries,
-    scope: &Scope,
-    label: &str,
-    unit: &grm_resil::UnitPlan,
-    session: &mut BatchSession,
-) -> Option<RuleMetrics> {
-    if !chaos_gate(scope, label, unit) {
-        return None;
-    }
-    evaluate_labeled_batched(graph, queries, scope, label, session).ok()
+    evaluate_labeled(graph, queries, scope, label, session).ok()
 }
 
 /// Records a chaos unit's faults, retries and degradation on `scope`.
@@ -392,7 +348,7 @@ mod tests {
             let q = reference_queries(rule);
             let naive = evaluate(&g, &q).unwrap();
             let batched =
-                evaluate_labeled_batched(&g, &q, &Scope::disabled(), "rule", &mut session).unwrap();
+                evaluate_labeled(&g, &q, &Scope::disabled(), "rule", Some(&mut session)).unwrap();
             assert_eq!(naive, batched, "divergence on {rule:?}");
         }
         // All three rules share the `MATCH (n:User)` head-total (and

@@ -48,10 +48,17 @@ pub struct TrackingAlloc;
 impl TrackingAlloc {
     /// Reads the current counters. All-zero when no binary installed
     /// the allocator — [`AllocSnapshot::is_tracking`] distinguishes.
+    ///
+    /// An allocation bumps live bytes before it raises the peak, so
+    /// under concurrent allocation the stored peak can trail the live
+    /// count. The snapshot raises the peak to the live bytes it read
+    /// first: the reported peak is never below the reported live
+    /// bytes, and stays monotone across snapshots.
     pub fn snapshot() -> AllocSnapshot {
+        let live_bytes = LIVE_BYTES.load(Ordering::Relaxed);
         AllocSnapshot {
-            live_bytes: LIVE_BYTES.load(Ordering::Relaxed),
-            peak_bytes: PEAK_BYTES.load(Ordering::Relaxed),
+            live_bytes,
+            peak_bytes: PEAK_BYTES.fetch_max(live_bytes, Ordering::Relaxed).max(live_bytes),
             total_alloc_bytes: TOTAL_ALLOC_BYTES.load(Ordering::Relaxed),
             alloc_count: ALLOCS.load(Ordering::Relaxed),
             dealloc_count: DEALLOCS.load(Ordering::Relaxed),

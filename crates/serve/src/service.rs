@@ -30,7 +30,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 use grm_core::{
-    ContextStrategy, MiningPipeline, PipelineConfig, Resilience, ResumeState, RunStatus,
+    ContextStrategy, MiningPipeline, PipelineConfig, ResumeState, RunOptions, RunStatus,
 };
 use grm_llm::{ModelKind, PromptStyle};
 use grm_metrics::evaluate_labeled;
@@ -641,10 +641,10 @@ impl Service {
             .and_then(|text| RunJournal::from_jsonl_lossy(&text).ok())
             .and_then(|journal| ResumeState::from_journal(&journal).ok())
             .map(|(_, resume)| resume);
-        let resil = Resilience { resume, kill_after: spec.kill_after, ..Resilience::chaos(chaos) };
+        let opts =
+            RunOptions { chaos, resume, kill_after: spec.kill_after, ..RunOptions::default() };
         let recorder = Recorder::deterministic();
-        let pipeline = MiningPipeline::new(config);
-        match pipeline.run_resilient(&self.graph, 1, &recorder, &resil) {
+        match MiningPipeline::new(config).run_with(&self.graph, &recorder, &opts) {
             RunStatus::Killed { stage, completed_units } => {
                 let journal = recorder.snapshot();
                 if let Err(e) = fs::write(&journal_path, journal.to_jsonl()) {
@@ -734,7 +734,13 @@ impl Service {
                     continue;
                 }
             }
-            match evaluate_labeled(&self.graph, &reference_queries(rule), &scope, "serve-check") {
+            match evaluate_labeled(
+                &self.graph,
+                &reference_queries(rule),
+                &scope,
+                "serve-check",
+                None,
+            ) {
                 Ok(m) if m.coverage_pct >= 100.0 && m.confidence_pct >= 100.0 => held += 1,
                 Ok(_) => {}
                 Err(_) => errors += 1,

@@ -256,7 +256,7 @@ fn cmd_mine(args: &[String]) -> Result<(), String> {
     use graph_rule_mining::obs::{
         event_stream_sink, MetricsHub, Recorder, RunJournal, SlowQueryPolicy,
     };
-    use graph_rule_mining::pipeline::{Resilience, ResumeState, RunStatus};
+    use graph_rule_mining::pipeline::{ResumeState, RunOptions, RunStatus};
     use graph_rule_mining::resil::ChaosConfig;
     use std::sync::Arc;
 
@@ -454,10 +454,8 @@ fn cmd_mine(args: &[String]) -> Result<(), String> {
         metrics_hub = Some(hub);
     }
 
-    let resil = Resilience { resume: resume_state, kill_after, ..Resilience::chaos(chaos) };
-
-    let pipeline = MiningPipeline::new(config);
-    let status = pipeline.run_resilient(&g, workers, &recorder, &resil);
+    let opts = RunOptions { workers, chaos, resume: resume_state, kill_after };
+    let status = MiningPipeline::new(config).run_with(&g, &recorder, &opts);
     let report = match status {
         RunStatus::Complete(report) => Some(*report),
         RunStatus::Killed { stage, completed_units } => {
@@ -809,8 +807,9 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
 
     let mut failing = 0usize;
     for (i, rule) in rules.iter().enumerate() {
-        let metrics = evaluate_labeled(&g, &reference_queries(rule), &scope, &format!("rule-{i}"))
-            .map_err(|e| e.to_string())?;
+        let metrics =
+            evaluate_labeled(&g, &reference_queries(rule), &scope, &format!("rule-{i}"), None)
+                .map_err(|e| e.to_string())?;
         let holds = metrics.coverage_pct >= 100.0 && metrics.confidence_pct >= 100.0;
         println!(
             "[{}] {} (cov {:.2}%, conf {:.2}%)",

@@ -8,14 +8,26 @@ use std::collections::HashMap;
 use graph_rule_mining::baseline::{analyze_redundancy, mine_exhaustive, MinerConfig};
 use graph_rule_mining::datasets::{generate, DatasetId, GenConfig};
 use graph_rule_mining::llm::{ModelKind, PromptStyle};
+use graph_rule_mining::obs::Recorder;
 use graph_rule_mining::pipeline::{
-    ContextStrategy, Feedback, InteractiveSession, MiningPipeline, PipelineConfig,
+    ContextStrategy, Feedback, InteractiveSession, MiningPipeline, MiningReport, PipelineConfig,
+    RunOptions,
 };
 use graph_rule_mining::relational::{import, ColumnType, Database, TableSchema};
 use graph_rule_mining::textenc::WindowConfig;
 
 fn graph(id: DatasetId, scale: f64) -> graph_rule_mining::pgraph::PropertyGraph {
     generate(id, &GenConfig { seed: 21, scale, clean: false }).graph
+}
+
+/// A fault-free run with `workers` mining replicas.
+fn fleet(
+    pipeline: &MiningPipeline,
+    g: &graph_rule_mining::pgraph::PropertyGraph,
+    workers: usize,
+) -> MiningReport {
+    let opts = RunOptions { workers, ..RunOptions::default() };
+    pipeline.run_with(g, &Recorder::new(), &opts).report().expect("no kill point")
 }
 
 #[test]
@@ -59,7 +71,7 @@ fn parallel_mining_matches_serial_quality() {
     cfg.seed = 21;
     let pipeline = MiningPipeline::new(cfg);
     let serial = pipeline.run(&g);
-    let parallel = pipeline.run_with_workers(&g, 4);
+    let parallel = fleet(&pipeline, &g, 4);
 
     // The fleet is faster in simulated wall-clock...
     assert!(
@@ -88,8 +100,8 @@ fn parallel_runs_are_deterministic() {
     );
     cfg.seed = 9;
     let pipeline = MiningPipeline::new(cfg);
-    let a = pipeline.run_with_workers(&g, 3);
-    let b = pipeline.run_with_workers(&g, 3);
+    let a = fleet(&pipeline, &g, 3);
+    let b = fleet(&pipeline, &g, 3);
     assert_eq!(a.rule_count(), b.rule_count());
     assert_eq!(a.mining_seconds, b.mining_seconds);
     let a_nl: Vec<&str> = a.rules.iter().map(|r| r.nl.as_str()).collect();

@@ -7,7 +7,7 @@ use graph_rule_mining::datasets::{generate, DatasetId, GenConfig};
 use graph_rule_mining::llm::{ModelKind, PromptStyle};
 use graph_rule_mining::obs::{ChaosBaseline, FaultReport, Recorder, RunJournal};
 use graph_rule_mining::pipeline::{
-    ContextStrategy, MiningPipeline, PipelineConfig, Resilience, ResumeState, RunStatus,
+    ContextStrategy, MiningPipeline, PipelineConfig, ResumeState, RunOptions, RunStatus,
 };
 use graph_rule_mining::resil::ChaosConfig;
 use proptest::prelude::*;
@@ -30,16 +30,17 @@ fn config(seed: u64) -> PipelineConfig {
 fn chaos_journal(seed: u64, chaos: ChaosConfig, kill_after: Option<usize>) -> (String, RunStatus) {
     let g = small_graph();
     let recorder = Recorder::deterministic();
-    let resil = Resilience { kill_after, ..Resilience::chaos(chaos) };
-    let status = MiningPipeline::new(config(seed)).run_resilient(&g, 1, &recorder, &resil);
+    let opts = RunOptions { chaos, kill_after, ..RunOptions::default() };
+    let status = MiningPipeline::new(config(seed)).run_with(&g, &recorder, &opts);
     (recorder.snapshot().to_jsonl(), status)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Satellite (c): a fault-rate-0 chaos config is byte-identical to
-    /// the fault-free traced run, for any pipeline seed.
+    /// A fault-rate-0 chaos config is an inert plan: byte-identical to
+    /// the fault-free traced run, for any pipeline seed and any other
+    /// chaos parameters.
     #[test]
     fn zero_fault_rate_reproduces_the_plain_journal(seed in 0u64..500) {
         let g = small_graph();
@@ -47,8 +48,9 @@ proptest! {
         MiningPipeline::new(config(seed)).run_traced(&g, &plain);
 
         let chaos = Recorder::deterministic();
-        let resil = Resilience::chaos(ChaosConfig { fault_rate: 0.0, ..Default::default() });
-        let status = MiningPipeline::new(config(seed)).run_resilient(&g, 1, &chaos, &resil);
+        let inert = ChaosConfig { fault_rate: 0.0, fault_seed: seed, max_retries: 9, breaker_threshold: 1 };
+        let opts = RunOptions { chaos: inert, ..RunOptions::default() };
+        let status = MiningPipeline::new(config(seed)).run_with(&g, &chaos, &opts);
         prop_assert!(matches!(status, RunStatus::Complete(_)));
         prop_assert_eq!(plain.snapshot().to_jsonl(), chaos.snapshot().to_jsonl());
     }
@@ -80,10 +82,8 @@ proptest! {
                 prop_assert_eq!(record.run_seed, 42);
                 let g = small_graph();
                 let recorder = Recorder::deterministic();
-                let resil =
-                    Resilience { resume: Some(state), ..Resilience::chaos(chaos) };
-                let status =
-                    MiningPipeline::new(config(42)).run_resilient(&g, 1, &recorder, &resil);
+                let opts = RunOptions { chaos, resume: Some(state), ..RunOptions::default() };
+                let status = MiningPipeline::new(config(42)).run_with(&g, &recorder, &opts);
                 prop_assert!(matches!(status, RunStatus::Complete(_)));
                 prop_assert_eq!(recorder.snapshot().to_jsonl(), full.clone());
             }
@@ -114,8 +114,8 @@ fn killed_run_resumes_exactly() {
 
     let g = small_graph();
     let recorder = Recorder::deterministic();
-    let resil = Resilience { resume: Some(state), ..Resilience::chaos(chaos) };
-    let status = MiningPipeline::new(config(7)).run_resilient(&g, 1, &recorder, &resil);
+    let opts = RunOptions { chaos, resume: Some(state), ..RunOptions::default() };
+    let status = MiningPipeline::new(config(7)).run_with(&g, &recorder, &opts);
     let resumed_report = status.report().expect("resumed run completes");
 
     assert_eq!(recorder.snapshot().to_jsonl(), full);

@@ -1,16 +1,14 @@
 //! Journal analytics: run-over-run diffing, folded-stack flamegraph
-//! export, and regression gating against a committed baseline — the
-//! machinery behind `grm trace diff|flame|check`.
+//! export, and the plan, lineage, fault and memory reports — the
+//! machinery behind `grm trace diff|flame|plans|lineage|faults|mem`.
 //!
 //! Everything here reads frozen [`RunJournal`]s; nothing touches the
 //! recorder, so analytics can run on journals from other machines or
-//! other commits. Gating decisions use only simulated seconds and
-//! histogram percentiles of simulated/deterministic quantities —
-//! `real_ms` is reported but never gated, because host wall-clock is
-//! noise in CI.
+//! other commits. The committed `BENCH_*.json` baselines are built
+//! from these reports by `grm-bench` (`repro --baselines`).
 
 use crate::histogram::Histogram;
-use crate::journal::{HistoRecord, RunJournal, SpanRecord, StageTiming};
+use crate::journal::{HistoRecord, RunJournal, SpanRecord};
 use crate::lineage::{BoundaryRecord, LineageRecord};
 use crate::mem::FootprintRow;
 use crate::resilience::{ChaosRecord, DegradedRecord};
@@ -337,100 +335,6 @@ impl TraceDiff {
     }
 }
 
-/// Key histogram percentiles frozen into a baseline.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct BaselineHisto {
-    pub name: String,
-    pub count: u64,
-    pub p50: f64,
-    pub p95: f64,
-    pub p99: f64,
-}
-
-/// A committed performance baseline: per-stage simulated seconds plus
-/// key percentiles of the run-wide histograms. Written by
-/// `repro --trace-baseline`, consumed by `grm trace check` in CI.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct TraceBaseline {
-    /// Journal schema version the snapshot was taken from.
-    pub journal_version: u32,
-    pub stages: Vec<StageTiming>,
-    pub histograms: Vec<BaselineHisto>,
-}
-
-impl TraceBaseline {
-    /// Freezes `journal` into a baseline snapshot.
-    pub fn from_journal(journal: &RunJournal) -> TraceBaseline {
-        let mut histograms: Vec<BaselineHisto> = journal
-            .histos
-            .iter()
-            .filter(|h| h.span.is_none())
-            .map(|h| BaselineHisto {
-                name: h.name.clone(),
-                count: h.histogram.count(),
-                p50: h.histogram.p50(),
-                p95: h.histogram.p95(),
-                p99: h.histogram.p99(),
-            })
-            .collect();
-        histograms.sort_by(|a, b| a.name.cmp(&b.name));
-        TraceBaseline {
-            journal_version: crate::journal::JOURNAL_VERSION,
-            stages: journal.stage_timings(),
-            histograms,
-        }
-    }
-
-    /// Checks `journal` against this baseline: every baseline stage
-    /// must still exist and its simulated seconds must not exceed the
-    /// baseline by more than `tolerance` (a fraction, e.g. 0.05);
-    /// run-wide histogram p95/p99 latencies likewise. Returns the
-    /// violations (empty = pass). Stages faster than baseline and
-    /// `real_ms` changes never fail the check.
-    pub fn check(&self, journal: &RunJournal, tolerance: f64) -> Vec<String> {
-        let mut violations = Vec::new();
-        let current = journal.stage_timings();
-        for stage in &self.stages {
-            let Some(now) = current.iter().find(|t| t.stage == stage.stage) else {
-                violations.push(format!("stage `{}` missing from the run", stage.stage));
-                continue;
-            };
-            let allowed = stage.sim_seconds * (1.0 + tolerance);
-            if stage.sim_seconds > 0.0 && now.sim_seconds > allowed {
-                violations.push(format!(
-                    "stage `{}`: sim {:.3}s exceeds baseline {:.3}s by more than {:.0}%",
-                    stage.stage,
-                    now.sim_seconds,
-                    stage.sim_seconds,
-                    tolerance * 100.0
-                ));
-            }
-        }
-        for base in &self.histograms {
-            if base.count == 0 {
-                continue;
-            }
-            let Some(now) = journal.histogram(&base.name) else {
-                violations.push(format!("histogram `{}` missing from the run", base.name));
-                continue;
-            };
-            for (label, base_q, now_q) in
-                [("p95", base.p95, now.p95()), ("p99", base.p99, now.p99())]
-            {
-                if base_q > 0.0 && now_q > base_q * (1.0 + tolerance) {
-                    violations.push(format!(
-                        "histogram `{}` {label}: {now_q:.4} exceeds baseline {base_q:.4} \
-                         by more than {:.0}%",
-                        base.name,
-                        tolerance * 100.0
-                    ));
-                }
-            }
-        }
-        violations
-    }
-}
-
 /// One operator row of a [`PlanReport`], aggregated over every plan
 /// record in the journal by `(op, detail)`.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -582,165 +486,6 @@ impl PlanReport {
             out.push_str(&format!("  … {} more scopes\n", self.scopes.len() - top));
         }
         out
-    }
-}
-
-/// One operator budget of a [`PlanBaseline`], aggregated by operator
-/// name (details vary with the mined rules; names are structural).
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct PlanBaselineOp {
-    pub op: String,
-    pub db_hits: u64,
-    pub rows: u64,
-}
-
-/// A committed per-operator db-hit budget: written by
-/// `repro --plans-baseline`, consumed by `grm trace plans --check` in
-/// CI. Db-hits are deterministic for a fixed seed and scale, so the
-/// gate is exact up to the configured tolerance.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct PlanBaseline {
-    /// Journal schema version the snapshot was taken from.
-    pub journal_version: u32,
-    /// Plan records in the snapshot run.
-    pub records: u64,
-    /// Profiled queries in the snapshot run.
-    pub queries: u64,
-    /// Per-operator budgets, name-sorted.
-    pub ops: Vec<PlanBaselineOp>,
-    /// Optimizer A/B digest (absent/`null` in pre-optimizer
-    /// baselines — the serde shim reads missing fields as `None`):
-    /// naive-vs-optimized db-hits over the repro query suite plus
-    /// plan-cache hit rates, gated *exactly* by
-    /// [`OptimizerBaseline::check`].
-    pub optimizer: Option<OptimizerBaseline>,
-}
-
-impl PlanBaseline {
-    /// Freezes the journal's plan records into per-operator budgets.
-    pub fn from_journal(journal: &RunJournal) -> PlanBaseline {
-        let mut ops: Vec<PlanBaselineOp> = Vec::new();
-        for plan in &journal.plans {
-            for op in &plan.ops {
-                match ops.iter_mut().find(|o| o.op == op.op) {
-                    Some(o) => {
-                        o.db_hits += op.db_hits();
-                        o.rows += op.rows;
-                    }
-                    None => ops.push(PlanBaselineOp {
-                        op: op.op.clone(),
-                        db_hits: op.db_hits(),
-                        rows: op.rows,
-                    }),
-                }
-            }
-        }
-        ops.sort_by(|a, b| a.op.cmp(&b.op));
-        PlanBaseline {
-            journal_version: crate::journal::JOURNAL_VERSION,
-            records: journal.plans.len() as u64,
-            queries: journal.plans.iter().map(|p| p.queries).sum(),
-            ops,
-            optimizer: None,
-        }
-    }
-
-    /// Checks `journal` against the budgets: every baseline operator's
-    /// total db-hits must not exceed its budget by more than
-    /// `tolerance` (a fraction). A journal with no `Plan` records at
-    /// all fails when the baseline has any — profiling silently
-    /// turning off must not read as a pass. Operators cheaper than
-    /// (or absent from) the run never fail. Returns the violations
-    /// (empty = pass).
-    pub fn check(&self, journal: &RunJournal, tolerance: f64) -> Vec<String> {
-        let mut violations = Vec::new();
-        if self.records > 0 && !journal.has_plans() {
-            violations.push(
-                "baseline has plan records but the journal carries none \
-                 (was the run profiled?)"
-                    .to_owned(),
-            );
-            return violations;
-        }
-        let current = PlanBaseline::from_journal(journal);
-        for base in &self.ops {
-            let now = current.ops.iter().find(|o| o.op == base.op).map(|o| o.db_hits).unwrap_or(0);
-            let allowed = (base.db_hits as f64 * (1.0 + tolerance)).floor() as u64;
-            if base.db_hits > 0 && now > allowed {
-                violations.push(format!(
-                    "operator `{}`: {now} db-hits exceed baseline {} by more than {:.0}%",
-                    base.op,
-                    base.db_hits,
-                    tolerance * 100.0
-                ));
-            }
-        }
-        violations
-    }
-}
-
-/// The optimizer A/B digest embedded in a [`PlanBaseline`]: one pass
-/// of the repro query suite with the optimizing layer off, one with it
-/// on. Both passes are deterministic for a fixed seed and scale, so —
-/// like the lineage gate — the CI check is exact, not tolerance-based.
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct OptimizerBaseline {
-    /// Queries in the A/B suite.
-    pub suite_queries: u64,
-    /// Total db-hits executing the suite naively (optimizer off).
-    pub naive_db_hits: u64,
-    /// Total db-hits executing the suite through the optimizing
-    /// layer (rewrites + plan cache + result memo).
-    pub optimized_db_hits: u64,
-    /// Plan-cache lookups during the optimized pass.
-    pub plan_cache_lookups: u64,
-    /// Plan-cache lookups answered from the cache.
-    pub plan_cache_hits: u64,
-    /// Queries answered from the result memo (zero db-hits).
-    pub memo_hits: u64,
-    /// `plan_cache_hits / plan_cache_lookups`, stored for the humans
-    /// reading the JSON; the gate compares the integer fields.
-    pub plan_cache_hit_rate_pct: f64,
-}
-
-impl OptimizerBaseline {
-    /// Percentage of suite db-hits the optimizing layer saved.
-    pub fn db_hits_drop_pct(&self) -> f64 {
-        if self.naive_db_hits == 0 {
-            0.0
-        } else {
-            100.0 * (1.0 - self.optimized_db_hits as f64 / self.naive_db_hits as f64)
-        }
-    }
-
-    /// Exact comparison against a fresh A/B run. A current digest with
-    /// zero lookups fails outright when the baseline has any — the
-    /// optimizing layer silently turning off must not read as a pass.
-    /// Returns the violations (empty = pass).
-    pub fn check(&self, current: &OptimizerBaseline) -> Vec<String> {
-        let mut violations = Vec::new();
-        if self.plan_cache_lookups > 0 && current.plan_cache_lookups == 0 {
-            violations.push(
-                "baseline has plan-cache lookups but the run recorded none \
-                 (was the optimizing layer on?)"
-                    .to_owned(),
-            );
-            return violations;
-        }
-        let fields = [
-            ("suite_queries", self.suite_queries, current.suite_queries),
-            ("naive_db_hits", self.naive_db_hits, current.naive_db_hits),
-            ("optimized_db_hits", self.optimized_db_hits, current.optimized_db_hits),
-            ("plan_cache_lookups", self.plan_cache_lookups, current.plan_cache_lookups),
-            ("plan_cache_hits", self.plan_cache_hits, current.plan_cache_hits),
-            ("memo_hits", self.memo_hits, current.memo_hits),
-        ];
-        for (name, base, now) in fields {
-            if base != now {
-                violations.push(format!("`{name}`: run has {now}, baseline {base} (exact gate)"));
-            }
-        }
-        violations
     }
 }
 
@@ -1012,95 +757,6 @@ pub fn explain_rule(journal: &RunJournal, rule: &str) -> Option<String> {
     Some(out)
 }
 
-/// A committed lineage baseline: error-class counts, per-origin rule
-/// yields and the boundary-breakage count of the deterministic sim.
-/// Written by `repro --lineage-baseline`, consumed by `grm trace
-/// lineage --check` in CI. Lineage is fully deterministic for a fixed
-/// seed and scale, so the gate is **exact** — no tolerance.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct LineageBaseline {
-    /// Journal schema version the snapshot was taken from.
-    pub journal_version: u32,
-    /// Context strategy of the snapshot run.
-    pub strategy: String,
-    /// Selected rules in the snapshot run.
-    pub rules: u64,
-    /// Error-class counts, name-sorted.
-    pub classes: Vec<(String, u64)>,
-    /// Per-origin rule yields, (start_token, id)-sorted.
-    pub yields: Vec<(String, u64)>,
-    /// Window-boundary breakages in the snapshot run.
-    pub boundaries: u64,
-}
-
-impl LineageBaseline {
-    /// Freezes the journal's lineage into a baseline snapshot.
-    pub fn from_journal(journal: &RunJournal) -> LineageBaseline {
-        let report = LineageReport::from_journal(journal);
-        LineageBaseline {
-            journal_version: crate::journal::JOURNAL_VERSION,
-            strategy: report.rules.first().map(|l| l.strategy.clone()).unwrap_or_default(),
-            rules: report.rules.len() as u64,
-            classes: report.classes.clone(),
-            yields: report.yields.iter().map(|y| (y.origin.clone(), y.rules)).collect(),
-            boundaries: report.boundaries.len() as u64,
-        }
-    }
-
-    /// Checks `journal` against this baseline exactly: rule count,
-    /// every error-class count, every per-origin yield, and the
-    /// boundary-breakage count must all match. A journal with no
-    /// `Lineage` records at all fails when the baseline has any —
-    /// lineage silently turning off must not read as a pass. Returns
-    /// the violations (empty = pass).
-    pub fn check(&self, journal: &RunJournal) -> Vec<String> {
-        let mut violations = Vec::new();
-        if self.rules > 0 && !journal.has_lineage() {
-            violations.push(
-                "baseline has lineage records but the journal carries none \
-                 (was the run traced?)"
-                    .to_owned(),
-            );
-            return violations;
-        }
-        let current = LineageBaseline::from_journal(journal);
-        if current.rules != self.rules {
-            violations.push(format!("{} rules, baseline has {}", current.rules, self.rules));
-        }
-        let count_of = |pairs: &[(String, u64)], key: &str| {
-            pairs.iter().find(|(k, _)| k == key).map(|(_, v)| *v).unwrap_or(0)
-        };
-        let mut class_names: Vec<&String> =
-            self.classes.iter().chain(&current.classes).map(|(k, _)| k).collect();
-        class_names.sort();
-        class_names.dedup();
-        for name in class_names {
-            let (base, now) = (count_of(&self.classes, name), count_of(&current.classes, name));
-            if base != now {
-                violations.push(format!("error class `{name}`: {now} rules, baseline has {base}"));
-            }
-        }
-        let mut origin_names: Vec<&String> =
-            self.yields.iter().chain(&current.yields).map(|(k, _)| k).collect();
-        origin_names.sort();
-        origin_names.dedup();
-        for name in origin_names {
-            let (base, now) = (count_of(&self.yields, name), count_of(&current.yields, name));
-            if base != now {
-                violations
-                    .push(format!("origin `{name}`: yields {now} rules, baseline has {base}"));
-            }
-        }
-        if current.boundaries != self.boundaries {
-            violations.push(format!(
-                "{} window-boundary breakages, baseline has {}",
-                current.boundaries, self.boundaries
-            ));
-        }
-        violations
-    }
-}
-
 /// Per-stage fault digest inside a [`FaultReport`].
 #[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct StageFaults {
@@ -1265,134 +921,6 @@ impl FaultReport {
     }
 }
 
-/// A committed chaos baseline: the fault counts, retry verdicts and
-/// final rule count of the deterministic chaos sim. Written by
-/// `repro --chaos-baseline`, consumed by `grm trace faults --check`
-/// in CI. Chaos runs are fully deterministic for a fixed
-/// `(seed, fault-seed, fault-rate)`, so the gate is **exact**.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct ChaosBaseline {
-    /// Journal schema version the snapshot was taken from.
-    pub journal_version: u32,
-    /// Fault-stream seed of the snapshot run.
-    pub fault_seed: u64,
-    /// Per-attempt fault probability of the snapshot run.
-    pub fault_rate: f64,
-    /// Total faults injected.
-    pub faults_injected: u64,
-    /// Fault-kind counts across all stages, name-sorted.
-    pub kinds: Vec<(String, u64)>,
-    /// Units that recovered by retrying.
-    pub recovered: u64,
-    /// Units abandoned after exhausting retries.
-    pub abandoned: u64,
-    /// Per-stage degraded-unit counts, stage-name-sorted.
-    pub degraded: Vec<(String, u64)>,
-    /// Stage-breaker trips.
-    pub breaker_trips: u64,
-    /// Completed-unit checkpoints written.
-    pub checkpoints: u64,
-    /// Rules surviving the degraded pipeline (lineage records).
-    pub rules: u64,
-}
-
-impl ChaosBaseline {
-    /// Freezes the journal's resilience records into a baseline.
-    pub fn from_journal(journal: &RunJournal) -> ChaosBaseline {
-        let report = FaultReport::from_journal(journal);
-        let mut kinds: Vec<(String, u64)> = Vec::new();
-        for s in &report.stages {
-            for (kind, n) in &s.kinds {
-                match kinds.iter_mut().find(|(k, _)| k == kind) {
-                    Some((_, total)) => *total += n,
-                    None => kinds.push((kind.clone(), *n)),
-                }
-            }
-        }
-        kinds.sort_by(|(a, _), (b, _)| a.cmp(b));
-        ChaosBaseline {
-            journal_version: crate::journal::JOURNAL_VERSION,
-            fault_seed: report.chaos.as_ref().map(|c| c.fault_seed).unwrap_or(0),
-            fault_rate: report.chaos.as_ref().map(|c| c.fault_rate).unwrap_or(0.0),
-            faults_injected: report.stages.iter().map(|s| s.faults).sum(),
-            kinds,
-            recovered: report.stages.iter().map(|s| s.recovered).sum(),
-            abandoned: report.stages.iter().map(|s| s.abandoned).sum(),
-            degraded: report.stages.iter().map(|s| (s.stage.clone(), s.degraded)).collect(),
-            breaker_trips: report.breaker_trips,
-            checkpoints: report.checkpoints,
-            rules: journal.lineages.len() as u64,
-        }
-    }
-
-    /// Checks `journal` against this baseline exactly: every fault
-    /// count, kind tally, retry verdict, degraded count and the final
-    /// rule count must match. A journal with no resilience records at
-    /// all fails when the baseline has faults — chaos silently
-    /// turning off must not read as a pass. Returns the violations
-    /// (empty = pass).
-    pub fn check(&self, journal: &RunJournal) -> Vec<String> {
-        let mut violations = Vec::new();
-        if self.faults_injected > 0 && !journal.has_faults() {
-            violations.push(
-                "baseline has fault records but the journal carries none \
-                 (was the run chaos-injected?)"
-                    .to_owned(),
-            );
-            return violations;
-        }
-        let current = ChaosBaseline::from_journal(journal);
-        if current.fault_seed != self.fault_seed {
-            violations.push(format!(
-                "fault seed {}, baseline has {}",
-                current.fault_seed, self.fault_seed
-            ));
-        }
-        if current.fault_rate != self.fault_rate {
-            violations.push(format!(
-                "fault rate {}, baseline has {}",
-                current.fault_rate, self.fault_rate
-            ));
-        }
-        let exact = |name: &str, now: u64, base: u64, violations: &mut Vec<String>| {
-            if now != base {
-                violations.push(format!("{name}: {now}, baseline has {base}"));
-            }
-        };
-        exact("faults injected", current.faults_injected, self.faults_injected, &mut violations);
-        exact("units recovered", current.recovered, self.recovered, &mut violations);
-        exact("units abandoned", current.abandoned, self.abandoned, &mut violations);
-        exact("breaker trips", current.breaker_trips, self.breaker_trips, &mut violations);
-        exact("checkpoints", current.checkpoints, self.checkpoints, &mut violations);
-        exact("rules", current.rules, self.rules, &mut violations);
-        let count_of = |pairs: &[(String, u64)], key: &str| {
-            pairs.iter().find(|(k, _)| k == key).map(|(_, v)| *v).unwrap_or(0)
-        };
-        let mut kind_names: Vec<&String> =
-            self.kinds.iter().chain(&current.kinds).map(|(k, _)| k).collect();
-        kind_names.sort();
-        kind_names.dedup();
-        for name in kind_names {
-            let (base, now) = (count_of(&self.kinds, name), count_of(&current.kinds, name));
-            if base != now {
-                violations.push(format!("fault kind `{name}`: {now}, baseline has {base}"));
-            }
-        }
-        let mut stage_names: Vec<&String> =
-            self.degraded.iter().chain(&current.degraded).map(|(k, _)| k).collect();
-        stage_names.sort();
-        stage_names.dedup();
-        for name in stage_names {
-            let (base, now) = (count_of(&self.degraded, name), count_of(&current.degraded, name));
-            if base != now {
-                violations
-                    .push(format!("stage `{name}`: {now} degraded units, baseline has {base}"));
-            }
-        }
-        violations
-    }
-}
-
 /// One span row of a [`MemReport`], keyed by the span's path.
 #[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct MemSpanRow {
@@ -1539,116 +1067,6 @@ impl MemReport {
             }
         }
         out
-    }
-}
-
-/// A committed memory baseline: the deterministic footprint tables
-/// (gated **exactly** — pure capacity arithmetic) plus the run-wide
-/// allocator peak and alloc count (tolerance-gated — real allocator
-/// numbers jitter across platforms and toolchains). Written by
-/// `repro --mem-baseline`, consumed by `grm trace mem --check` in CI.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct MemBaseline {
-    /// Journal schema version the snapshot was taken from.
-    pub journal_version: u32,
-    /// Footprint components of the snapshot run, name-sorted.
-    pub components: Vec<MemComponent>,
-    /// Run-wide peak bytes of the snapshot run.
-    pub run_peak_bytes: u64,
-    /// Run-wide allocation count of the snapshot run.
-    pub run_alloc_count: u64,
-}
-
-impl MemBaseline {
-    /// Freezes the journal's memory records into a baseline.
-    pub fn from_journal(journal: &RunJournal) -> MemBaseline {
-        let report = MemReport::from_journal(journal);
-        MemBaseline {
-            journal_version: crate::journal::JOURNAL_VERSION,
-            components: report.components,
-            run_peak_bytes: report.run_peak_bytes,
-            run_alloc_count: report.run_alloc_count,
-        }
-    }
-
-    /// Checks `journal` against this baseline: every footprint row
-    /// must match **exactly** (count and bytes — capacity arithmetic
-    /// is deterministic for a fixed seed and scale), while the
-    /// allocator peak and alloc count must not exceed the baseline by
-    /// more than `tolerance` (a fraction) and must not be zero when
-    /// the baseline has them. A journal with no `Mem` records at all
-    /// fails when the baseline has any — allocation tracking silently
-    /// turning off must not read as a pass. Returns the violations
-    /// (empty = pass).
-    pub fn check(&self, journal: &RunJournal, tolerance: f64) -> Vec<String> {
-        let mut violations = Vec::new();
-        let has_baseline =
-            !self.components.is_empty() || self.run_peak_bytes > 0 || self.run_alloc_count > 0;
-        if has_baseline && !journal.has_mem() {
-            violations.push(
-                "baseline has mem records but the journal carries none \
-                 (was allocation tracking enabled?)"
-                    .to_owned(),
-            );
-            return violations;
-        }
-        let current = MemReport::from_journal(journal);
-        for base in &self.components {
-            let Some(now) = current.components.iter().find(|c| c.component == base.component)
-            else {
-                violations
-                    .push(format!("footprint component `{}` missing from the run", base.component));
-                continue;
-            };
-            for row in &base.rows {
-                let Some(now_row) = now.rows.iter().find(|r| r.name == row.name) else {
-                    violations.push(format!(
-                        "footprint `{}/{}` missing from the run",
-                        base.component, row.name
-                    ));
-                    continue;
-                };
-                if (now_row.count, now_row.bytes) != (row.count, row.bytes) {
-                    violations.push(format!(
-                        "footprint `{}/{}`: {} x {} bytes, baseline has {} x {} (exact gate)",
-                        base.component,
-                        row.name,
-                        now_row.count,
-                        now_row.bytes,
-                        row.count,
-                        row.bytes
-                    ));
-                }
-            }
-            for now_row in &now.rows {
-                if !base.rows.iter().any(|r| r.name == now_row.name) {
-                    violations.push(format!(
-                        "footprint `{}/{}` missing from the baseline (exact gate)",
-                        base.component, now_row.name
-                    ));
-                }
-            }
-        }
-        for (name, base, now) in [
-            ("run peak", self.run_peak_bytes, current.run_peak_bytes),
-            ("run alloc count", self.run_alloc_count, current.run_alloc_count),
-        ] {
-            if base == 0 {
-                continue;
-            }
-            if now == 0 {
-                violations.push(format!(
-                    "baseline has a non-zero {name} but the run recorded none \
-                     (was the tracking allocator installed?)"
-                ));
-            } else if now as f64 > base as f64 * (1.0 + tolerance) {
-                violations.push(format!(
-                    "{name}: {now} exceeds baseline {base} by more than {:.0}%",
-                    tolerance * 100.0
-                ));
-            }
-        }
-        violations
     }
 }
 
@@ -1811,32 +1229,6 @@ mod tests {
     }
 
     #[test]
-    fn plan_baseline_gates_db_hit_budgets() {
-        let journal = sample_with_plans(100);
-        let baseline = PlanBaseline::from_journal(&journal);
-        // Name-sorted op budgets, serde round-trip.
-        assert_eq!(baseline.records, 2);
-        assert_eq!(baseline.queries, 2);
-        let ops: Vec<&str> = baseline.ops.iter().map(|o| o.op.as_str()).collect();
-        assert_eq!(ops, ["Filter", "NodeByLabelScan"]);
-        let json = serde_json::to_string_pretty(&baseline).unwrap();
-        let parsed: PlanBaseline = serde_json::from_str(&json).unwrap();
-        assert_eq!(parsed, baseline);
-
-        // The run it was taken from passes exactly.
-        assert!(baseline.check(&journal, 0.0).is_empty());
-        // More db-hits than budget fails a 5% tolerance…
-        let violations = baseline.check(&sample_with_plans(120), 0.05);
-        assert!(violations.iter().any(|v| v.contains("NodeByLabelScan")), "{violations:?}");
-        // …passes once the tolerance covers it, and cheaper runs pass.
-        assert!(baseline.check(&sample_with_plans(120), 0.25).is_empty());
-        assert!(baseline.check(&sample_with_plans(50), 0.0).is_empty());
-        // Profiling silently off is a failure, not a pass.
-        let unprofiled = baseline.check(&sample(1.0), 0.0);
-        assert!(unprofiled.iter().any(|v| v.contains("no") || v.contains("none")));
-    }
-
-    #[test]
     fn diff_db_hits_column_requires_plans_on_both_sides() {
         let with = sample_with_plans(100);
         let without = sample(1.0);
@@ -1948,29 +1340,6 @@ mod tests {
         assert!(text.contains("support 40"), "{text}");
         assert!(explain_rule(&journal, "rule-9").is_none());
         assert!(explain_rule(&sample(1.0), "rule-0").is_none());
-    }
-
-    #[test]
-    fn lineage_baseline_gates_exactly() {
-        let journal = sample_with_lineage("wrong_direction");
-        let baseline = LineageBaseline::from_journal(&journal);
-        assert_eq!(baseline.rules, 2);
-        assert_eq!(baseline.boundaries, 1);
-        assert_eq!(baseline.strategy, "sliding-window");
-        let json = serde_json::to_string_pretty(&baseline).unwrap();
-        let parsed: LineageBaseline = serde_json::from_str(&json).unwrap();
-        assert_eq!(parsed, baseline);
-
-        // The run it was taken from passes exactly.
-        assert!(baseline.check(&journal).is_empty());
-        // A different error class fails — the gate has no tolerance.
-        let drifted = sample_with_lineage("syntax_error");
-        let violations = baseline.check(&drifted);
-        assert!(violations.iter().any(|v| v.contains("wrong_direction")), "{violations:?}");
-        assert!(violations.iter().any(|v| v.contains("syntax_error")), "{violations:?}");
-        // Lineage silently off is a failure, not a pass.
-        let unlineaged = baseline.check(&sample(1.0));
-        assert!(unlineaged.iter().any(|v| v.contains("none")), "{unlineaged:?}");
     }
 
     /// A chaos recording: one recovered mine unit, one abandoned +
@@ -2092,30 +1461,6 @@ mod tests {
         assert!(FaultReport::from_journal(&sample(1.0)).is_empty());
     }
 
-    #[test]
-    fn chaos_baseline_gates_exactly() {
-        let journal = sample_with_faults("rate_limit");
-        let baseline = ChaosBaseline::from_journal(&journal);
-        assert_eq!(baseline.faults_injected, 3);
-        assert_eq!(baseline.recovered, 1);
-        assert_eq!(baseline.abandoned, 1);
-        assert_eq!(baseline.checkpoints, 3);
-        let json = serde_json::to_string_pretty(&baseline).unwrap();
-        let parsed: ChaosBaseline = serde_json::from_str(&json).unwrap();
-        assert_eq!(parsed, baseline);
-
-        // The run it was taken from passes exactly.
-        assert!(baseline.check(&journal).is_empty());
-        // A different fault-kind mix fails — the gate has no tolerance.
-        let drifted = sample_with_faults("garbled");
-        let violations = baseline.check(&drifted);
-        assert!(violations.iter().any(|v| v.contains("rate_limit")), "{violations:?}");
-        assert!(violations.iter().any(|v| v.contains("garbled")), "{violations:?}");
-        // Chaos silently off is a failure, not a pass.
-        let faultless = baseline.check(&sample(1.0));
-        assert!(faultless.iter().any(|v| v.contains("none")), "{faultless:?}");
-    }
-
     /// A traced run carrying footprint records for two components.
     /// Scaling `bytes_scale` models a graph that grew between runs.
     fn sample_with_mem(bytes_scale: u64) -> RunJournal {
@@ -2204,64 +1549,6 @@ mod tests {
     }
 
     #[test]
-    fn mem_baseline_gates_footprints_exactly_and_counters_by_tolerance() {
-        use crate::mem::MemRecord;
-        let journal = sample_with_mem(1);
-        let baseline = MemBaseline::from_journal(&journal);
-        assert_eq!(baseline.journal_version, crate::journal::JOURNAL_VERSION);
-        assert_eq!(baseline.components.len(), 2);
-        let json = serde_json::to_string_pretty(&baseline).unwrap();
-        let parsed: MemBaseline = serde_json::from_str(&json).unwrap();
-        assert_eq!(parsed, baseline);
-
-        // The run it was taken from passes exactly.
-        assert!(baseline.check(&journal, 0.0).is_empty());
-        // A grown footprint fails — the footprint gate has no
-        // tolerance, whatever tolerance the allocator counters get.
-        let violations = baseline.check(&sample_with_mem(2), 0.5);
-        assert!(violations.iter().any(|v| v.contains("graph/nodes")), "{violations:?}");
-        assert!(violations.iter().any(|v| v.contains("exact gate")), "{violations:?}");
-        // Mem tracking silently off is a failure, not a pass.
-        let untracked = baseline.check(&sample(1.0), 0.5);
-        assert!(untracked.iter().any(|v| v.contains("none")), "{untracked:?}");
-
-        // Allocator counters gate by tolerance: build a baseline with
-        // run counters, then check runs above and below the slack.
-        let mut tracked = sample_with_mem(1);
-        tracked.mems.push(MemRecord {
-            kind: "run".into(),
-            alloc_bytes: 10_000,
-            alloc_count: 100,
-            dealloc_count: 90,
-            peak_delta: 4000,
-            peak_bytes: 8000,
-            ..MemRecord::default()
-        });
-        let counter_baseline = MemBaseline::from_journal(&tracked);
-        assert_eq!(counter_baseline.run_peak_bytes, 8000);
-        assert_eq!(counter_baseline.run_alloc_count, 100);
-        let mut slower = sample_with_mem(1);
-        slower.mems.push(MemRecord {
-            kind: "run".into(),
-            alloc_bytes: 12_000,
-            alloc_count: 140,
-            dealloc_count: 120,
-            peak_delta: 5000,
-            peak_bytes: 8400,
-            ..MemRecord::default()
-        });
-        // +40% allocs fails a 10% tolerance…
-        let over = counter_baseline.check(&slower, 0.1);
-        assert!(over.iter().any(|v| v.contains("run alloc count")), "{over:?}");
-        // …and passes a 50% one.
-        assert!(counter_baseline.check(&slower, 0.5).is_empty());
-        // A run whose counters vanished entirely fails even at high
-        // tolerance — the allocator was silently uninstalled.
-        let vanished = counter_baseline.check(&journal, 10.0);
-        assert!(vanished.iter().any(|v| v.contains("tracking allocator")), "{vanished:?}");
-    }
-
-    #[test]
     fn folded_stacks_weighs_self_allocation_for_mem() {
         use crate::mem::MemRecord;
         let mut journal = sample_with_mem(1);
@@ -2290,27 +1577,5 @@ mod tests {
         assert!(folded.contains("pipeline;encode 5000"), "{folded}");
         // Without span records every frame weighs zero and is omitted.
         assert_eq!(folded_stacks(&sample_with_mem(1), FlameWeight::Mem), "");
-    }
-
-    #[test]
-    fn baseline_round_trips_and_gates() {
-        let journal = sample(1.0);
-        let baseline = TraceBaseline::from_journal(&journal);
-        let json = serde_json::to_string_pretty(&baseline).unwrap();
-        let parsed: TraceBaseline = serde_json::from_str(&json).unwrap();
-        assert_eq!(parsed, baseline);
-
-        // The run it was taken from passes at any tolerance.
-        assert!(baseline.check(&journal, 0.0).is_empty());
-        // A 50% slower run fails a 5% tolerance on both the stage
-        // timing and the histogram percentiles…
-        let slow = sample(1.5);
-        let violations = baseline.check(&slow, 0.05);
-        assert!(violations.iter().any(|v| v.contains("stage `mine`")), "{violations:?}");
-        assert!(violations.iter().any(|v| v.contains("mine_call_seconds")), "{violations:?}");
-        // …and passes once the tolerance covers the slack.
-        assert!(baseline.check(&slow, 0.6).is_empty());
-        // A faster run never fails.
-        assert!(baseline.check(&sample(0.5), 0.0).is_empty());
     }
 }

@@ -616,114 +616,43 @@ pub fn check_exposition_against_events(
     violations
 }
 
-/// The committed `BENCH_events.json` shape: per-kind event counts of
-/// the deterministic chaos configuration, pinned so event emission
-/// coverage can only change deliberately.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct EventsBaseline {
-    /// Journal schema version the baseline was generated against.
-    pub journal_version: u32,
-    /// Total events across all kinds.
-    pub events_total: u64,
-    /// Per-kind counts, kind-sorted.
-    pub kinds: Vec<(String, u64)>,
-}
-
-impl EventsBaseline {
-    /// Builds a baseline from a [`CountingSink`]'s counts.
-    pub fn from_counts(counts: &BTreeMap<String, u64>) -> EventsBaseline {
-        EventsBaseline {
-            journal_version: JOURNAL_VERSION,
-            events_total: counts.values().sum(),
-            kinds: counts.iter().map(|(k, v)| (k.clone(), *v)).collect(),
-        }
-    }
-
-    /// Exact-match check of observed counts against the baseline.
-    pub fn check(&self, counts: &BTreeMap<String, u64>) -> Vec<String> {
-        let mut violations = Vec::new();
-        if self.journal_version != JOURNAL_VERSION {
-            violations.push(format!(
-                "baseline journal_version {} != current {} — regenerate with --events-baseline",
-                self.journal_version, JOURNAL_VERSION
-            ));
-        }
-        let observed = EventsBaseline::from_counts(counts);
-        if observed.events_total != self.events_total {
-            violations.push(format!(
-                "events_total {} != baseline {}",
-                observed.events_total, self.events_total
-            ));
-        }
-        let baseline: BTreeMap<&str, u64> =
-            self.kinds.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-        for (kind, count) in counts {
-            match baseline.get(kind.as_str()) {
-                None => violations.push(format!("kind {kind}: {count} events, absent in baseline")),
-                Some(expect) if *expect != *count => {
-                    violations.push(format!("kind {kind}: {count} events != baseline {expect}"));
-                }
-                Some(_) => {}
-            }
-        }
-        for (kind, expect) in &baseline {
-            if !counts.contains_key(*kind) {
-                violations.push(format!("kind {kind}: baseline expects {expect}, none emitted"));
-            }
-        }
-        violations
-    }
-
-    /// The event/journal parity gate: with the bus attached, the
-    /// per-kind event counts must equal the corresponding journal
-    /// record counts at run end. Only journal-backed kinds
-    /// participate (counter/gauge/histo increments aggregate into
-    /// totals rather than journaling one line each). `mem` compares
-    /// against footprint records only — span/run allocation rows are
-    /// derived at snapshot time and never cross the bus.
-    pub fn parity_violations(counts: &BTreeMap<String, u64>, journal: &RunJournal) -> Vec<String> {
-        let count = |kind: &str| counts.get(kind).copied().unwrap_or(0);
-        let footprints = journal.mems.iter().filter(|m| m.kind == "footprint").count() as u64;
-        let pairs: [(&str, u64, u64); 10] = [
-            (
-                TelemetryEvent::SPAN_OPEN,
-                count(TelemetryEvent::SPAN_OPEN),
-                journal.spans.len() as u64,
-            ),
-            (TelemetryEvent::PLAN, count(TelemetryEvent::PLAN), journal.plans.len() as u64),
-            (
-                TelemetryEvent::LINEAGE,
-                count(TelemetryEvent::LINEAGE),
-                journal.lineages.len() as u64,
-            ),
-            (
-                TelemetryEvent::BOUNDARY,
-                count(TelemetryEvent::BOUNDARY),
-                journal.boundaries.len() as u64,
-            ),
-            (TelemetryEvent::CHAOS, count(TelemetryEvent::CHAOS), journal.chaos.is_some() as u64),
-            (TelemetryEvent::FAULT, count(TelemetryEvent::FAULT), journal.faults.len() as u64),
-            (TelemetryEvent::RETRY, count(TelemetryEvent::RETRY), journal.retries.len() as u64),
-            (
-                TelemetryEvent::DEGRADED,
-                count(TelemetryEvent::DEGRADED),
-                journal.degraded.len() as u64,
-            ),
-            (
-                TelemetryEvent::CHECKPOINT,
-                count(TelemetryEvent::CHECKPOINT),
-                journal.checkpoints.len() as u64,
-            ),
-            (TelemetryEvent::MEM, count(TelemetryEvent::MEM), footprints),
-        ];
-        pairs
-            .iter()
-            .filter(|(_, events, records)| events != records)
-            .map(|(kind, events, records)| {
-                format!("kind {kind}: {events} bus events != {records} journal records")
-            })
-            .collect()
-    }
+/// The event/journal parity gate: with the bus attached, the
+/// per-kind event counts must equal the corresponding journal
+/// record counts at run end. Only journal-backed kinds
+/// participate (counter/gauge/histo increments aggregate into
+/// totals rather than journaling one line each). `mem` compares
+/// against footprint records only — span/run allocation rows are
+/// derived at snapshot time and never cross the bus.
+pub fn parity_violations(counts: &BTreeMap<String, u64>, journal: &RunJournal) -> Vec<String> {
+    let count = |kind: &str| counts.get(kind).copied().unwrap_or(0);
+    let footprints = journal.mems.iter().filter(|m| m.kind == "footprint").count() as u64;
+    let pairs: [(&str, u64, u64); 10] = [
+        (TelemetryEvent::SPAN_OPEN, count(TelemetryEvent::SPAN_OPEN), journal.spans.len() as u64),
+        (TelemetryEvent::PLAN, count(TelemetryEvent::PLAN), journal.plans.len() as u64),
+        (TelemetryEvent::LINEAGE, count(TelemetryEvent::LINEAGE), journal.lineages.len() as u64),
+        (
+            TelemetryEvent::BOUNDARY,
+            count(TelemetryEvent::BOUNDARY),
+            journal.boundaries.len() as u64,
+        ),
+        (TelemetryEvent::CHAOS, count(TelemetryEvent::CHAOS), journal.chaos.is_some() as u64),
+        (TelemetryEvent::FAULT, count(TelemetryEvent::FAULT), journal.faults.len() as u64),
+        (TelemetryEvent::RETRY, count(TelemetryEvent::RETRY), journal.retries.len() as u64),
+        (TelemetryEvent::DEGRADED, count(TelemetryEvent::DEGRADED), journal.degraded.len() as u64),
+        (
+            TelemetryEvent::CHECKPOINT,
+            count(TelemetryEvent::CHECKPOINT),
+            journal.checkpoints.len() as u64,
+        ),
+        (TelemetryEvent::MEM, count(TelemetryEvent::MEM), footprints),
+    ];
+    pairs
+        .iter()
+        .filter(|(_, events, records)| events != records)
+        .map(|(kind, events, records)| {
+            format!("kind {kind}: {events} bus events != {records} journal records")
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -869,20 +798,5 @@ mod tests {
         let bad = request(&huge);
         assert!(bad.starts_with("HTTP/1.1 400 Bad Request\r\n"), "{bad}");
         server.stop();
-    }
-
-    #[test]
-    fn events_baseline_round_trips_and_checks() {
-        let mut counts = BTreeMap::new();
-        counts.insert("span_open".to_owned(), 9u64);
-        counts.insert("counter".to_owned(), 40u64);
-        let baseline = EventsBaseline::from_counts(&counts);
-        assert_eq!(baseline.events_total, 49);
-        crate::assert_roundtrip(&baseline);
-        assert!(baseline.check(&counts).is_empty());
-        counts.insert("counter".to_owned(), 41);
-        let violations = baseline.check(&counts);
-        assert!(violations.iter().any(|v| v.contains("kind counter")), "{violations:?}");
-        assert!(violations.iter().any(|v| v.contains("events_total")), "{violations:?}");
     }
 }

@@ -2,6 +2,8 @@
 //! histograms, written as JSON Lines (one record per line) so partial
 //! files stay parseable and `jq`/`grep` work line-wise.
 
+use std::collections::HashSet;
+
 use crate::bus::TelemetryEvent;
 use crate::histogram::Histogram;
 use crate::lineage::{BoundaryRecord, LineageRecord};
@@ -26,8 +28,6 @@ pub struct SpanRecord {
     /// (schema v7+). Unlike `start_ms` this is pure sim arithmetic —
     /// schedule-independent, so deterministic snapshots keep it — and
     /// it is what `grm trace timeline` reconstructs occupancy from.
-    /// Defaults to 0 when parsing pre-v7 journals.
-    #[serde(default)]
     pub sim_start_seconds: f64,
     /// Simulated LLM seconds attributed to this span (Table 5 time).
     pub sim_seconds: f64,
@@ -175,13 +175,13 @@ pub struct RunJournal {
 /// `Plan` lines. v4: adds `Lineage` and `Boundary` lines. v5: adds
 /// `Chaos`/`Fault`/`Retry`/`Degraded`/`Checkpoint` lines. v6: adds
 /// `Mem` lines. v7: adds the `sim_start_seconds` field to `Span`
-/// lines (an additive field, not a new record kind — v6 readers
-/// ignore it, and v7 readers default it to 0 on older journals).
-/// v8: adds `Event` lines (streamed telemetry-bus events, written by
-/// `grm mine --events`) — v7 readers skip them.
-/// Each version is purely additive, so older journals still parse
-/// (they simply carry fewer record kinds) and older readers skip the
-/// new lines through their unknown-record path.
+/// lines (v6 readers ignore it). v8: adds `Event` lines (streamed
+/// telemetry-bus events, written by `grm mine --events`) — v7 readers
+/// skip them.
+/// The strict reader accepts only this version (older journals are
+/// regenerated, not migrated); every reader skips record kinds and
+/// `Span` fields it does not know, so additions stay readable by
+/// older builds.
 pub const JOURNAL_VERSION: u32 = 8;
 
 impl RunJournal {
@@ -244,8 +244,7 @@ impl RunJournal {
     }
 
     /// True when the journal carries v6 `Mem` records at all — the
-    /// gate for memory-aware rendering (`grm trace mem`) and the
-    /// silently-off guard of the mem baseline check.
+    /// gate for memory-aware rendering (`grm trace mem`).
     pub fn has_mem(&self) -> bool {
         !self.mems.is_empty()
     }
@@ -258,9 +257,9 @@ impl RunJournal {
 
     /// True when the journal carries v7 start offsets at all — the
     /// gate for timeline-aware rendering (`grm trace timeline`,
-    /// `critical-path`) and the silently-off guard of the timeline
-    /// baseline check. Serial runs qualify too: their merge/translate/
-    /// evaluate spans start after the mine stage's sim seconds.
+    /// `critical-path`) and for the timeline baseline rows. Serial
+    /// runs qualify too: their merge/translate/evaluate spans start
+    /// after the mine stage's sim seconds.
     pub fn has_timeline(&self) -> bool {
         self.spans.iter().any(|s| s.sim_start_seconds > 0.0)
     }
@@ -419,21 +418,23 @@ impl RunJournal {
     }
 
     /// Parses a journal back from its JSONL form. Strict about
-    /// damaged lines and unsupported versions, but skips record
-    /// variants this reader does not know (future schema additions),
-    /// so a reader keeps working on newer journals that only *add*
-    /// record types — exactly how v2 readers skip v3 `Plan` lines.
+    /// damaged lines and about the schema version — only journals of
+    /// this build's [`JOURNAL_VERSION`] parse — but skips record
+    /// variants this reader does not know, counting them in
+    /// [`RunJournal::unknown_lines`]. A line is damaged when it does
+    /// not parse, when a non-empty histogram has `min > max`, or when
+    /// a span reuses an id or names a parent no earlier line declares.
     pub fn from_jsonl(text: &str) -> Result<RunJournal, String> {
         Self::parse_jsonl(text, false)
     }
 
     /// Lossy variant of [`RunJournal::from_jsonl`] for journals from
-    /// crashed runs: a truncated (unparseable) final line is dropped
+    /// crashed runs: a damaged final line (a truncated tail) is dropped
     /// instead of failing, a missing `Totals` trailer is tolerated,
-    /// and future `Meta` versions are accepted best-effort. Dropped
-    /// and skipped lines are counted in
-    /// [`RunJournal::corrupt_lines`] / [`RunJournal::unknown_lines`]
-    /// and surfaced by `grm trace summary`.
+    /// and any `Meta` version is accepted best-effort. Dropped and
+    /// skipped lines are counted in [`RunJournal::corrupt_lines`] /
+    /// [`RunJournal::unknown_lines`] and surfaced by `grm trace
+    /// summary`.
     pub fn from_jsonl_lossy(text: &str) -> Result<RunJournal, String> {
         Self::parse_jsonl(text, true)
     }
@@ -442,32 +443,41 @@ impl RunJournal {
         let lines: Vec<(usize, &str)> =
             text.lines().enumerate().filter(|(_, l)| !l.trim().is_empty()).collect();
         let mut journal = RunJournal::default();
+        let mut span_ids = HashSet::new();
         for (pos, (lineno, line)) in lines.iter().enumerate() {
-            let record: JournalRecord = match serde_json::from_str(line) {
+            let parsed = match serde_json::from_str::<JournalRecord>(line) {
+                Ok(record) => check_record(&record, &span_ids).map(|()| record),
+                Err(e) => match leading_object_key(line) {
+                    // Future record variant: skip, but keep count so
+                    // the loss is visible.
+                    Some(key) if !KNOWN_RECORD_KEYS.contains(&key) => {
+                        journal.unknown_lines += 1;
+                        continue;
+                    }
+                    _ => Err(e.to_string()),
+                },
+            };
+            let record = match parsed {
                 Ok(record) => record,
-                Err(e) => {
-                    if let Some(key) = leading_object_key(line) {
-                        if !KNOWN_RECORD_KEYS.contains(&key) {
-                            // Future record variant: skip, but keep
-                            // count so the loss is visible.
-                            journal.unknown_lines += 1;
-                            continue;
-                        }
-                    }
-                    if lossy && pos + 1 == lines.len() {
-                        journal.corrupt_lines += 1;
-                        break; // truncated tail of a crashed run
-                    }
-                    return Err(format!("journal line {}: {e}", lineno + 1));
+                Err(_) if lossy && pos + 1 == lines.len() => {
+                    journal.corrupt_lines += 1;
+                    break; // truncated tail of a crashed run
                 }
+                Err(e) => return Err(format!("journal line {}: {e}", lineno + 1)),
             };
             match record {
                 JournalRecord::Meta { version, .. } => {
-                    if !(1..=JOURNAL_VERSION).contains(&version) && !lossy {
-                        return Err(format!("unsupported journal version {version}"));
+                    if version != JOURNAL_VERSION && !lossy {
+                        return Err(format!(
+                            "journal version {version} is not supported (this build reads \
+                             v{JOURNAL_VERSION}); regenerate the journal with this build"
+                        ));
                     }
                 }
-                JournalRecord::Span(span) => journal.spans.push(span),
+                JournalRecord::Span(span) => {
+                    span_ids.insert(span.id);
+                    journal.spans.push(span);
+                }
                 JournalRecord::Histo(histo) => journal.histos.push(histo),
                 JournalRecord::Plan(plan) => journal.plans.push(plan),
                 JournalRecord::Lineage(lineage) => journal.lineages.push(lineage),
@@ -745,6 +755,38 @@ fn sorted_by_name<V: Clone>(pairs: &[(String, V)]) -> Vec<(String, V)> {
     let mut sorted = pairs.to_vec();
     sorted.sort_by(|(a, _), (b, _)| a.cmp(b));
     sorted
+}
+
+/// The invariants a parsed record must hold beyond its shape, which
+/// the analytics rely on: a non-empty histogram has `min <= max`
+/// (percentiles clamp into that range), and a span has a fresh id and
+/// a parent declared on an earlier line (span paths walk parents to
+/// the root and the span tree recurses into children, so a cycle would
+/// never end). `span_ids` holds the ids declared so far.
+fn check_record(record: &JournalRecord, span_ids: &HashSet<u64>) -> Result<(), String> {
+    match record {
+        JournalRecord::Histo(h)
+            if !h.histogram.is_empty() && h.histogram.min() > h.histogram.max() =>
+        {
+            Err(format!(
+                "histogram `{}` has min {} above max {}",
+                h.name,
+                h.histogram.min(),
+                h.histogram.max()
+            ))
+        }
+        JournalRecord::Span(span) if span_ids.contains(&span.id) => {
+            Err(format!("span {} is declared twice", span.id))
+        }
+        JournalRecord::Span(span) => match span.parent {
+            Some(parent) if !span_ids.contains(&parent) => Err(format!(
+                "span {} names parent {parent}, which no earlier span declares",
+                span.id
+            )),
+            _ => Ok(()),
+        },
+        _ => Ok(()),
+    }
 }
 
 /// First key of a single-line JSON object, without a full parse —

@@ -45,21 +45,19 @@
 //!   tree (with v7 `sim_start_seconds` offsets placing every span on
 //!   the simulated axis), counter totals, histograms, plan profiles,
 //!   lineage, resilience and memory records, and streamed v8 `Event`
-//!   lines (schema v8; v1–v7 journals still parse), written by
+//!   lines (schema v8; readers skip unknown record kinds), written by
 //!   `grm mine --trace` and the `repro` binary;
 //! * **timeline analytics** ([`TimelineReport`],
-//!   [`CriticalPathReport`], [`TimelineBaseline`]) — per-worker
-//!   occupancy lanes, utilization and effective parallel speedup,
-//!   and the critical path bounding the run wall-clock, the machinery
-//!   behind `grm trace timeline` and `grm trace critical-path`;
+//!   [`CriticalPathReport`]) — per-worker occupancy lanes, utilization
+//!   and effective parallel speedup, and the critical path bounding
+//!   the run wall-clock, the machinery behind `grm trace timeline` and
+//!   `grm trace critical-path`;
 //! * **trace analytics** ([`TraceDiff`], [`folded_stacks`],
-//!   [`TraceBaseline`], [`PlanReport`], [`PlanBaseline`],
-//!   [`LineageReport`], [`LineageBaseline`], [`FaultReport`],
-//!   [`ChaosBaseline`], [`MemReport`], [`MemBaseline`]) —
-//!   run-over-run diffing, flamegraph export, operator cost tables,
-//!   rule-provenance tables, fault digests, allocation tables and the
-//!   CI perf/lineage/chaos/memory/timeline regression gates behind
-//!   `grm trace`.
+//!   [`PlanReport`], [`LineageReport`], [`FaultReport`],
+//!   [`MemReport`]) — run-over-run diffing, flamegraph export,
+//!   operator cost tables, rule-provenance tables, fault digests and
+//!   allocation tables behind `grm trace`; the committed
+//!   `BENCH_*.json` gates are built from these reports by `grm-bench`.
 //!
 //! The entry point is [`Recorder`]. A disabled recorder costs one
 //! `Option` check per call, so instrumented code paths stay free when
@@ -99,15 +97,14 @@ mod tail;
 mod timeline;
 
 pub use analytics::{
-    explain_rule, folded_stacks, BaselineHisto, ChaosBaseline, CounterDiffRow, FaultReport,
-    FlameWeight, HistoDiffRow, LineageBaseline, LineageReport, MemBaseline, MemComponent,
-    MemReport, MemSpanRow, OptimizerBaseline, OriginYield, PlanBaseline, PlanBaselineOp,
-    PlanCacheReport, PlanOpAgg, PlanReport, PlanScopeAgg, StageDiffRow, TraceBaseline, TraceDiff,
+    explain_rule, folded_stacks, CounterDiffRow, FaultReport, FlameWeight, HistoDiffRow,
+    LineageReport, MemComponent, MemReport, MemSpanRow, OriginYield, PlanCacheReport, PlanOpAgg,
+    PlanReport, PlanScopeAgg, StageDiffRow, TraceDiff,
 };
 pub use bus::{
-    check_exposition_against_events, event_stream_sink, metrics_http_response, parse_exposition,
-    prometheus_exposition, ChannelSink, CountingSink, EventSink, EventStreamHandle, EventsBaseline,
-    ExpositionSample, MetricsHub, MetricsServerHandle, TelemetryEvent,
+    check_exposition_against_events, event_stream_sink, metrics_http_response, parity_violations,
+    parse_exposition, prometheus_exposition, ChannelSink, CountingSink, EventSink,
+    EventStreamHandle, ExpositionSample, MetricsHub, MetricsServerHandle, TelemetryEvent,
 };
 pub use counter::{Counter, Gauge, Histo};
 pub use histogram::{Histogram, BUCKET_COUNT};
@@ -122,8 +119,8 @@ pub use recorder::{Recorder, Scope, Span};
 pub use resilience::{ChaosRecord, CheckpointRecord, DegradedRecord, FaultRecord, RetryRecord};
 pub use tail::{TailFollower, TailPoll};
 pub use timeline::{
-    BaselineLane, CriticalPathChain, CriticalPathReport, CriticalPathStep, StageSegment,
-    TimelineBaseline, TimelineReport, WorkerLane,
+    CriticalPathChain, CriticalPathReport, CriticalPathStep, StageSegment, TimelineReport,
+    WorkerLane,
 };
 
 /// Shared unit-test helper: asserts `value` survives a serde JSON

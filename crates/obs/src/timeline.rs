@@ -341,141 +341,6 @@ fn walk_back(journal: &RunJournal, end: f64) -> Vec<CriticalPathStep> {
     steps
 }
 
-/// One frozen worker lane of a [`TimelineBaseline`].
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct BaselineLane {
-    pub name: String,
-    pub start_seconds: f64,
-    pub busy_seconds: f64,
-}
-
-/// A committed timeline baseline: wall/compute/speedup, every worker
-/// lane, and the critical-path span sequence. Written by
-/// `repro --timeline-baseline`, consumed by `grm trace timeline
-/// --check` in CI. All quantities are pure sim arithmetic, so the
-/// file is byte-deterministic for a fixed seed and scale.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct TimelineBaseline {
-    /// Journal schema version the snapshot was taken from.
-    pub journal_version: u32,
-    pub wall_seconds: f64,
-    pub compute_seconds: f64,
-    pub speedup: f64,
-    /// Worker lanes of the snapshot run, name-sorted.
-    pub workers: Vec<BaselineLane>,
-    /// Span paths of the critical path, in chronological order.
-    pub critical_path: Vec<String>,
-    /// Summed sim seconds of the critical path.
-    pub critical_seconds: f64,
-}
-
-impl TimelineBaseline {
-    /// Freezes the journal's timeline into a baseline snapshot.
-    pub fn from_journal(journal: &RunJournal) -> TimelineBaseline {
-        let report = TimelineReport::from_journal(journal);
-        let critical = CriticalPathReport::from_journal(journal);
-        let top = critical.chains.first();
-        let mut workers: Vec<BaselineLane> = report
-            .workers
-            .iter()
-            .map(|w| BaselineLane {
-                name: w.name.clone(),
-                start_seconds: w.start_seconds,
-                busy_seconds: w.busy_seconds,
-            })
-            .collect();
-        workers.sort_by(|a, b| a.name.cmp(&b.name));
-        TimelineBaseline {
-            journal_version: crate::journal::JOURNAL_VERSION,
-            wall_seconds: report.wall_seconds,
-            compute_seconds: report.compute_seconds,
-            speedup: report.speedup,
-            workers,
-            critical_path: top
-                .map(|c| c.steps.iter().map(|s| s.path.clone()).collect())
-                .unwrap_or_default(),
-            critical_seconds: top.map(|c| c.seconds).unwrap_or(0.0),
-        }
-    }
-
-    /// Checks `journal` against this baseline: the critical-path span
-    /// sequence and the worker-lane name set must match **exactly**
-    /// (structure is deterministic for a fixed seed and worker
-    /// count), wall-clock and per-lane busy seconds must not exceed
-    /// the baseline by more than `tolerance` (a fraction), and the
-    /// speedup must not fall below the baseline by more than
-    /// `tolerance`. A journal with no start offsets at all fails when
-    /// the baseline has a timeline — offset stamping silently turning
-    /// off must not read as a pass. Returns the violations (empty =
-    /// pass).
-    pub fn check(&self, journal: &RunJournal, tolerance: f64) -> Vec<String> {
-        let mut violations = Vec::new();
-        if self.wall_seconds > 0.0 && !journal.has_timeline() {
-            violations.push(
-                "baseline has a timeline but the journal carries no span start offsets \
-                 (was the run recorded by a pre-v7 build?)"
-                    .to_owned(),
-            );
-            return violations;
-        }
-        let report = TimelineReport::from_journal(journal);
-        for (name, base, now) in [
-            ("wall-clock", self.wall_seconds, report.wall_seconds),
-            ("compute", self.compute_seconds, report.compute_seconds),
-        ] {
-            if base > 0.0 && now > base * (1.0 + tolerance) {
-                violations.push(format!(
-                    "{name}: {now:.3}s exceeds baseline {base:.3}s by more than {:.0}%",
-                    tolerance * 100.0
-                ));
-            }
-        }
-        if self.speedup > 0.0 && report.speedup < self.speedup * (1.0 - tolerance) {
-            violations.push(format!(
-                "speedup: {:.3}x fell below baseline {:.3}x by more than {:.0}%",
-                report.speedup,
-                self.speedup,
-                tolerance * 100.0
-            ));
-        }
-        let mut lanes: Vec<&WorkerLane> = report.workers.iter().collect();
-        lanes.sort_by(|a, b| a.name.cmp(&b.name));
-        for base in &self.workers {
-            let Some(now) = lanes.iter().find(|l| l.name == base.name) else {
-                violations.push(format!("worker lane `{}` missing from the run", base.name));
-                continue;
-            };
-            if base.busy_seconds > 0.0 && now.busy_seconds > base.busy_seconds * (1.0 + tolerance) {
-                violations.push(format!(
-                    "worker lane `{}`: busy {:.3}s exceeds baseline {:.3}s by more than {:.0}%",
-                    base.name,
-                    now.busy_seconds,
-                    base.busy_seconds,
-                    tolerance * 100.0
-                ));
-            }
-        }
-        for lane in &lanes {
-            if !self.workers.iter().any(|w| w.name == lane.name) {
-                violations.push(format!("worker lane `{}` missing from the baseline", lane.name));
-            }
-        }
-        let critical = CriticalPathReport::from_journal(journal);
-        let now_path: Vec<String> = critical
-            .chains
-            .first()
-            .map(|c| c.steps.iter().map(|s| s.path.clone()).collect())
-            .unwrap_or_default();
-        if now_path != self.critical_path {
-            violations.push(format!(
-                "critical path changed: run walks {:?}, baseline walks {:?}",
-                now_path, self.critical_path
-            ));
-        }
-        violations
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -552,40 +417,5 @@ mod tests {
         let text = critical.render(3);
         assert!(text.contains("critical path: 11.000s"), "{text}");
         assert!(text.contains("evaluate"), "{text}");
-    }
-
-    #[test]
-    fn baseline_round_trips_and_passes_itself() {
-        let journal = sample(1.0);
-        let baseline = TimelineBaseline::from_journal(&journal);
-        assert_eq!(baseline.journal_version, crate::journal::JOURNAL_VERSION);
-        assert_eq!(baseline.critical_path, ["mine/worker-0", "translate", "evaluate"]);
-        assert!(baseline.check(&journal, 0.05).is_empty());
-        let json = serde_json::to_string(&baseline).unwrap();
-        let back: TimelineBaseline = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, baseline);
-    }
-
-    #[test]
-    fn slower_run_fails_the_baseline_check() {
-        let baseline = TimelineBaseline::from_journal(&sample(1.0));
-        let violations = baseline.check(&sample(1.5), 0.05);
-        assert!(violations.iter().any(|v| v.contains("wall-clock")), "{violations:?}");
-    }
-
-    #[test]
-    fn timeline_silently_off_is_a_failure() {
-        let baseline = TimelineBaseline::from_journal(&sample(1.0));
-        // A journal recorded without start offsets (pre-v7 shape):
-        // everything opens at the sim origin.
-        let rec = Recorder::new();
-        let root = rec.root_scope().span("pipeline");
-        let mine = root.scope().span("mine");
-        mine.scope().add_sim_seconds(6.0);
-        mine.finish();
-        root.finish();
-        let flat = rec.snapshot();
-        let violations = baseline.check(&flat, 0.05);
-        assert!(violations.iter().any(|v| v.contains("no span start offsets")), "{violations:?}");
     }
 }

@@ -7,9 +7,9 @@ use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 use grm_obs::{
-    check_exposition_against_events, event_stream_sink, parse_exposition, BoundaryRecord,
-    ChannelSink, ChaosRecord, CheckpointRecord, Counter, CountingSink, DegradedRecord,
-    EventsBaseline, FaultRecord, FootprintRow, Gauge, Histo, LineageRecord, MemRecord, MetricsHub,
+    check_exposition_against_events, event_stream_sink, parity_violations, parse_exposition,
+    BoundaryRecord, ChannelSink, ChaosRecord, CheckpointRecord, Counter, CountingSink,
+    DegradedRecord, FaultRecord, FootprintRow, Gauge, Histo, LineageRecord, MemRecord, MetricsHub,
     Recorder, RetryRecord, RunJournal, TelemetryEvent,
 };
 
@@ -76,7 +76,7 @@ fn bus_emits_one_event_per_journal_record() {
     rec.attach_sink(counting.clone());
     let journal = drive(&rec);
     let counts = counting.counts();
-    let violations = EventsBaseline::parity_violations(&counts, &journal);
+    let violations = parity_violations(&counts, &journal);
     assert!(violations.is_empty(), "{violations:?}");
     // Spot-check the aggregate kinds parity does not cover.
     assert_eq!(counts.get("counter"), Some(&2));
@@ -238,7 +238,7 @@ fn parity_gate_catches_a_missing_kind() {
     let journal = drive(&rec);
     let mut counts: BTreeMap<String, u64> = counting.counts();
     counts.remove("fault");
-    let violations = EventsBaseline::parity_violations(&counts, &journal);
+    let violations = parity_violations(&counts, &journal);
     assert_eq!(violations.len(), 1);
     assert!(violations[0].contains("fault"), "{violations:?}");
 }

@@ -2,11 +2,13 @@
 //! observations, journal round-trips (strict and lossy), and the
 //! disabled-recorder fast path.
 
+use std::collections::BTreeSet;
 use std::thread;
 
 use grm_obs::{
-    BoundaryRecord, Counter, FootprintRow, Gauge, Histo, LineageRecord, MemRecord, OriginRef,
-    PlanOpRecord, PlanRecord, Recorder, RunJournal, Scope, SlowQueryPolicy, TelemetryEvent,
+    BoundaryRecord, ChaosRecord, CheckpointRecord, Counter, DegradedRecord, FaultRecord,
+    FootprintRow, Gauge, Histo, LineageRecord, MemRecord, OriginRef, PlanOpRecord, PlanRecord,
+    Recorder, RetryRecord, RunJournal, Scope, SlowQueryPolicy, TelemetryEvent,
 };
 
 #[test]
@@ -145,8 +147,15 @@ fn journal_jsonl_round_trip() {
 #[test]
 fn from_jsonl_rejects_garbage_and_bad_versions() {
     assert!(RunJournal::from_jsonl("not json").is_err());
-    let bad_version = r#"{"Meta": {"version": 99, "spans": 0}}"#;
-    assert!(RunJournal::from_jsonl(bad_version).unwrap_err().contains("version"));
+    // Only this build's schema version parses strictly — future and
+    // past versions alike are regenerated, not migrated. The lossy
+    // reader stays best-effort.
+    for version in [99, 7, 1] {
+        let meta = format!(r#"{{"Meta": {{"version": {version}, "spans": 0}}}}"#);
+        let err = RunJournal::from_jsonl(&meta).unwrap_err();
+        assert!(err.contains("version") && err.contains("regenerate"), "{err}");
+        assert!(RunJournal::from_jsonl_lossy(&meta).is_ok());
+    }
 }
 
 #[test]
@@ -295,32 +304,6 @@ fn journal_v3_plan_lines_round_trip_deterministically() {
     assert_eq!(parsed.to_jsonl(), text);
 }
 
-#[test]
-fn v2_readers_skip_v3_plan_records() {
-    // A v2 reader has no `Plan` variant: its serde parse fails on a
-    // Plan line and falls through to the unknown-record-key skip —
-    // "Plan" is not in v2's known-key list, exactly like the renamed
-    // key below is not in ours. Emulate that reader by downgrading
-    // the Meta version and renaming the Plan key to one no reader
-    // knows.
-    let text = journal_with_plans()
-        .to_jsonl()
-        .replace(r#""version":8"#, r#""version":2"#)
-        .replace(r#"{"Plan""#, r#"{"PlanV9""#);
-    let strict = RunJournal::from_jsonl(&text).expect("v2 strict reader must not error");
-    assert_eq!(strict.spans.len(), 2, "spans survive the skip");
-    assert!(strict.plans.is_empty(), "plan-shaped lines are skipped, not parsed");
-    let lossy = RunJournal::from_jsonl_lossy(&text).expect("v2 lossy reader must not error");
-    assert_eq!(lossy, strict);
-
-    // And a genuine v2 journal (no Plan lines at all) still parses
-    // strict under the current reader.
-    let rec = Recorder::new();
-    rec.root_scope().span("mine").finish();
-    let v2 = rec.snapshot().to_jsonl().replace(r#""version":8"#, r#""version":2"#);
-    assert!(RunJournal::from_jsonl(&v2).is_ok());
-}
-
 /// A recorded run with lineage for two rules (one corrected) and one
 /// window-boundary breakage, origins deliberately recorded unsorted.
 fn journal_with_lineage() -> RunJournal {
@@ -410,30 +393,6 @@ fn journal_v4_lineage_lines_round_trip_deterministically() {
 }
 
 #[test]
-fn v3_readers_skip_v4_lineage_records() {
-    // A v3 reader has no `Lineage`/`Boundary` variants: its serde
-    // parse fails on those lines and falls through to the unknown-
-    // record-key skip. Emulate that reader by downgrading the Meta
-    // version and renaming both keys to ones no reader knows.
-    let text = journal_with_lineage()
-        .to_jsonl()
-        .replace(r#""version":8"#, r#""version":3"#)
-        .replace(r#"{"Lineage""#, r#"{"LineageV9""#)
-        .replace(r#"{"Boundary""#, r#"{"BoundaryV9""#);
-    let strict = RunJournal::from_jsonl(&text).expect("v3 strict reader must not error");
-    assert_eq!(strict.spans.len(), 3, "spans survive the skip");
-    assert!(strict.lineages.is_empty(), "lineage-shaped lines are skipped, not parsed");
-    assert!(strict.boundaries.is_empty());
-    let lossy = RunJournal::from_jsonl_lossy(&text).expect("v3 lossy reader must not error");
-    assert_eq!(lossy, strict);
-
-    // And a genuine v3 journal (no Lineage lines at all) still parses
-    // strict under the v4 reader.
-    let v3 = journal_with_plans().to_jsonl().replace(r#""version":8"#, r#""version":3"#);
-    assert!(RunJournal::from_jsonl(&v3).is_ok());
-}
-
-#[test]
 fn lossy_reader_tolerates_truncated_lineage_tail() {
     let text = journal_with_lineage().to_jsonl();
     // Chop the journal mid-way through its last Lineage line, as a
@@ -501,28 +460,6 @@ fn journal_v6_mem_lines_round_trip_deterministically() {
 }
 
 #[test]
-fn v5_readers_skip_v6_mem_records() {
-    // A v5 reader has no `Mem` variant: its serde parse fails on a
-    // Mem line and falls through to the unknown-record-key skip.
-    // Emulate that reader by downgrading the Meta version and
-    // renaming the key to one no reader knows.
-    let text = journal_with_mem()
-        .to_jsonl()
-        .replace(r#""version":8"#, r#""version":5"#)
-        .replace(r#"{"Mem""#, r#"{"MemV9""#);
-    let strict = RunJournal::from_jsonl(&text).expect("v5 strict reader must not error");
-    assert_eq!(strict.spans.len(), 2, "spans survive the skip");
-    assert!(strict.mems.is_empty(), "mem-shaped lines are skipped, not parsed");
-    let lossy = RunJournal::from_jsonl_lossy(&text).expect("v5 lossy reader must not error");
-    assert_eq!(lossy, strict);
-
-    // And a genuine v5 journal (no Mem lines at all) still parses
-    // strict under the v6 reader.
-    let v5 = journal_with_lineage().to_jsonl().replace(r#""version":8"#, r#""version":5"#);
-    assert!(RunJournal::from_jsonl(&v5).is_ok());
-}
-
-#[test]
 fn lossy_reader_tolerates_truncated_mem_tail() {
     let text = journal_with_mem().to_jsonl();
     // Chop the journal mid-way through its last Mem line, as a
@@ -573,48 +510,6 @@ fn journal_v7_span_lines_carry_start_offsets() {
     assert_eq!(parsed, journal);
     assert!(parsed.has_timeline());
     assert_eq!(parsed.to_jsonl(), text);
-}
-
-#[test]
-fn v7_readers_default_missing_start_offsets_to_zero() {
-    // A genuine v6 journal has Span lines without the field at all.
-    // Emulate one by stripping the field and downgrading the Meta
-    // version; the v7 reader must parse it with offsets defaulting
-    // to 0 (and the timeline gate reporting "no timeline").
-    let text = journal_with_timeline().to_jsonl();
-    let v6: String = text
-        .lines()
-        .map(|l| match l.find(r#""sim_start_seconds":"#) {
-            Some(i) => {
-                let comma = l[i..].find(',').expect("the field is never last");
-                format!("{}{}\n", &l[..i], &l[i + comma + 1..])
-            }
-            None => format!("{l}\n"),
-        })
-        .collect();
-    let v6 = v6.replace(r#""version":8"#, r#""version":6"#);
-    let parsed = RunJournal::from_jsonl(&v6).expect("v6 journals must still parse");
-    assert_eq!(parsed.spans.len(), 5);
-    assert!(parsed.spans.iter().all(|s| s.sim_start_seconds == 0.0));
-    assert!(!parsed.has_timeline());
-    assert_eq!(RunJournal::from_jsonl_lossy(&v6).unwrap(), parsed);
-}
-
-#[test]
-fn v6_readers_skip_v7_start_offsets() {
-    // A v6 reader's Span struct has no `sim_start_seconds` field; its
-    // parser ignores unknown map keys, exactly as ours does. Emulate
-    // that reader by renaming the field to one no reader knows and
-    // downgrading the Meta version — the spans must still parse.
-    let text = journal_with_timeline()
-        .to_jsonl()
-        .replace(r#""version":8"#, r#""version":6"#)
-        .replace(r#""sim_start_seconds""#, r#""sim_start_offset_v9""#);
-    let strict = RunJournal::from_jsonl(&text).expect("v6 strict reader must not error");
-    assert_eq!(strict.spans.len(), 5, "spans survive the unknown field");
-    assert!(strict.spans.iter().all(|s| s.sim_start_seconds == 0.0));
-    let lossy = RunJournal::from_jsonl_lossy(&text).expect("v6 lossy reader must not error");
-    assert_eq!(lossy, strict);
 }
 
 #[test]
@@ -773,34 +668,6 @@ fn journal_v8_event_lines_round_trip_deterministically() {
 }
 
 #[test]
-fn v7_readers_skip_v8_event_records() {
-    // A v7 reader has no `Event` variant: its serde parse fails on an
-    // Event line and falls through to the unknown-record-key skip.
-    // Emulate that reader by downgrading the Meta version and
-    // renaming the key to one no reader knows.
-    let text = journal_with_events()
-        .to_jsonl()
-        .replace(r#""version":8"#, r#""version":7"#)
-        .replace(r#"{"Event""#, r#"{"EventV9""#);
-    let strict = RunJournal::from_jsonl(&text).expect("v7 strict reader must not error");
-    assert_eq!(strict.spans.len(), 1, "spans survive the skip");
-    assert!(strict.events.is_empty(), "event-shaped lines are skipped, not parsed");
-    assert_eq!(strict.unknown_lines, 3, "the skipped lines stay visible as a count");
-    let lossy = RunJournal::from_jsonl_lossy(&text).expect("v7 lossy reader must not error");
-    assert_eq!(lossy, strict);
-}
-
-#[test]
-fn v8_reader_parses_genuine_v7_journal() {
-    // A genuine v7 journal (no Event lines at all) still parses
-    // strict under the v8 reader, with an empty event stream.
-    let v7 = journal_with_mem().to_jsonl().replace(r#""version":8"#, r#""version":7"#);
-    let parsed = RunJournal::from_jsonl(&v7).expect("v7 journals must still parse");
-    assert!(!parsed.has_events());
-    assert_eq!(parsed.mems.len(), 2);
-}
-
-#[test]
 fn lossy_reader_tolerates_truncated_event_tail() {
     let text = journal_with_events().to_jsonl();
     // Chop the journal mid-way through its last Event line, as a
@@ -840,4 +707,129 @@ fn lossy_reader_skips_unknown_kinds_between_mem_and_totals() {
     assert_eq!(strict.totals, clean.totals, "the Totals trailer after them survives");
     let lossy = RunJournal::from_jsonl_lossy(&interleaved).unwrap();
     assert_eq!(lossy, strict);
+}
+
+/// A chaos recording: the identity line plus one fault, retry,
+/// degraded unit and checkpoint, and one histogram.
+fn journal_with_chaos() -> RunJournal {
+    let rec = Recorder::new();
+    rec.set_chaos(ChaosRecord { fault_seed: 7, fault_rate: 0.2, ..ChaosRecord::default() });
+    let root = rec.root_scope().span("pipeline");
+    let mine = root.scope().span("mine");
+    let scope = mine.scope();
+    scope.observe(Histo::MineCallSeconds, 1.5);
+    scope.fault(FaultRecord { stage: "mine".into(), kind: "timeout".into(), ..Default::default() });
+    scope.retry(RetryRecord { stage: "mine".into(), attempts: 2, ..Default::default() });
+    scope.degraded(DegradedRecord {
+        stage: "mine".into(),
+        unit: "context-0".into(),
+        ..Default::default()
+    });
+    scope.checkpoint(CheckpointRecord {
+        stage: "mine".into(),
+        payload: "{}".into(),
+        ..Default::default()
+    });
+    mine.finish();
+    root.finish();
+    rec.snapshot()
+}
+
+#[test]
+fn readers_skip_unknown_record_kinds_and_span_fields() {
+    // Forward compatibility is one rule: a line keyed by a record kind
+    // this reader does not know is skipped and counted, and an unknown
+    // field inside a known record is ignored. Emulate a future kind by
+    // renaming each known key in turn; the journal must parse exactly
+    // as if those lines were absent.
+    let fixtures = [
+        journal_with_plans(),
+        journal_with_lineage(),
+        journal_with_chaos(),
+        journal_with_mem(),
+        journal_with_timeline(),
+        journal_with_events(),
+    ];
+    let mut covered = BTreeSet::new();
+    for journal in &fixtures {
+        let text = journal.to_jsonl();
+        let kinds: BTreeSet<&str> =
+            text.lines().map(|l| l[2..].split('"').next().unwrap()).collect();
+        for key in &kinds {
+            let prefix = format!(r#"{{"{key}""#);
+            let renamed = text.replace(&prefix, &format!(r#"{{"{key}V99""#));
+            let without: String = text
+                .lines()
+                .filter(|l| !l.starts_with(&prefix))
+                .map(|l| format!("{l}\n"))
+                .collect();
+            let skipped = text.lines().filter(|l| l.starts_with(&prefix)).count() as u64;
+            for parse in [RunJournal::from_jsonl, RunJournal::from_jsonl_lossy] {
+                let parsed = parse(&renamed).unwrap_or_else(|e| panic!("{key}: {e}"));
+                let expected = RunJournal { unknown_lines: skipped, ..parse(&without).unwrap() };
+                assert_eq!(parsed, expected, "{key} lines are skipped and counted");
+            }
+        }
+        covered.extend(kinds.iter().map(|k| k.to_string()));
+        // An unknown field inside every Span line is ignored.
+        let widened = text.replace(r#"{"Span":{"#, r#"{"Span":{"added_in_v99":[1,2],"#);
+        for parse in [RunJournal::from_jsonl, RunJournal::from_jsonl_lossy] {
+            assert_eq!(parse(&widened).unwrap(), parse(&text).unwrap());
+        }
+    }
+    let every_kind = [
+        "Boundary",
+        "Chaos",
+        "Checkpoint",
+        "Degraded",
+        "Event",
+        "Fault",
+        "Histo",
+        "Lineage",
+        "Mem",
+        "Meta",
+        "Plan",
+        "Retry",
+        "Span",
+        "Totals",
+    ];
+    assert_eq!(covered, every_kind.iter().map(|k| k.to_string()).collect(), "every kind");
+}
+
+#[test]
+fn malformed_records_are_damaged_lines() {
+    // Shapes the analytics cannot survive: a histogram whose min
+    // exceeds its max (percentiles clamp into [min, max]), and a span
+    // whose parent is not an earlier span or whose id repeats (span
+    // paths and the span tree would loop).
+    let rec = Recorder::new();
+    let root = rec.root_scope().span("pipeline");
+    let mine = root.scope().span("mine");
+    mine.scope().observe(Histo::MineCallSeconds, 1.0);
+    mine.scope().observe(Histo::MineCallSeconds, 4.0);
+    mine.finish();
+    root.finish();
+    let text = rec.snapshot().to_jsonl();
+    let histo = text.lines().position(|l| l.starts_with(r#"{"Histo""#)).unwrap();
+    let root = text.lines().position(|l| l.contains(r#""parent":null"#)).unwrap();
+    let child = text.lines().position(|l| l.contains(r#""parent":0"#)).unwrap();
+    let cases = [
+        ("min above max", histo, (r#""min":1.0,"max":4.0"#, r#""min":5.0,"max":4.0"#)),
+        ("parent is itself", child, (r#""parent":0"#, r#""parent":1"#)),
+        ("parent comes later", root, (r#""parent":null"#, r#""parent":1"#)),
+        ("id declared twice", child, (r#""id":1"#, r#""id":0"#)),
+    ];
+    for (what, line, (from, to)) in cases {
+        let lines: Vec<String> = text
+            .lines()
+            .enumerate()
+            .map(|(i, l)| if i == line { l.replacen(from, to, 1) } else { l.to_owned() })
+            .collect();
+        let tampered = lines.join("\n");
+        assert_ne!(tampered.trim_end(), text.trim_end(), "{what}: the edit applies");
+        for parse in [RunJournal::from_jsonl, RunJournal::from_jsonl_lossy] {
+            let err = parse(&tampered).expect_err(what);
+            assert!(err.starts_with(&format!("journal line {}:", line + 1)), "{what}: {err}");
+        }
+    }
 }

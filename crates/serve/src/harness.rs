@@ -1,5 +1,4 @@
-//! Deterministic serving scenario and the committed `BENCH_serve.json`
-//! baseline shape.
+//! The deterministic serving scenario behind `BENCH_serve.json`.
 //!
 //! [`baseline_harness`] scripts a full life of the service on the
 //! logical clock — normal tenant traffic, an overload burst that
@@ -8,75 +7,16 @@
 //! full trip → 2N-refusal → half-open probe cycle, and a mid-mine
 //! kill followed by a restart over the same spool that resumes from
 //! checkpoints. Everything runs single-threaded through
-//! [`Service::run_pending`], so the resulting [`ServeBaseline`]
-//! digest is exactly reproducible and CI can gate on equality.
+//! [`Service::run_pending`], so the folded [`ServeStats`] are exactly
+//! reproducible and `repro --baselines` gates them for equality.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use grm_datasets::{generate, DatasetId, GenConfig};
-use grm_obs::JOURNAL_VERSION;
 
 use crate::job::{state, JobSpec};
 use crate::service::{Rejection, ServeConfig, ServeStats, Service};
-
-/// The committed `BENCH_serve.json` shape: the admission/shed/trip/
-/// resume digest of the scripted scenario, pinned so serving-layer
-/// behavior can only change deliberately.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct ServeBaseline {
-    /// Journal schema version the baseline was generated against.
-    pub journal_version: u32,
-    pub jobs_submitted: u64,
-    pub jobs_accepted: u64,
-    pub jobs_completed: u64,
-    pub jobs_failed: u64,
-    pub jobs_cancelled: u64,
-    pub jobs_interrupted: u64,
-    pub shed_queue_full: u64,
-    pub shed_rate_limited: u64,
-    pub rejected_breaker_open: u64,
-    pub breaker_trips: u64,
-    pub jobs_resumed: u64,
-    pub queue_depth_peak: u64,
-    /// Total rules mined across completed mine jobs.
-    pub rules_mined: u64,
-}
-
-impl ServeBaseline {
-    /// Exact-match check of a freshly computed digest against the
-    /// committed baseline. Returns violations; empty means identical.
-    pub fn check(&self, observed: &ServeBaseline) -> Vec<String> {
-        let mut violations = Vec::new();
-        if self.journal_version != JOURNAL_VERSION {
-            violations.push(format!(
-                "baseline journal_version {} != current {} — regenerate with --serve-baseline",
-                self.journal_version, JOURNAL_VERSION
-            ));
-        }
-        let pairs: [(&str, u64, u64); 13] = [
-            ("jobs_submitted", observed.jobs_submitted, self.jobs_submitted),
-            ("jobs_accepted", observed.jobs_accepted, self.jobs_accepted),
-            ("jobs_completed", observed.jobs_completed, self.jobs_completed),
-            ("jobs_failed", observed.jobs_failed, self.jobs_failed),
-            ("jobs_cancelled", observed.jobs_cancelled, self.jobs_cancelled),
-            ("jobs_interrupted", observed.jobs_interrupted, self.jobs_interrupted),
-            ("shed_queue_full", observed.shed_queue_full, self.shed_queue_full),
-            ("shed_rate_limited", observed.shed_rate_limited, self.shed_rate_limited),
-            ("rejected_breaker_open", observed.rejected_breaker_open, self.rejected_breaker_open),
-            ("breaker_trips", observed.breaker_trips, self.breaker_trips),
-            ("jobs_resumed", observed.jobs_resumed, self.jobs_resumed),
-            ("queue_depth_peak", observed.queue_depth_peak, self.queue_depth_peak),
-            ("rules_mined", observed.rules_mined, self.rules_mined),
-        ];
-        for (name, got, expect) in pairs {
-            if got != expect {
-                violations.push(format!("{name}: {got} != baseline {expect}"));
-            }
-        }
-        violations
-    }
-}
 
 fn add_stats(total: &mut ServeStats, stats: &ServeStats) {
     total.submitted += stats.submitted;
@@ -95,7 +35,8 @@ fn add_stats(total: &mut ServeStats, stats: &ServeStats) {
 
 /// The scripted scenario, on a spool under `spool_root`. Runs two
 /// service instances (the second reopens the first's spool after a
-/// simulated crash) and folds their stats into one digest.
+/// simulated crash) and returns their folded stats plus the total
+/// rules mined by the completed mine jobs.
 ///
 /// Tenants: `alice` is well-behaved (mine, check, explain), `bob`
 /// bursts 12 submissions into a burst-8 bucket over a depth-4 queue
@@ -104,7 +45,7 @@ fn add_stats(total: &mut ServeStats, stats: &ServeStats) {
 /// eats the 2N refusals, then half-opens on a probe. `carol`'s mine
 /// job is killed after 2 units; the reopened service resumes it from
 /// its checkpoint journal.
-pub fn baseline_harness(scale: f64, spool_root: PathBuf) -> std::io::Result<ServeBaseline> {
+pub fn baseline_harness(scale: f64, spool_root: PathBuf) -> std::io::Result<(ServeStats, u64)> {
     let spool = spool_root.join("serve-baseline-spool");
     if spool.exists() {
         std::fs::remove_dir_all(&spool)?;
@@ -207,20 +148,5 @@ pub fn baseline_harness(scale: f64, spool_root: PathBuf) -> std::io::Result<Serv
     service.drain();
     add_stats(&mut total, &service.stats());
 
-    Ok(ServeBaseline {
-        journal_version: JOURNAL_VERSION,
-        jobs_submitted: total.submitted,
-        jobs_accepted: total.accepted,
-        jobs_completed: total.completed,
-        jobs_failed: total.failed,
-        jobs_cancelled: total.cancelled,
-        jobs_interrupted: total.interrupted,
-        shed_queue_full: total.shed_queue_full,
-        shed_rate_limited: total.shed_rate_limited,
-        rejected_breaker_open: total.rejected_breaker_open,
-        breaker_trips: total.breaker_trips,
-        jobs_resumed: total.resumed,
-        queue_depth_peak: total.queue_depth_peak,
-        rules_mined: rules_mined.values().sum(),
-    })
+    Ok((total, rules_mined.values().sum()))
 }

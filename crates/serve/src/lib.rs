@@ -31,7 +31,7 @@ mod http;
 mod job;
 mod service;
 
-pub use harness::{baseline_harness, ServeBaseline};
+pub use harness::baseline_harness;
 pub use http::{http_request, route, serve_http, Request};
 pub use job::{
     replay_wal, state, JobRecord, JobSpec, JobStatus, TokenBucket, WalReplay, WAL_ACCEPTED,

@@ -356,25 +356,24 @@ fn http_server_end_to_end_with_worker_and_drain() {
 fn baseline_harness_is_deterministic_and_shows_every_gate() {
     let root = fresh_spool("harness");
     std::fs::create_dir_all(&root).unwrap();
-    let first = baseline_harness(0.05, root.clone()).unwrap();
+    let (first, rules_mined) = baseline_harness(0.05, root.clone()).unwrap();
     let second = baseline_harness(0.05, root.clone()).unwrap();
-    assert_eq!(first, second, "harness digest must be reproducible");
-    assert!(first.check(&second).is_empty());
+    assert_eq!((first.clone(), rules_mined), second, "harness outcome must be reproducible");
     // The scripted scenario exercises every failure gate.
     assert!(first.shed_queue_full > 0);
     assert!(first.shed_rate_limited > 0);
     assert!(first.rejected_breaker_open > 0);
     assert!(first.breaker_trips > 0);
-    assert_eq!(first.jobs_resumed, 1);
-    assert_eq!(first.jobs_interrupted, 1);
-    assert!(first.rules_mined > 0);
+    assert_eq!(first.resumed, 1);
+    assert_eq!(first.interrupted, 1);
+    assert!(rules_mined > 0);
     assert!(first.queue_depth_peak <= 4);
     // Accounting closes: every accepted job reached a settled state.
     // The resumed job settles twice (interrupted, then completed
     // after the restart) but was accepted once.
     assert_eq!(
-        first.jobs_accepted + first.jobs_resumed,
-        first.jobs_completed + first.jobs_failed + first.jobs_cancelled + first.jobs_interrupted,
+        first.accepted + first.resumed,
+        first.completed + first.failed + first.cancelled + first.interrupted,
         "{first:?}"
     );
     let _ = std::fs::remove_dir_all(&root);

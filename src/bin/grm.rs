@@ -16,7 +16,7 @@
 //! grm audit    --graph g.json
 //! grm check    --graph g.json --rules rules.json
 //! grm diff     --before a.json --after b.json --rules rules.json
-//! grm trace    summary|diff|flame|check|plans|lineage|faults|mem
+//! grm trace    summary|diff|flame|plans|lineage|faults|mem
 //!              |timeline|critical-path|tail|prom …
 //! grm explain  rule-0 run.jsonl
 //! grm serve    --graph g.json --listen 127.0.0.1:7171 [--workers N]
@@ -108,12 +108,11 @@ const USAGE: &str = "usage:
   grm trace    summary FILE.jsonl [--json]
   grm trace    diff A.jsonl B.jsonl [--json] [--tolerance FRACTION]   # exit 1 above tolerance
   grm trace    flame FILE.jsonl [--real|--sim|--mem]         # folded flamegraph stacks
-  grm trace    check FILE.jsonl BASELINE.json [--tolerance FRACTION]
-  grm trace    plans FILE.jsonl [--top N] [--json] [--check PLANS.json [--tolerance FRACTION]]
-  grm trace    lineage FILE.jsonl [--json] [--check LINEAGE.json]
-  grm trace    faults FILE.jsonl [--json] [--check CHAOS.json]
-  grm trace    mem FILE.jsonl [--top N] [--json] [--check MEM.json [--tolerance FRACTION]]
-  grm trace    timeline FILE.jsonl [--top N] [--json] [--check TIMELINE.json [--tolerance FRACTION]]
+  grm trace    plans FILE.jsonl [--top N] [--json]
+  grm trace    lineage FILE.jsonl [--json]
+  grm trace    faults FILE.jsonl [--json]
+  grm trace    mem FILE.jsonl [--top N] [--json]
+  grm trace    timeline FILE.jsonl [--top N] [--json]
   grm trace    critical-path FILE.jsonl [--top N] [--json]   # top-k bounding chains
   grm trace    tail FILE.jsonl [--no-follow]     # follow an --events stream live
   grm trace    prom FILE.prom [--events FILE.jsonl]   # lint a metrics snapshot
@@ -155,6 +154,16 @@ fn parse_flags(args: &[String], switch_names: &[&str]) -> Result<Flags, String> 
         }
     }
     Ok(Flags { named, switches, positional })
+}
+
+impl Flags {
+    /// Rejects any `--key value` flag whose key is not in `allowed`.
+    fn only(&self, allowed: &[&str]) -> Result<(), String> {
+        match self.named.keys().find(|k| !allowed.contains(&k.as_str())) {
+            Some(key) => Err(format!("unknown flag --{key}")),
+            None => Ok(()),
+        }
+    }
 }
 
 fn load_graph(flags: &Flags) -> Result<PropertyGraph, String> {
@@ -950,18 +959,18 @@ fn cmd_diff(args: &[String]) -> Result<(), String> {
 
 /// `grm trace`: analytics over run journals written by `mine --trace`
 /// or `repro --trace` — human summary, A/B diff with a tolerance gate,
-/// folded flamegraph stacks, and a baseline regression check.
+/// folded flamegraph stacks, and the plan/lineage/fault/memory/timeline
+/// reports. The committed baselines are checked by `repro --baselines`.
 fn cmd_trace(args: &[String]) -> Result<(), String> {
     use graph_rule_mining::obs::{
-        folded_stacks, ChaosBaseline, CriticalPathReport, FaultReport, FlameWeight,
-        LineageBaseline, LineageReport, MemBaseline, MemReport, PlanBaseline, PlanCacheReport,
-        PlanReport, RunJournal, TimelineBaseline, TimelineReport, TraceBaseline, TraceDiff,
+        folded_stacks, CriticalPathReport, FaultReport, FlameWeight, LineageReport, MemReport,
+        PlanCacheReport, PlanReport, RunJournal, TimelineReport, TraceDiff,
     };
 
     let Some((verb, rest)) = args.split_first() else {
         return Err(format!(
             "trace needs a verb \
-             (summary|diff|flame|check|plans|lineage|faults|mem|timeline|critical-path|tail|prom)\n{USAGE}"
+             (summary|diff|flame|plans|lineage|faults|mem|timeline|critical-path|tail|prom)\n{USAGE}"
         ));
     };
     let load = |path: &str| -> Result<RunJournal, String> {
@@ -984,6 +993,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
         }
         "lineage" => {
             let flags = parse_flags(rest, &["json"])?;
+            flags.only(&[])?;
             let path = flags.positional.first().ok_or("trace lineage needs a journal FILE")?;
             let journal = load(path)?;
             let report = LineageReport::from_journal(&journal);
@@ -999,26 +1009,11 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
             } else {
                 print!("{}", report.render());
             }
-            let Some(baseline_path) = flags.named.get("check") else {
-                return Ok(());
-            };
-            let text = std::fs::read_to_string(baseline_path)
-                .map_err(|e| format!("reading {baseline_path}: {e}"))?;
-            let baseline: LineageBaseline =
-                serde_json::from_str(&text).map_err(|e| format!("parsing {baseline_path}: {e}"))?;
-            let violations = baseline.check(&journal);
-            if violations.is_empty() {
-                println!("lineage check passed: {path} matches {baseline_path} exactly");
-                Ok(())
-            } else {
-                for v in &violations {
-                    eprintln!("REGRESSION: {v}");
-                }
-                Err(format!("{} lineage regression(s) against {baseline_path}", violations.len()))
-            }
+            Ok(())
         }
         "faults" => {
             let flags = parse_flags(rest, &["json"])?;
+            flags.only(&[])?;
             let path = flags.positional.first().ok_or("trace faults needs a journal FILE")?;
             let journal = load(path)?;
             let report = FaultReport::from_journal(&journal);
@@ -1034,23 +1029,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
             } else {
                 print!("{}", report.render());
             }
-            let Some(baseline_path) = flags.named.get("check") else {
-                return Ok(());
-            };
-            let text = std::fs::read_to_string(baseline_path)
-                .map_err(|e| format!("reading {baseline_path}: {e}"))?;
-            let baseline: ChaosBaseline =
-                serde_json::from_str(&text).map_err(|e| format!("parsing {baseline_path}: {e}"))?;
-            let violations = baseline.check(&journal);
-            if violations.is_empty() {
-                println!("chaos check passed: {path} matches {baseline_path} exactly");
-                Ok(())
-            } else {
-                for v in &violations {
-                    eprintln!("REGRESSION: {v}");
-                }
-                Err(format!("{} chaos regression(s) against {baseline_path}", violations.len()))
-            }
+            Ok(())
         }
         "diff" => {
             let flags = parse_flags(rest, &["json"])?;
@@ -1084,6 +1063,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
         }
         "timeline" => {
             let flags = parse_flags(rest, &["json"])?;
+            flags.only(&["top"])?;
             let path = flags.positional.first().ok_or("trace timeline needs a journal FILE")?;
             let top: usize = parse_or(&flags, "top", 8)?;
             let journal = load(path)?;
@@ -1100,30 +1080,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
             } else {
                 print!("{}", report.render(top));
             }
-            let Some(baseline_path) = flags.named.get("check") else {
-                return Ok(());
-            };
-            let tolerance: f64 = parse_or(&flags, "tolerance", 0.05)?;
-            let text = std::fs::read_to_string(baseline_path)
-                .map_err(|e| format!("reading {baseline_path}: {e}"))?;
-            let baseline: TimelineBaseline =
-                serde_json::from_str(&text).map_err(|e| format!("parsing {baseline_path}: {e}"))?;
-            let violations = baseline.check(&journal, tolerance);
-            if violations.is_empty() {
-                println!(
-                    "timeline check passed: {} within {:.1}% of {} \
-                     (critical path and worker lanes exact)",
-                    path,
-                    tolerance * 100.0,
-                    baseline_path
-                );
-                Ok(())
-            } else {
-                for v in &violations {
-                    eprintln!("REGRESSION: {v}");
-                }
-                Err(format!("{} timeline regression(s) against {baseline_path}", violations.len()))
-            }
+            Ok(())
         }
         "critical-path" => {
             let flags = parse_flags(rest, &["json"])?;
@@ -1168,6 +1125,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
         }
         "mem" => {
             let flags = parse_flags(rest, &["json"])?;
+            flags.only(&["top"])?;
             let path = flags.positional.first().ok_or("trace mem needs a journal FILE")?;
             let top: usize = parse_or(&flags, "top", 10)?;
             let journal = load(path)?;
@@ -1184,58 +1142,11 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
             } else {
                 print!("{}", report.render(top));
             }
-            let Some(baseline_path) = flags.named.get("check") else {
-                return Ok(());
-            };
-            let tolerance: f64 = parse_or(&flags, "tolerance", 0.5)?;
-            let text = std::fs::read_to_string(baseline_path)
-                .map_err(|e| format!("reading {baseline_path}: {e}"))?;
-            let baseline: MemBaseline =
-                serde_json::from_str(&text).map_err(|e| format!("parsing {baseline_path}: {e}"))?;
-            let violations = baseline.check(&journal, tolerance);
-            if violations.is_empty() {
-                println!(
-                    "mem check passed: {path} footprints match {baseline_path} exactly \
-                     (allocator counters within {:.0}%)",
-                    tolerance * 100.0
-                );
-                Ok(())
-            } else {
-                for v in &violations {
-                    eprintln!("REGRESSION: {v}");
-                }
-                Err(format!("{} memory regression(s) against {baseline_path}", violations.len()))
-            }
-        }
-        "check" => {
-            let flags = parse_flags(rest, &[])?;
-            let [journal_path, baseline_path] = flags.positional.as_slice() else {
-                return Err("trace check needs FILE.jsonl BASELINE.json".into());
-            };
-            let tolerance: f64 = parse_or(&flags, "tolerance", 0.05)?;
-            let journal = load(journal_path)?;
-            let text = std::fs::read_to_string(baseline_path)
-                .map_err(|e| format!("reading {baseline_path}: {e}"))?;
-            let baseline: TraceBaseline =
-                serde_json::from_str(&text).map_err(|e| format!("parsing {baseline_path}: {e}"))?;
-            let violations = baseline.check(&journal, tolerance);
-            if violations.is_empty() {
-                println!(
-                    "trace check passed: {} within {:.1}% of {}",
-                    journal_path,
-                    tolerance * 100.0,
-                    baseline_path
-                );
-                Ok(())
-            } else {
-                for v in &violations {
-                    eprintln!("REGRESSION: {v}");
-                }
-                Err(format!("{} perf regression(s) against {baseline_path}", violations.len()))
-            }
+            Ok(())
         }
         "plans" => {
             let flags = parse_flags(rest, &["json"])?;
+            flags.only(&["top"])?;
             let path = flags.positional.first().ok_or("trace plans needs a journal FILE")?;
             let top: usize = parse_or(&flags, "top", 10)?;
             let journal = load(path)?;
@@ -1258,29 +1169,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
             if !cache.is_empty() {
                 print!("{}", cache.render());
             }
-            let Some(baseline_path) = flags.named.get("check") else {
-                return Ok(());
-            };
-            let tolerance: f64 = parse_or(&flags, "tolerance", 0.05)?;
-            let text = std::fs::read_to_string(baseline_path)
-                .map_err(|e| format!("reading {baseline_path}: {e}"))?;
-            let baseline: PlanBaseline =
-                serde_json::from_str(&text).map_err(|e| format!("parsing {baseline_path}: {e}"))?;
-            let violations = baseline.check(&journal, tolerance);
-            if violations.is_empty() {
-                println!(
-                    "plan check passed: {} within {:.1}% of {}",
-                    path,
-                    tolerance * 100.0,
-                    baseline_path
-                );
-                Ok(())
-            } else {
-                for v in &violations {
-                    eprintln!("REGRESSION: {v}");
-                }
-                Err(format!("{} plan regression(s) against {baseline_path}", violations.len()))
-            }
+            Ok(())
         }
         "tail" => {
             let flags = parse_flags(rest, &["no-follow"])?;

@@ -5,7 +5,7 @@
 
 use graph_rule_mining::datasets::{generate, DatasetId, GenConfig};
 use graph_rule_mining::llm::{ModelKind, PromptStyle};
-use graph_rule_mining::obs::{ChaosBaseline, FaultReport, Recorder, RunJournal};
+use graph_rule_mining::obs::{FaultReport, Recorder, RunJournal};
 use graph_rule_mining::pipeline::{
     ContextStrategy, MiningPipeline, PipelineConfig, ResumeState, RunOptions, RunStatus,
 };
@@ -126,27 +126,18 @@ fn killed_run_resumes_exactly() {
     assert_eq!(nl(&resumed_report), nl(&full_report));
 }
 
-/// The analytics layer round-trips: a chaos journal renders a fault
-/// report and matches the baseline frozen from itself, and the gate
-/// catches a tampered journal.
+/// The analytics layer reads a chaos journal back: the fault report
+/// renders the chaos configuration. (The tampered-journal half of the
+/// baseline gate lives with the gate, in `crates/bench/tests`.)
 #[test]
-fn fault_report_and_baseline_gate() {
+fn fault_report_renders_the_chaos_config() {
     let chaos = ChaosConfig { fault_rate: 0.3, ..Default::default() };
     let (text, status) = chaos_journal(11, chaos, None);
-    let report = status.report().expect("run completes");
+    status.report().expect("run completes");
     let journal = RunJournal::from_jsonl_lossy(&text).unwrap();
 
     let fault_report = FaultReport::from_journal(&journal);
     assert!(!fault_report.is_empty());
     let rendered = fault_report.render();
     assert!(rendered.contains("fault-rate 0.3"), "render carries the config:\n{rendered}");
-
-    let baseline = ChaosBaseline::from_journal(&journal);
-    assert!(baseline.check(&journal).is_empty());
-    assert_eq!(baseline.rules, report.rule_count() as u64);
-
-    let mut tampered = journal.clone();
-    tampered.faults.pop();
-    let violations = baseline.check(&tampered);
-    assert!(!violations.is_empty(), "dropping a fault record must trip the gate");
 }

@@ -37,5 +37,5 @@
 pub mod miner;
 pub mod redundancy;
 
-pub use miner::{mine_exhaustive, MinedRule, MinerConfig};
+pub use miner::{enumerate_candidates, mine_exhaustive, MinedRule, MinerConfig};
 pub use redundancy::{analyze_redundancy, RedundancyReport};

@@ -59,8 +59,9 @@ pub fn mine_exhaustive(g: &PropertyGraph, config: MinerConfig) -> Vec<MinedRule>
 }
 
 /// The candidate lattice: every instantiation of every rule family
-/// that the schema statistics make syntactically sensible.
-fn enumerate_candidates(
+/// that the schema statistics make syntactically sensible — exactly
+/// the rules [`mine_exhaustive`] scores before its thresholds prune.
+pub fn enumerate_candidates(
     g: &PropertyGraph,
     schema: &GraphSchema,
     config: &MinerConfig,

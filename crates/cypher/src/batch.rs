@@ -3,8 +3,9 @@
 //! The metric scorers run the same Filter→Expand→Count query shapes
 //! thousands of times — every rule evaluates three count queries, and
 //! the head-total query repeats verbatim across rules sharing a head.
-//! A [`BatchSession`] compiles each distinct query once (parse +
-//! optimize, via the [`QueryPlanCache`]) and memoizes the result set
+//! A [`BatchSession`] compiles each distinct query once (parse,
+//! optimize and slot-compile to a [`Plan`], kept in the
+//! [`QueryPlanCache`]) and memoizes the result set
 //! per (normalized text, graph epoch), so a repeated count costs zero
 //! db-hits instead of a full re-walk.
 //!
@@ -19,13 +20,14 @@ use std::sync::Arc;
 use grm_pgraph::PropertyGraph;
 
 use crate::error::Result;
-use crate::exec::{execute_query_inner, ResultSet};
+use crate::exec::ResultSet;
 use crate::optimizer::{optimize, RewriteStats};
 use crate::parser::parse;
+use crate::plan::Plan;
 use crate::plan_cache::{
     normalize_text, CachedPlan, PlanCacheConfig, PlanCacheStats, QueryPlanCache,
 };
-use crate::profile::{Profiler, QueryProfile};
+use crate::profile::QueryProfile;
 
 /// Knobs of a scoring session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -133,16 +135,16 @@ impl BatchSession {
                     (parsed, RewriteStats::default())
                 };
                 self.stats.rewrites.absorb(&rewrites);
-                self.cache.insert(&text, epoch, CachedPlan { query, rewrites })
+                let plan = Plan::compile(&query, graph, true);
+                self.cache.insert(&text, epoch, CachedPlan { plan, rewrites })
             }
         };
         self.stats.executed += 1;
         let (rs, profile) = if profiled {
-            let prof = Profiler::new(&plan.query);
-            let rs = execute_query_inner(graph, &plan.query, Some(&prof))?;
-            (rs, Some(prof.finish(src)))
+            let (rs, profile) = plan.plan.run_profiled(graph, src)?;
+            (rs, Some(profile))
         } else {
-            (execute_query_inner(graph, &plan.query, None)?, None)
+            (plan.plan.run(graph, None)?, None)
         };
         let rs = Arc::new(rs);
         if self.config.memoize {

@@ -1,5 +1,17 @@
-//! Query execution: pattern matching, projection/aggregation, and
-//! result assembly.
+//! Query execution: a streaming executor over slot-compiled plans.
+//!
+//! [`crate::plan`] compiles a query into a pipeline of operators over
+//! one flat row of slots; the executor pushes that row
+//! through them. Each MATCH walks its patterns depth-first — label or
+//! full scan, then one expand per relationship — writing bindings
+//! into the row in place and handing every complete match straight to
+//! the next operator, so no row is ever copied or collected. Edge
+//! uniqueness is a stack pushed and popped along the walk, each MATCH
+//! checking only the edges it pushed itself. Projection,
+//! filters, DISTINCT and UNWIND stream; aggregation folds each row
+//! into its group's accumulators in place and emits the groups when
+//! flushed; ORDER BY buffers only the sort keys and the output cells.
+//! A `RETURN COUNT(*)` therefore allocates nothing per row.
 //!
 //! The planner is deliberately simple — label-indexed candidate scans
 //! with backtracking extension — because the paper's generated rules
@@ -8,19 +20,29 @@
 //!
 //! * **relationship uniqueness** within one `MATCH` clause (no edge is
 //!   used twice in a single pattern instantiation);
-//! * **grouping** keys are the non-aggregate projection items;
+//! * **grouping** keys are the non-aggregate projection items, compared
+//!   as typed keys ([`grm_pgraph::ValueKey`]);
 //! * `OPTIONAL MATCH` emits a null-extended row on no match;
 //! * `WHERE` filters with three-valued logic (`NULL` drops the row).
+//!
+//! Rows, their order and every operator's profile counts are those of
+//! evaluating each clause over all rows of the one before: the
+//! executor only interleaves that work. A query that fails still
+//! fails; when several rows would fail, the interleaving may meet a
+//! different one first.
 
-use std::collections::{HashMap, HashSet};
+use std::borrow::Cow;
+use std::cmp::Ordering;
 
-use grm_pgraph::{EdgeId, NodeId, PropertyGraph, Value};
+use grm_pgraph::{EdgeId, NodeId, PropertyGraph, Value, ValueKey};
 
-use crate::ast::*;
+use crate::ast::Direction;
 use crate::error::{CypherError, Result};
-use crate::eval::{Binding, EvalCtx, Row};
+use crate::eval::{Binding, CExpr, Eval};
+use crate::keys::{KeyRef, TupleSet};
 use crate::parser::parse;
-use crate::profile::{MatchProf, PathProf, PatternOps, Profiler, QueryProfile};
+use crate::plan::*;
+use crate::profile::{Profiler, QueryProfile};
 
 /// A fully materialised query result.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,38 +84,16 @@ impl ResultSet {
 /// Parses and executes `src` against `graph`.
 pub fn execute(graph: &PropertyGraph, src: &str) -> Result<ResultSet> {
     let query = parse(src)?;
-    execute_query(graph, &query)
-}
-
-/// [`execute`] with query/row counters recorded on `scope`. No span
-/// is opened — metric evaluation runs thousands of queries, and one
-/// span each would dwarf the journal; the enclosing stage span owns
-/// the time. The per-query row count feeds the
-/// `cypher_rows_per_query` histogram, whose tail percentiles expose
-/// rules that scan far more than the typical pattern.
-pub fn execute_traced(
-    graph: &PropertyGraph,
-    src: &str,
-    scope: &grm_obs::Scope,
-) -> Result<ResultSet> {
-    scope.add(grm_obs::Counter::CypherQueriesExecuted, 1);
-    let result = execute(graph, src);
-    if let Ok(rs) = &result {
-        scope.add(grm_obs::Counter::CypherRowsMatched, rs.len() as u64);
-        scope.observe(grm_obs::Histo::CypherRowsPerQuery, rs.len() as f64);
-    }
-    result
+    Plan::compile(&query, graph, false).run(graph, None)
 }
 
 /// Parses and executes `src` with operator-level profiling — this
 /// engine's `PROFILE`. Returns the result set together with the
-/// recorded plan tree ([`QueryProfile`]); the un-profiled entry
-/// points ([`execute`], [`execute_query`]) do zero accounting.
+/// recorded plan tree ([`QueryProfile`]); [`execute`] does zero
+/// accounting.
 pub fn execute_profiled(graph: &PropertyGraph, src: &str) -> Result<(ResultSet, QueryProfile)> {
     let query = parse(src)?;
-    let prof = Profiler::new(&query);
-    let result = execute_query_inner(graph, &query, Some(&prof))?;
-    Ok((result, prof.finish(src)))
+    Plan::compile(&query, graph, true).run_profiled(graph, src)
 }
 
 /// Parses `src`, runs the optimizer rewrite pass against `graph`'s
@@ -105,837 +105,728 @@ pub fn execute_profiled(graph: &PropertyGraph, src: &str) -> Result<(ResultSet, 
 pub fn execute_optimized(graph: &PropertyGraph, src: &str) -> Result<ResultSet> {
     let query = parse(src)?;
     let (query, _) = crate::optimizer::optimize(&query, graph);
-    execute_query_inner(graph, &query, None)
+    Plan::compile(&query, graph, false).run(graph, None)
 }
 
-/// [`execute_optimized`] with operator-level profiling; also returns
-/// the rewrite tally so callers can report what the optimizer did.
-pub fn execute_optimized_profiled(
-    graph: &PropertyGraph,
-    src: &str,
-) -> Result<(ResultSet, QueryProfile, crate::optimizer::RewriteStats)> {
-    let query = parse(src)?;
-    let (query, rewrites) = crate::optimizer::optimize(&query, graph);
-    let prof = Profiler::new(&query);
-    let result = execute_query_inner(graph, &query, Some(&prof))?;
-    Ok((result, prof.finish(src), rewrites))
-}
-
-/// Executes an already-parsed query.
-pub fn execute_query(graph: &PropertyGraph, query: &Query) -> Result<ResultSet> {
-    execute_query_inner(graph, query, None)
-}
-
-pub(crate) fn execute_query_inner(
-    graph: &PropertyGraph,
-    query: &Query,
-    prof: Option<&Profiler>,
-) -> Result<ResultSet> {
-    let ctx = EvalCtx::with_profiler(graph, prof);
-    let mut rows: Vec<Row> = vec![Row::new()];
-    for (ci, clause) in query.clauses.iter().enumerate() {
-        rows = match clause {
-            Clause::Match { optional, patterns, where_clause } => {
-                let mp = prof.map(|p| p.match_prof(ci));
-                match_clause(&ctx, rows, patterns, where_clause.as_ref(), *optional, mp)?
-            }
-            Clause::With { distinct, items, where_clause } => {
-                let wp = prof.map(|p| p.with_prof(ci));
-                let projected = {
-                    let _g = wp.map(|w| w.p.enter(w.projection));
-                    if let Some(w) = wp {
-                        w.p.call();
-                        w.p.rows_in(rows.len() as u64);
-                    }
-                    let out = project(&ctx, rows, items, /*require_alias=*/ true)?;
-                    if let Some(w) = wp {
-                        w.p.rows(out.len() as u64);
-                    }
-                    out
-                };
-                let filtered = match where_clause {
-                    Some(w) => {
-                        let _g =
-                            wp.map(|w| w.p.enter(w.filter.expect("Filter slot for WITH WHERE")));
-                        if let Some(w) = wp {
-                            w.p.call();
-                            w.p.rows_in(projected.len() as u64);
-                        }
-                        let mut keep = Vec::with_capacity(projected.len());
-                        for row in projected {
-                            if ctx.eval_filter(w, &row)? {
-                                keep.push(row);
-                            }
-                        }
-                        if let Some(w) = wp {
-                            w.p.rows(keep.len() as u64);
-                        }
-                        keep
-                    }
-                    None => projected,
-                };
-                if *distinct {
-                    let _g =
-                        wp.map(|w| w.p.enter(w.distinct.expect("Distinct slot for WITH DISTINCT")));
-                    if let Some(w) = wp {
-                        w.p.call();
-                        w.p.rows_in(filtered.len() as u64);
-                    }
-                    let out = distinct_rows(&ctx, filtered, items)?;
-                    if let Some(w) = wp {
-                        w.p.rows(out.len() as u64);
-                    }
-                    out
-                } else {
-                    filtered
-                }
-            }
-            Clause::Unwind { expr, var } => {
-                let _g = prof.map(|p| p.enter(p.unwind_prof(ci)));
-                if let Some(p) = prof {
-                    p.call();
-                    p.rows_in(rows.len() as u64);
-                }
-                let mut out = Vec::new();
-                for row in rows {
-                    match ctx.eval(expr, &row)? {
-                        Value::Null => {}
-                        Value::List(items) => {
-                            for item in items {
-                                let mut r = row.clone();
-                                r.insert(var.clone(), Binding::Val(item));
-                                out.push(r);
-                            }
-                        }
-                        other => {
-                            return Err(CypherError::runtime(format!(
-                                "UNWIND expects a list, got {}",
-                                other.type_name()
-                            )))
-                        }
-                    }
-                }
-                if let Some(p) = prof {
-                    p.rows(out.len() as u64);
-                }
-                out
-            }
+impl Plan {
+    /// Executes the plan, recording into `prof` when given.
+    pub(crate) fn run(
+        &self,
+        graph: &PropertyGraph,
+        prof: Option<&Profiler<'_>>,
+    ) -> Result<ResultSet> {
+        let mut exec = Exec {
+            ev: Eval { graph, prof },
+            plan: self,
+            row: vec![Binding::Val(Value::Null); self.slots],
+            edges: Vec::new(),
+            edge_base: vec![0; self.ops.len()],
+            matched: vec![0; self.ops.len()],
+            states: self
+                .ops
+                .iter()
+                .map(|op| match op {
+                    Op::Aggregate(a) => State::Groups(Groups::new(a)),
+                    Op::Distinct(slots, _) => State::Seen(TupleSet::new(slots.len())),
+                    _ => State::None,
+                })
+                .collect(),
+            sorted: Vec::new(),
+            windowed: 0,
+            out: Vec::new(),
         };
+        // The first operator reads one empty row.
+        exec.push(0)?;
+        for i in 0..self.ops.len() {
+            exec.flush(i)?;
+        }
+        Ok(ResultSet { columns: self.columns.clone(), rows: exec.out })
     }
 
-    // RETURN projection.
-    let projected = {
-        let _g = prof.map(|p| p.enter(p.ret_ops().projection));
-        if let Some(p) = prof {
-            p.call();
-            p.rows_in(rows.len() as u64);
-        }
-        let out = project(&ctx, rows, &query.ret.items, /*require_alias=*/ false)?;
-        if let Some(p) = prof {
-            p.rows(out.len() as u64);
-        }
-        out
-    };
-    let mut projected = if query.ret.distinct {
-        let _g = prof.map(|p| p.enter(p.ret_ops().distinct.expect("Distinct slot for RETURN")));
-        if let Some(p) = prof {
-            p.call();
-            p.rows_in(projected.len() as u64);
-        }
-        let out = distinct_rows(&ctx, projected, &query.ret.items)?;
-        if let Some(p) = prof {
-            p.rows(out.len() as u64);
-        }
-        out
-    } else {
-        projected
-    };
-
-    // ORDER BY over the projected rows (aliases are visible).
-    if !query.ret.order_by.is_empty() {
-        let _g = prof.map(|p| p.enter(p.ret_ops().sort.expect("Sort slot for ORDER BY")));
-        if let Some(p) = prof {
-            p.call();
-            p.rows_in(projected.len() as u64);
-            p.rows(projected.len() as u64);
-        }
-        let mut keyed: Vec<(Vec<Value>, Row)> = Vec::with_capacity(projected.len());
-        for row in projected {
-            let mut keys = Vec::with_capacity(query.ret.order_by.len());
-            for item in &query.ret.order_by {
-                keys.push(ctx.eval(&item.expr, &row)?);
-            }
-            keyed.push((keys, row));
-        }
-        keyed.sort_by(|(a, _), (b, _)| {
-            for (i, item) in query.ret.order_by.iter().enumerate() {
-                let ord = a[i]
-                    .cypher_cmp(&b[i])
-                    .unwrap_or_else(|| a[i].group_key().cmp(&b[i].group_key()));
-                let ord = if item.descending { ord.reverse() } else { ord };
-                if !ord.is_eq() {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-        projected = keyed.into_iter().map(|(_, r)| r).collect();
+    /// Executes the plan under `PROFILE`.
+    pub(crate) fn run_profiled(
+        &self,
+        graph: &PropertyGraph,
+        src: &str,
+    ) -> Result<(ResultSet, QueryProfile)> {
+        let prof = Profiler::new(&self.layout);
+        let rs = self.run(graph, Some(&prof))?;
+        Ok((rs, prof.finish(src)))
     }
-
-    let skip = query.ret.skip.unwrap_or(0) as usize;
-    let limit = query.ret.limit.map(|l| l as usize).unwrap_or(usize::MAX);
-    // The profiled path materialises the window to count its rows
-    // (and neutralises the bounds so they are not applied twice); the
-    // plain path keeps the original lazy iterator.
-    let (projected, skip, limit) = match prof.and_then(|p| p.ret_ops().window.map(|op| (p, op))) {
-        Some((p, op)) => {
-            let _g = p.enter(op);
-            p.call();
-            p.rows_in(projected.len() as u64);
-            let out: Vec<Row> = projected.into_iter().skip(skip).take(limit).collect();
-            p.rows(out.len() as u64);
-            (out, 0, usize::MAX)
-        }
-        None => (projected, skip, limit),
-    };
-    let window = projected.into_iter().skip(skip).take(limit);
-
-    let columns: Vec<String> = query.ret.items.iter().map(ProjItem::name).collect();
-    let mut out_rows = Vec::new();
-    for row in window {
-        let mut cells = Vec::with_capacity(columns.len());
-        for name in &columns {
-            let cell = row.get(name).map(|b| b.to_value(graph)).unwrap_or(Value::Null);
-            cells.push(cell);
-        }
-        out_rows.push(cells);
-    }
-    if let Some(p) = prof {
-        p.call();
-        p.rows_in(out_rows.len() as u64);
-        p.rows(out_rows.len() as u64);
-    }
-    Ok(ResultSet { columns, rows: out_rows })
 }
 
-// ---------------------------------------------------------------------------
-// MATCH
-// ---------------------------------------------------------------------------
-
-fn match_clause(
-    ctx: &EvalCtx<'_>,
-    rows: Vec<Row>,
-    patterns: &[PathPattern],
-    where_clause: Option<&Expr>,
-    optional: bool,
-    mp: Option<MatchProf<'_>>,
-) -> Result<Vec<Row>> {
-    // Variables introduced by this clause (for OPTIONAL null-padding).
-    let mut new_vars: Vec<String> = Vec::new();
-    for p in patterns {
-        if let Some(v) = &p.start.var {
-            new_vars.push(v.clone());
-        }
-        for (rel, node) in &p.steps {
-            if let Some(v) = &rel.var {
-                new_vars.push(v.clone());
-            }
-            if let Some(v) = &node.var {
-                new_vars.push(v.clone());
-            }
-        }
-    }
-
-    let mut out = Vec::new();
-    for row in rows {
-        let mut matched_any = false;
-        let mut used = HashSet::new();
-        let produced = expand_patterns(ctx, &row, &mut used, patterns, 0, mp)?;
-        for candidate in produced {
-            let keep = match where_clause {
-                Some(w) => {
-                    let _g = mp.map(|m| m.p.enter(m.filter.expect("Filter slot for MATCH WHERE")));
-                    if let Some(m) = mp {
-                        m.p.call();
-                        m.p.rows_in(1);
-                    }
-                    let keep = ctx.eval_filter(w, &candidate)?;
-                    if let (true, Some(m)) = (keep, mp) {
-                        m.p.rows(1);
-                    }
-                    keep
-                }
-                None => true,
-            };
-            if keep {
-                matched_any = true;
-                out.push(candidate);
-            }
-        }
-        if !matched_any && optional {
-            let mut padded = row.clone();
-            for v in &new_vars {
-                padded.entry(v.clone()).or_insert(Binding::Val(Value::Null));
-            }
-            out.push(padded);
-        }
-    }
-    Ok(out)
+/// Per-operator run state.
+enum State {
+    None,
+    Groups(Groups),
+    Seen(TupleSet),
 }
 
-/// Expands `patterns[idx..]` against `row`, honouring edge uniqueness
-/// across the whole clause via `used`.
-fn expand_patterns(
-    ctx: &EvalCtx<'_>,
-    row: &Row,
-    used: &mut HashSet<EdgeId>,
-    patterns: &[PathPattern],
-    idx: usize,
-    mp: Option<MatchProf<'_>>,
-) -> Result<Vec<Row>> {
-    if idx == patterns.len() {
-        return Ok(vec![row.clone()]);
-    }
-    let mut out = Vec::new();
-    let firsts = match_path(ctx, row, used, &patterns[idx], mp.map(|m| (m.p, &m.patterns[idx])))?;
-    for (r, edges) in firsts {
-        for e in &edges {
-            used.insert(*e);
-        }
-        out.extend(expand_patterns(ctx, &r, used, patterns, idx + 1, mp)?);
-        for e in &edges {
-            used.remove(e);
-        }
-    }
-    Ok(out)
+/// An aggregation's groups: the distinct key tuples in first-seen
+/// order, each group's accumulators, and the probe the next row's key
+/// is evaluated into.
+struct Groups {
+    keys: TupleSet,
+    accs: Vec<Acc>,
+    probe: Vec<Binding>,
 }
 
-/// Matches one linear path pattern; returns each produced row together
-/// with the set of edges that instantiation consumed.
-fn match_path(
-    ctx: &EvalCtx<'_>,
-    row: &Row,
-    used: &HashSet<EdgeId>,
-    pattern: &PathPattern,
-    ops: Option<(&Profiler, &PatternOps)>,
-) -> Result<Vec<(Row, Vec<EdgeId>)>> {
-    // Begin at whichever end of the path is cheaper to enumerate —
-    // a bound variable beats a label scan beats a full scan. This
-    // keeps `OPTIONAL MATCH (s:User)-[:POSTS]->(t)` (t bound) linear
-    // on the Twitter-sized graphs. The decision function is shared
-    // with the plan-time rewrite pass (`optimizer::should_reverse`);
-    // on a pre-reversed plan its strict `<` answers no, so the two
-    // layers never fight.
-    let reversed;
-    let mut was_reversed = false;
-    let is_bound = |v: &str| row.contains_key(v);
-    let pattern = if crate::optimizer::should_reverse(ctx.graph, &is_bound, pattern) {
-        was_reversed = true;
-        reversed = pattern.reversed();
-        &reversed
-    } else {
-        pattern
-    };
-    let pp = ops.map(|(p, o)| PathProf::new(p, o, was_reversed));
-    let mut results = Vec::new();
-    let starts = node_candidates(ctx, row, &pattern.start, pp)?;
-    for (start_row, start_node) in starts {
-        walk_steps(
-            ctx,
-            &start_row,
-            used,
-            start_node,
-            &pattern.steps,
-            Vec::new(),
-            &mut results,
-            pp,
-        )?;
+impl Groups {
+    fn new(a: &AggregateOp) -> Groups {
+        Groups {
+            keys: TupleSet::new(a.keys.len()),
+            accs: Vec::new(),
+            probe: vec![Binding::Val(Value::Null); a.keys.len()],
+        }
     }
-    Ok(results)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn walk_steps(
-    ctx: &EvalCtx<'_>,
-    row: &Row,
-    used: &HashSet<EdgeId>,
-    current: NodeId,
-    steps: &[(RelPattern, NodePattern)],
-    consumed: Vec<EdgeId>,
-    results: &mut Vec<(Row, Vec<EdgeId>)>,
-    pp: Option<PathProf<'_>>,
-) -> Result<()> {
-    let Some(((rel, node), rest)) = steps.split_first() else {
-        results.push((row.clone(), consumed));
-        return Ok(());
-    };
-    let _g = pp.map(|pp| pp.p.enter(pp.step_op(steps.len())));
-    if let Some(pp) = pp {
-        pp.p.call();
-        pp.p.rows_in(1);
-    }
-    // Variable-length relationships expand through a bounded DFS.
-    if let Some((min, max)) = rel.length {
-        if rel.var.is_some() {
-            return Err(CypherError::semantic(
-                "variable binding on variable-length relationships is not supported",
-            ));
-        }
-        let max = max.unwrap_or(MAX_VAR_HOPS).min(MAX_VAR_HOPS);
-        return var_length_walk(
-            ctx, row, used, current, rel, node, rest, consumed, 0, min, max, results, pp,
-        );
-    }
-    let g = ctx.graph;
+/// One aggregate's running state within one group. `seen` holds the
+/// values already folded under DISTINCT.
+struct Acc {
+    seen: Option<Box<TupleSet>>,
+    count: u64,
+    sum: f64,
+    all_int: bool,
+    values: Vec<Value>,
+    best: Option<Value>,
+}
 
-    // Candidate (edge, neighbour) pairs respecting direction.
-    let candidates: Vec<(EdgeId, NodeId)> = match rel.direction {
-        Direction::Out => g.out_edges(current).map(|e| (e.id, e.dst)).collect(),
-        Direction::In => g.in_edges(current).map(|e| (e.id, e.src)).collect(),
-        Direction::Undirected => {
-            let mut v: Vec<(EdgeId, NodeId)> =
-                g.out_edges(current).map(|e| (e.id, e.dst)).collect();
-            // Self-loops already appear in the out list; skip them on
-            // the in side so each edge matches once.
-            v.extend(g.in_edges(current).filter(|e| e.src != e.dst).map(|e| (e.id, e.src)));
-            v
+impl Acc {
+    fn new(spec: &AggSpec) -> Acc {
+        Acc {
+            seen: spec.distinct.then(|| Box::new(TupleSet::new(1))),
+            count: 0,
+            sum: 0.0,
+            all_int: true,
+            values: Vec::new(),
+            best: None,
         }
-    };
-    if let Some(pp) = pp {
-        pp.p.hit_edges(candidates.len() as u64);
     }
 
-    for (edge_id, neighbour) in candidates {
-        if used.contains(&edge_id) || consumed.contains(&edge_id) {
-            continue;
-        }
-        let edge = g.edge(edge_id);
-        if !rel.types.is_empty() && !rel.types.contains(&edge.label) {
-            continue;
-        }
-        // Property map on the relationship.
-        let mut props_ok = true;
-        for (k, expr) in &rel.props {
-            let want = ctx.eval(expr, row)?;
-            ctx.record_prop_read();
-            if edge.prop(k).cypher_eq(&want) != Some(true) {
-                props_ok = false;
-                break;
-            }
-        }
-        if !props_ok {
-            continue;
-        }
-        // Relationship variable binding / consistency.
-        let mut next_row = row.clone();
-        if let Some(var) = &rel.var {
-            match next_row.get(var) {
-                Some(Binding::Edge(bound)) if *bound == edge_id => {}
-                Some(Binding::Edge(_)) => continue,
-                Some(_) => continue,
-                None => {
-                    next_row.insert(var.clone(), Binding::Edge(edge_id));
-                }
-            }
-        }
-        // Target node check / binding.
-        let Some(next_row) = bind_node(ctx, &next_row, node, neighbour)? else {
-            continue;
+    /// Folds one row's argument. NULLs are skipped (Cypher), and under
+    /// DISTINCT so is a value already folded.
+    fn add(&mut self, spec: &AggSpec, ev: &Eval<'_>, row: &[Binding], op: usize) -> Result<()> {
+        let Some(arg) = &spec.arg else {
+            // count(*), or an argument-less call that fails when flushed.
+            self.count += 1;
+            return Ok(());
         };
-        if let Some(pp) = pp {
-            pp.p.rows(1);
+        let func = spec.func.as_ref().ok();
+        if func == Some(&AggFn::Count) && self.seen.is_none() {
+            self.count += u64::from(ev.is_present(arg, row, op)?);
+            return Ok(());
         }
-        let mut consumed_next = consumed.clone();
-        consumed_next.push(edge_id);
-        walk_steps(ctx, &next_row, used, neighbour, rest, consumed_next, results, pp)?;
-    }
-    Ok(())
-}
-
-/// Hop ceiling for unbounded variable-length patterns (`*`, `*2..`).
-/// Neo4j has no hard limit but warns above similar depths; the rule
-/// queries this engine serves never need longer chains.
-const MAX_VAR_HOPS: u32 = 16;
-
-/// DFS expansion of a variable-length relationship: every
-/// edge-distinct path of `min..=max` hops whose edges satisfy the
-/// type/property filters, ending at a node matching `node`.
-#[allow(clippy::too_many_arguments)]
-fn var_length_walk(
-    ctx: &EvalCtx<'_>,
-    row: &Row,
-    used: &HashSet<EdgeId>,
-    current: NodeId,
-    rel: &RelPattern,
-    node: &NodePattern,
-    rest: &[(RelPattern, NodePattern)],
-    consumed: Vec<EdgeId>,
-    depth: u32,
-    min: u32,
-    max: u32,
-    results: &mut Vec<(Row, Vec<EdgeId>)>,
-    pp: Option<PathProf<'_>>,
-) -> Result<()> {
-    let g = ctx.graph;
-    // Enough hops taken: the current node may close this step.
-    if depth >= min {
-        if let Some(next_row) = bind_node(ctx, row, node, current)? {
-            if let Some(pp) = pp {
-                pp.p.rows(1);
-            }
-            walk_steps(ctx, &next_row, used, current, rest, consumed.clone(), results, pp)?;
-        }
-    }
-    if depth >= max {
-        return Ok(());
-    }
-    let candidates: Vec<(EdgeId, NodeId)> = match rel.direction {
-        Direction::Out => g.out_edges(current).map(|e| (e.id, e.dst)).collect(),
-        Direction::In => g.in_edges(current).map(|e| (e.id, e.src)).collect(),
-        Direction::Undirected => {
-            let mut v: Vec<(EdgeId, NodeId)> =
-                g.out_edges(current).map(|e| (e.id, e.dst)).collect();
-            v.extend(g.in_edges(current).filter(|e| e.src != e.dst).map(|e| (e.id, e.src)));
-            v
-        }
-    };
-    if let Some(pp) = pp {
-        pp.p.hit_edges(candidates.len() as u64);
-    }
-    for (edge_id, neighbour) in candidates {
-        if used.contains(&edge_id) || consumed.contains(&edge_id) {
-            continue;
-        }
-        let edge = g.edge(edge_id);
-        if !rel.types.is_empty() && !rel.types.contains(&edge.label) {
-            continue;
-        }
-        let mut props_ok = true;
-        for (k, expr) in &rel.props {
-            let want = ctx.eval(expr, row)?;
-            ctx.record_prop_read();
-            if edge.prop(k).cypher_eq(&want) != Some(true) {
-                props_ok = false;
-                break;
-            }
-        }
-        if !props_ok {
-            continue;
-        }
-        let mut consumed_next = consumed.clone();
-        consumed_next.push(edge_id);
-        var_length_walk(
-            ctx,
-            row,
-            used,
-            neighbour,
-            rel,
-            node,
-            rest,
-            consumed_next,
-            depth + 1,
-            min,
-            max,
-            results,
-            pp,
-        )?;
-    }
-    Ok(())
-}
-
-/// Enumerates rows binding the start node pattern.
-fn node_candidates(
-    ctx: &EvalCtx<'_>,
-    row: &Row,
-    pattern: &NodePattern,
-    pp: Option<PathProf<'_>>,
-) -> Result<Vec<(Row, NodeId)>> {
-    let g = ctx.graph;
-    let _g = pp.map(|pp| pp.p.enter(pp.scan_op()));
-    if let Some(pp) = pp {
-        pp.p.call();
-        pp.p.rows_in(1);
-    }
-    // Already bound: just re-check constraints.
-    if let Some(var) = &pattern.var {
-        if let Some(binding) = row.get(var) {
-            if let Some(pp) = pp {
-                pp.p.set_scan("Argument", pattern.to_string());
-            }
-            return match binding {
-                Binding::Node(id) => {
-                    let id = *id;
-                    Ok(match bind_node(ctx, row, pattern, id)? {
-                        Some(r) => {
-                            if let Some(pp) = pp {
-                                pp.p.rows(1);
-                            }
-                            vec![(r, id)]
-                        }
-                        None => vec![],
-                    })
-                }
-                _ => Ok(vec![]),
-            };
-        }
-    }
-    // Fresh scan: pick the most selective available label index. The
-    // scan slot's name/detail resolve here because the cost-based
-    // reversal may enumerate the end the query did not write first.
-    let ids: Vec<NodeId> = if let Some(label) = pattern.labels.first() {
-        if let Some(pp) = pp {
-            pp.p.set_scan("NodeByLabelScan", pattern.to_string());
-        }
-        g.nodes_with_label(label).map(|n| n.id).collect()
-    } else {
-        if let Some(pp) = pp {
-            pp.p.set_scan("AllNodesScan", pattern.to_string());
-        }
-        g.nodes().map(|n| n.id).collect()
-    };
-    if let Some(pp) = pp {
-        pp.p.hit_nodes(ids.len() as u64);
-    }
-    let mut out = Vec::new();
-    for id in ids {
-        if let Some(r) = bind_node(ctx, row, pattern, id)? {
-            out.push((r, id));
-        }
-    }
-    if let Some(pp) = pp {
-        pp.p.rows(out.len() as u64);
-    }
-    Ok(out)
-}
-
-/// Checks labels/props of `pattern` against node `id`; returns the row
-/// extended with the binding when they hold.
-fn bind_node(
-    ctx: &EvalCtx<'_>,
-    row: &Row,
-    pattern: &NodePattern,
-    id: NodeId,
-) -> Result<Option<Row>> {
-    let node = ctx.graph.node(id);
-    if !pattern.labels.iter().all(|l| node.has_label(l)) {
-        return Ok(None);
-    }
-    for (k, expr) in &pattern.props {
-        let want = ctx.eval(expr, row)?;
-        ctx.record_prop_read();
-        if node.prop(k).cypher_eq(&want) != Some(true) {
-            return Ok(None);
-        }
-    }
-    let mut next = row.clone();
-    if let Some(var) = &pattern.var {
-        match next.get(var) {
-            Some(Binding::Node(bound)) if *bound == id => {}
-            Some(Binding::Node(_)) | Some(Binding::Edge(_)) | Some(Binding::Val(_)) => {
-                return Ok(None)
-            }
-            None => {
-                next.insert(var.clone(), Binding::Node(id));
-            }
-        }
-    }
-    Ok(Some(next))
-}
-
-// ---------------------------------------------------------------------------
-// Projection & aggregation
-// ---------------------------------------------------------------------------
-
-/// Projects `rows` through `items`, grouping when any item aggregates.
-fn project(
-    ctx: &EvalCtx<'_>,
-    rows: Vec<Row>,
-    items: &[ProjItem],
-    require_alias: bool,
-) -> Result<Vec<Row>> {
-    // Alias discipline: WITH requires `expr AS name` for non-variables.
-    for item in items {
-        if require_alias && item.alias.is_none() && !matches!(item.expr, Expr::Var(_)) {
-            return Err(CypherError::semantic(format!(
-                "expression `{}` in WITH must be aliased",
-                item.expr
-            )));
-        }
-    }
-
-    let has_aggregate = items.iter().any(|i| i.expr.contains_aggregate());
-    if !has_aggregate {
-        let mut out = Vec::with_capacity(rows.len());
-        for row in &rows {
-            out.push(project_plain(ctx, row, items)?);
-        }
-        return Ok(out);
-    }
-
-    // Aggregates must sit at the top level of their item.
-    for item in items {
-        if item.expr.contains_aggregate() && !matches!(item.expr, Expr::FnCall { .. }) {
-            return Err(CypherError::semantic(format!(
-                "aggregate must be a top-level function call, got `{}`",
-                item.expr
-            )));
-        }
-    }
-
-    let group_items: Vec<&ProjItem> =
-        items.iter().filter(|i| !i.expr.contains_aggregate()).collect();
-    let agg_items: Vec<&ProjItem> = items.iter().filter(|i| i.expr.contains_aggregate()).collect();
-
-    // Group rows by the evaluated group keys.
-    let mut groups: HashMap<String, (Row, Vec<Row>)> = HashMap::new();
-    let mut order: Vec<String> = Vec::new();
-    for row in rows {
-        let mut key = String::new();
-        let mut rep = Row::new();
-        for item in &group_items {
-            let name = item.name();
-            let binding = project_binding(ctx, &row, &item.expr)?;
-            key.push_str(&binding.to_value(ctx.graph).group_key());
-            key.push('\u{1}');
-            rep.insert(name, binding);
-        }
-        let entry = groups.entry(key.clone()).or_insert_with(|| {
-            order.push(key);
-            (rep, Vec::new())
-        });
-        entry.1.push(row);
-    }
-    // Global aggregation over zero rows still yields one group
-    // (`COUNT(*)` over an empty match is 0, not no-rows).
-    if groups.is_empty() && group_items.is_empty() {
-        order.push(String::new());
-        groups.insert(String::new(), (Row::new(), Vec::new()));
-    }
-
-    let mut out = Vec::with_capacity(groups.len());
-    for key in order {
-        let (mut rep, members) = groups.remove(&key).expect("group recorded in order");
-        for item in &agg_items {
-            let value = eval_aggregate(ctx, &item.expr, &members)?;
-            rep.insert(item.name(), Binding::Val(value));
-        }
-        out.push(rep);
-    }
-    Ok(out)
-}
-
-fn project_plain(ctx: &EvalCtx<'_>, row: &Row, items: &[ProjItem]) -> Result<Row> {
-    let mut out = Row::new();
-    for item in items {
-        out.insert(item.name(), project_binding(ctx, row, &item.expr)?);
-    }
-    Ok(out)
-}
-
-/// Bare variables keep their graph-element binding through projection;
-/// all other expressions are materialised to values.
-fn project_binding(ctx: &EvalCtx<'_>, row: &Row, expr: &Expr) -> Result<Binding> {
-    if let Expr::Var(name) = expr {
-        if let Some(b) = row.get(name) {
-            return Ok(b.clone());
-        }
-        return Err(CypherError::semantic(format!("unknown variable `{name}`")));
-    }
-    Ok(Binding::Val(ctx.eval(expr, row)?))
-}
-
-fn eval_aggregate(ctx: &EvalCtx<'_>, expr: &Expr, rows: &[Row]) -> Result<Value> {
-    let Expr::FnCall { name, distinct, star, args } = expr else {
-        return Err(CypherError::semantic("aggregate must be a function call"));
-    };
-    if *star {
-        return Ok(Value::Int(rows.len() as i64));
-    }
-    let arg = args
-        .first()
-        .ok_or_else(|| CypherError::semantic(format!("{name}() aggregate requires an argument")))?;
-    // Evaluate the argument per row; NULLs are skipped (Cypher).
-    let mut values = Vec::with_capacity(rows.len());
-    for row in rows {
-        let v = ctx.eval(arg, row)?;
-        if !v.is_null() {
-            values.push(v);
-        }
-    }
-    if *distinct {
-        let mut seen = HashSet::new();
-        values.retain(|v| seen.insert(v.group_key()));
-    }
-    match name.as_str() {
-        "count" => Ok(Value::Int(values.len() as i64)),
-        "collect" => Ok(Value::List(values)),
-        "sum" => {
-            let mut acc = 0.0;
-            let mut all_int = true;
-            for v in &values {
-                match v {
-                    Value::Int(i) => acc += *i as f64,
-                    Value::Float(f) => {
-                        all_int = false;
-                        acc += *f;
+        // A bare variable keys on its binding, so counting distinct
+        // graph elements never renders them.
+        let value: Cow<'_, Value> = match (arg, func) {
+            (CExpr::Var(slot), Some(AggFn::Count)) => match &row[*slot] {
+                Binding::Val(v) => Cow::Borrowed(v),
+                b => {
+                    if self.seen.as_mut().is_some_and(|s| s.insert_key(KeyRef::of(b))) {
+                        self.count += 1;
                     }
-                    other => {
-                        return Err(CypherError::runtime(format!(
-                            "SUM over non-numeric {}",
-                            other.type_name()
-                        )))
-                    }
+                    return Ok(());
                 }
-            }
-            Ok(if all_int { Value::Int(acc as i64) } else { Value::Float(acc) })
+            },
+            _ => ev.eval(arg, row, op)?,
+        };
+        if value.is_null() {
+            return Ok(());
         }
-        "avg" => {
-            if values.is_empty() {
-                return Ok(Value::Null);
+        if let Some(seen) = &mut self.seen {
+            if !seen.insert_key(KeyRef::Val(ValueKey(&value))) {
+                return Ok(());
             }
-            let mut acc = 0.0;
-            for v in &values {
-                acc += v.as_f64().ok_or_else(|| {
-                    CypherError::runtime(format!("AVG over non-numeric {}", v.type_name()))
+        }
+        match func {
+            Some(AggFn::Count) => self.count += 1,
+            Some(AggFn::Collect) => self.values.push(value.into_owned()),
+            Some(AggFn::Sum) => match value.as_ref() {
+                Value::Int(i) => self.sum += *i as f64,
+                Value::Float(f) => {
+                    self.all_int = false;
+                    self.sum += *f;
+                }
+                other => {
+                    return Err(CypherError::runtime(format!(
+                        "SUM over non-numeric {}",
+                        other.type_name()
+                    )))
+                }
+            },
+            Some(AggFn::Avg) => {
+                self.sum += value.as_f64().ok_or_else(|| {
+                    CypherError::runtime(format!("AVG over non-numeric {}", value.type_name()))
                 })?;
+                self.count += 1;
             }
-            Ok(Value::Float(acc / values.len() as f64))
-        }
-        "min" | "max" => {
-            let want_min = name == "min";
-            let mut best: Option<Value> = None;
-            for v in values {
-                best = Some(match best {
-                    None => v,
-                    Some(b) => match v.cypher_cmp(&b) {
-                        Some(ord) if (want_min && ord.is_lt()) || (!want_min && ord.is_gt()) => v,
-                        _ => b,
-                    },
-                });
+            Some(f @ (AggFn::Min | AggFn::Max)) => {
+                let better = |b: &Value| match value.cypher_cmp(b) {
+                    Some(ord) => {
+                        (*f == AggFn::Min && ord.is_lt()) || (*f == AggFn::Max && ord.is_gt())
+                    }
+                    None => false,
+                };
+                if self.best.as_ref().is_none_or(better) {
+                    self.best = Some(value.into_owned());
+                }
             }
-            Ok(best.unwrap_or(Value::Null))
+            Some(AggFn::CountStar) | None => {}
         }
-        other => Err(CypherError::semantic(format!("unknown aggregate `{other}`"))),
+        Ok(())
+    }
+
+    fn finish(self, spec: &AggSpec) -> Result<Value> {
+        let func = spec.func.as_ref().map_err(Clone::clone)?;
+        Ok(match func {
+            AggFn::CountStar | AggFn::Count => Value::Int(self.count as i64),
+            AggFn::Collect => Value::List(self.values),
+            AggFn::Sum if self.all_int => Value::Int(self.sum as i64),
+            AggFn::Sum => Value::Float(self.sum),
+            AggFn::Avg if self.count == 0 => Value::Null,
+            AggFn::Avg => Value::Float(self.sum / self.count as f64),
+            AggFn::Min | AggFn::Max => self.best.unwrap_or(Value::Null),
+        })
     }
 }
 
-fn distinct_rows(ctx: &EvalCtx<'_>, rows: Vec<Row>, items: &[ProjItem]) -> Result<Vec<Row>> {
-    let names: Vec<String> = items.iter().map(ProjItem::name).collect();
-    let mut seen = HashSet::new();
-    let mut out = Vec::with_capacity(rows.len());
-    for row in rows {
-        let mut key = String::new();
-        for name in &names {
-            if let Some(b) = row.get(name) {
-                key.push_str(&b.to_value(ctx.graph).group_key());
-            }
-            key.push('\u{1}');
+/// Copies `src` into `dst`, reusing `dst`'s string buffer when both
+/// are strings — a group probe costs no allocation per row.
+fn assign(dst: &mut Binding, src: Cow<'_, Value>) {
+    match (dst, src) {
+        (Binding::Val(Value::Str(d)), Cow::Borrowed(Value::Str(s))) => {
+            d.clear();
+            d.push_str(s);
         }
-        if seen.insert(key) {
-            out.push(row);
+        (dst, src) => *dst = Binding::Val(src.into_owned()),
+    }
+}
+
+struct Exec<'q> {
+    ev: Eval<'q>,
+    plan: &'q Plan,
+    /// The one row every operator reads and writes.
+    row: Vec<Binding>,
+    /// Edges bound by the MATCH walks in progress, the innermost
+    /// clause's last (relationship uniqueness).
+    edges: Vec<EdgeId>,
+    /// Where each MATCH's own edges begin on `edges`: uniqueness holds
+    /// within one clause, not across clauses.
+    edge_base: Vec<usize>,
+    /// Rows each MATCH has passed on (its OPTIONAL miss test).
+    matched: Vec<u64>,
+    states: Vec<State>,
+    /// ORDER BY buffer: sort keys and output cells per row.
+    sorted: Vec<(Vec<Value>, Vec<Value>)>,
+    /// Rows that reached SKIP / LIMIT.
+    windowed: u64,
+    out: Vec<Vec<Value>>,
+}
+
+impl<'q> Exec<'q> {
+    /// Hands the current row to operator `i`.
+    fn push(&mut self, i: usize) -> Result<()> {
+        let plan = self.plan;
+        let prof = self.ev.prof;
+        match &plan.ops[i] {
+            Op::Match(m) => {
+                let before = self.matched[i];
+                self.edge_base[i] = self.edges.len();
+                self.path(i, m, 0)?;
+                if m.optional && self.matched[i] == before {
+                    for slot in m.pad.clone() {
+                        self.row[slot] = Binding::Val(Value::Null);
+                    }
+                    self.push(i + 1)?;
+                }
+                Ok(())
+            }
+            Op::Project(p) => {
+                for (item, slot) in &p.items {
+                    let b = match item {
+                        Item::Var(s) => self.row[*s].clone(),
+                        Item::Expr(e) => {
+                            Binding::Val(self.ev.eval(e, &self.row, p.op)?.into_owned())
+                        }
+                    };
+                    self.row[*slot] = b;
+                }
+                if let Some(pr) = prof {
+                    pr.rows_in(p.op, 1);
+                    pr.rows(p.op, 1);
+                }
+                self.push(i + 1)
+            }
+            Op::Aggregate(a) => self.fold(i, a),
+            Op::Filter(expr, op) => {
+                if let Some(pr) = prof {
+                    pr.rows_in(*op, 1);
+                }
+                if !self.ev.truth(expr, &self.row, *op)? {
+                    return Ok(());
+                }
+                if let Some(pr) = prof {
+                    pr.rows(*op, 1);
+                }
+                self.push(i + 1)
+            }
+            Op::Distinct(slots, op) => {
+                if let Some(pr) = prof {
+                    pr.rows_in(*op, 1);
+                }
+                let State::Seen(seen) = &mut self.states[i] else { unreachable!("Distinct state") };
+                if !seen.insert(&self.row[slots.clone()]).1 {
+                    return Ok(());
+                }
+                if let Some(pr) = prof {
+                    pr.rows(*op, 1);
+                }
+                self.push(i + 1)
+            }
+            Op::Unwind(expr, slot, op) => {
+                if let Some(pr) = prof {
+                    pr.rows_in(*op, 1);
+                }
+                match self.ev.eval(expr, &self.row, *op)?.into_owned() {
+                    Value::Null => Ok(()),
+                    Value::List(items) => {
+                        for item in items {
+                            if let Some(pr) = prof {
+                                pr.rows(*op, 1);
+                            }
+                            self.row[*slot] = Binding::Val(item);
+                            self.push(i + 1)?;
+                        }
+                        Ok(())
+                    }
+                    other => Err(CypherError::runtime(format!(
+                        "UNWIND expects a list, got {}",
+                        other.type_name()
+                    ))),
+                }
+            }
+            Op::Return(r) => {
+                let graph = self.ev.graph;
+                let cells = |row: &[Binding]| -> Vec<Value> {
+                    r.columns.iter().map(|&s| row[s].to_value(graph)).collect()
+                };
+                match &r.sort {
+                    Some(sort) => {
+                        let keys = sort
+                            .keys
+                            .iter()
+                            .map(|(e, _)| self.ev.eval(e, &self.row, sort.op).map(Cow::into_owned))
+                            .collect::<Result<Vec<_>>>()?;
+                        let cells = cells(&self.row);
+                        self.sorted.push((keys, cells));
+                    }
+                    None => {
+                        if self.admit(r) {
+                            let cells = cells(&self.row);
+                            self.out.push(cells);
+                        }
+                    }
+                }
+                Ok(())
+            }
+            Op::Fail(_) => Ok(()),
         }
     }
-    Ok(out)
+
+    /// SKIP / LIMIT for one row in final order: true when the row is
+    /// a result row.
+    fn admit(&mut self, r: &ReturnOp) -> bool {
+        let prof = self.ev.prof;
+        if let (Some(pr), Some(op)) = (prof, r.window_op) {
+            pr.rows_in(op, 1);
+        }
+        let index = self.windowed;
+        self.windowed += 1;
+        if index < r.skip || self.out.len() as u64 >= r.limit {
+            return false;
+        }
+        if let (Some(pr), Some(op)) = (prof, r.window_op) {
+            pr.rows(op, 1);
+        }
+        true
+    }
+
+    /// Operator `i`'s end of input: blocking operators emit what they
+    /// hold, and every batch operator counts its one call.
+    fn flush(&mut self, i: usize) -> Result<()> {
+        let plan = self.plan;
+        let prof = self.ev.prof;
+        let call = |op: usize| {
+            if let Some(pr) = prof {
+                pr.call(op);
+            }
+        };
+        match &plan.ops[i] {
+            Op::Match(_) => Ok(()),
+            Op::Project(ProjectOp { op, .. })
+            | Op::Filter(_, op)
+            | Op::Distinct(_, op)
+            | Op::Unwind(_, _, op) => {
+                call(*op);
+                Ok(())
+            }
+            Op::Aggregate(a) => {
+                let State::Groups(mut groups) = std::mem::replace(&mut self.states[i], State::None)
+                else {
+                    unreachable!("Aggregate state")
+                };
+                // Emitting the groups is this operator's work; what the
+                // rows cost downstream lands here too, as streamed rows'
+                // time lands on the operator that produced them.
+                let _g = prof.map(|pr| pr.enter(a.op));
+                call(a.op);
+                // Global aggregation over zero rows still yields one
+                // group (`COUNT(*)` over an empty match is 0, not
+                // no-rows).
+                if a.keys.is_empty() && groups.keys.len() == 0 {
+                    groups.keys.insert(&[]);
+                    groups.accs.extend(a.aggs.iter().map(|(spec, _)| Acc::new(spec)));
+                }
+                let n = groups.keys.len();
+                if let Some(pr) = prof {
+                    pr.rows(a.op, n as u64);
+                }
+                let mut cells = groups.keys.into_cells();
+                let mut accs = groups.accs.into_iter();
+                for _ in 0..n {
+                    for (_, slot) in &a.keys {
+                        self.row[*slot] = cells.next().expect("one key cell per grouping item");
+                    }
+                    for (spec, slot) in &a.aggs {
+                        let acc = accs.next().expect("one accumulator per aggregate");
+                        self.row[*slot] = Binding::Val(acc.finish(spec)?);
+                    }
+                    self.push(i + 1)?;
+                }
+                Ok(())
+            }
+            Op::Return(r) => {
+                if let Some(sort) = &r.sort {
+                    let mut sorted = std::mem::take(&mut self.sorted);
+                    {
+                        let _g = prof.map(|pr| pr.enter(sort.op));
+                        call(sort.op);
+                        if let Some(pr) = prof {
+                            pr.rows_in(sort.op, sorted.len() as u64);
+                            pr.rows(sort.op, sorted.len() as u64);
+                        }
+                        sorted.sort_by(|(a, _), (b, _)| compare_keys(&sort.keys, a, b));
+                    }
+                    for (_, cells) in sorted {
+                        if self.admit(r) {
+                            self.out.push(cells);
+                        }
+                    }
+                }
+                if let Some(op) = r.window_op {
+                    call(op);
+                }
+                call(r.root);
+                if let Some(pr) = prof {
+                    pr.rows_in(r.root, self.out.len() as u64);
+                    pr.rows(r.root, self.out.len() as u64);
+                }
+                Ok(())
+            }
+            Op::Fail(e) => Err(e.clone()),
+        }
+    }
+
+    /// Folds the current row into its group.
+    fn fold(&mut self, i: usize, a: &AggregateOp) -> Result<()> {
+        let Exec { ev, row, states, .. } = self;
+        if let Some(pr) = ev.prof {
+            pr.rows_in(a.op, 1);
+        }
+        let State::Groups(groups) = &mut states[i] else { unreachable!("Aggregate state") };
+        for ((item, _), probe) in a.keys.iter().zip(&mut groups.probe) {
+            match item {
+                Item::Var(s) => match &row[*s] {
+                    Binding::Val(v) => assign(probe, Cow::Borrowed(v)),
+                    b => *probe = b.clone(),
+                },
+                Item::Expr(e) => assign(probe, ev.eval(e, row, a.op)?),
+            }
+        }
+        let (g, fresh) = groups.keys.insert(&groups.probe);
+        if fresh {
+            groups.accs.extend(a.aggs.iter().map(|(spec, _)| Acc::new(spec)));
+        }
+        let accs = &mut groups.accs[g * a.aggs.len()..(g + 1) * a.aggs.len()];
+        for ((spec, _), acc) in a.aggs.iter().zip(accs) {
+            acc.add(spec, ev, row, a.op)?;
+        }
+        Ok(())
+    }
+
+    /// Enumerates path `pi` of MATCH `i` from its scan; past the last
+    /// path, the match is complete.
+    fn path(&mut self, i: usize, m: &'q MatchOp, pi: usize) -> Result<()> {
+        let Some(p) = m.paths.get(pi) else {
+            return self.matched_row(i, m);
+        };
+        let prof = self.ev.prof;
+        let op = p.scan_op;
+        // Re-checking one bound node is too little work to time: an
+        // Argument call's time stays with the operator that called it.
+        let _g = prof.filter(|_| !matches!(p.scan, Scan::Argument(_))).map(|pr| pr.enter(op));
+        if let Some(pr) = prof {
+            pr.call(op);
+            pr.rows_in(op, 1);
+        }
+        let g = self.ev.graph;
+        match &p.scan {
+            Scan::Argument(slot) => {
+                if let Binding::Node(id) = self.row[*slot] {
+                    self.begin(i, m, pi, id)?;
+                }
+            }
+            Scan::Label(label) => {
+                let ids = g.node_ids_with_label(label);
+                if let Some(pr) = prof {
+                    pr.hit_nodes(op, ids.len() as u64);
+                }
+                for &id in ids {
+                    self.begin(i, m, pi, id)?;
+                }
+            }
+            Scan::All => {
+                if let Some(pr) = prof {
+                    pr.hit_nodes(op, g.node_count() as u64);
+                }
+                for n in 0..g.node_count() {
+                    self.begin(i, m, pi, NodeId(n as u32))?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Starts path `pi` at node `id` if it passes the start pattern.
+    fn begin(&mut self, i: usize, m: &'q MatchOp, pi: usize, id: NodeId) -> Result<()> {
+        let p = &m.paths[pi];
+        if self.node_ok(&p.start, id, p.scan_op)? {
+            if let Some(pr) = self.ev.prof {
+                pr.rows(p.scan_op, 1);
+            }
+            self.step(i, m, pi, 0, id)?;
+        }
+        Ok(())
+    }
+
+    /// Takes step `si` of path `pi` from node `at`; past the last step,
+    /// the next path begins.
+    fn step(&mut self, i: usize, m: &'q MatchOp, pi: usize, si: usize, at: NodeId) -> Result<()> {
+        let Some(s) = m.paths[pi].steps.get(si) else {
+            return self.path(i, m, pi + 1);
+        };
+        let prof = self.ev.prof;
+        if let Some(pr) = prof {
+            pr.call(s.op);
+            pr.rows_in(s.op, 1);
+        }
+        match &s.kind {
+            StepKind::Single(rel) => self.expand(i, m, pi, si, at, *rel),
+            StepKind::VarLength { min, max } => {
+                let _g = prof.map(|pr| pr.enter(s.op));
+                self.var_walk(i, m, pi, si, at, 0, (*min, *max))
+            }
+            StepKind::Fail(e) => Err(e.clone()),
+        }
+    }
+
+    /// The candidate hops of step `s` from `at`: each edge with its far
+    /// end, in adjacency order; an undirected step lists a self-loop
+    /// once. Charges the examined edges to the step.
+    fn hops(&self, s: &'q Step, at: NodeId) -> impl Iterator<Item = (EdgeId, NodeId)> + Clone + 'q {
+        let g = self.ev.graph;
+        let (out, inc): (&[EdgeId], &[EdgeId]) = match s.dir {
+            Direction::Out => (g.out_edge_ids(at), &[]),
+            Direction::In => (&[], g.in_edge_ids(at)),
+            Direction::Undirected => (g.out_edge_ids(at), g.in_edge_ids(at)),
+        };
+        let hops =
+            out.iter().map(move |&e| (e, g.edge(e).dst)).chain(inc.iter().filter_map(move |&e| {
+                let edge = g.edge(e);
+                (s.dir == Direction::In || edge.src != edge.dst).then_some((e, edge.src))
+            }));
+        if let Some(pr) = self.ev.prof {
+            pr.hit_edges(s.op, hops.clone().count() as u64);
+        }
+        hops
+    }
+
+    /// True when edge `e` may extend MATCH `i`'s walk: unused in this clause,
+    /// of an allowed type, and matching the relationship's property map.
+    fn edge_ok(&self, i: usize, s: &Step, e: EdgeId) -> Result<bool> {
+        if self.edges[self.edge_base[i]..].contains(&e) {
+            return Ok(false);
+        }
+        let edge = self.ev.graph.edge(e);
+        if !s.types.is_empty() && !s.types.contains(&edge.label) {
+            return Ok(false);
+        }
+        for (k, expr) in &s.props {
+            let want = self.ev.eval(expr, &self.row, s.op)?;
+            self.ev.charge(s.op);
+            if edge.prop(k).cypher_eq(&want) != Some(true) {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+
+    fn expand(
+        &mut self,
+        i: usize,
+        m: &'q MatchOp,
+        pi: usize,
+        si: usize,
+        at: NodeId,
+        rel: VarUse,
+    ) -> Result<()> {
+        let s = &m.paths[pi].steps[si];
+        let g = self.ev.graph;
+        let hops = self.hops(s, at);
+        let prof = self.ev.prof;
+        // A call that finds no edge of a wanted type produces nothing
+        // and is over in a few loads: it is counted, but its time stays
+        // with the caller rather than costing two clock reads.
+        let _g = prof
+            .filter(|_| {
+                hops.clone().any(|(e, _)| s.types.is_empty() || s.types.contains(&g.edge(e).label))
+            })
+            .map(|pr| pr.enter(s.op));
+        for (e, next) in hops {
+            if !self.edge_ok(i, s, e)? {
+                continue;
+            }
+            match rel {
+                VarUse::Anon => {}
+                VarUse::Bind(slot) => self.row[slot] = Binding::Edge(e),
+                VarUse::Check(slot) => {
+                    if !matches!(self.row[slot], Binding::Edge(b) if b == e) {
+                        continue;
+                    }
+                }
+            }
+            if !self.node_ok(&s.node, next, s.op)? {
+                continue;
+            }
+            if let Some(pr) = prof {
+                pr.rows(s.op, 1);
+            }
+            self.edges.push(e);
+            let r = self.step(i, m, pi, si + 1, next);
+            self.edges.pop();
+            r?;
+        }
+        Ok(())
+    }
+
+    /// Bounded DFS of a variable-length hop: every edge-distinct path
+    /// of `min..=max` hops whose edges pass the type / property
+    /// filters, ending at a node that passes the node pattern.
+    #[allow(clippy::too_many_arguments)]
+    fn var_walk(
+        &mut self,
+        i: usize,
+        m: &'q MatchOp,
+        pi: usize,
+        si: usize,
+        at: NodeId,
+        depth: u32,
+        (min, max): (u32, u32),
+    ) -> Result<()> {
+        let s = &m.paths[pi].steps[si];
+        let prof = self.ev.prof;
+        // Enough hops taken: the current node may close this step.
+        if depth >= min && self.node_ok(&s.node, at, s.op)? {
+            if let Some(pr) = prof {
+                pr.rows(s.op, 1);
+            }
+            self.step(i, m, pi, si + 1, at)?;
+        }
+        if depth >= max {
+            return Ok(());
+        }
+        for (e, next) in self.hops(s, at) {
+            if !self.edge_ok(i, s, e)? {
+                continue;
+            }
+            self.edges.push(e);
+            let r = self.var_walk(i, m, pi, si, next, depth + 1, (min, max));
+            self.edges.pop();
+            r?;
+        }
+        Ok(())
+    }
+
+    /// Checks node `id` against a node pattern — labels, then the
+    /// property map (charged to `op`), then the variable — binding the
+    /// variable on first appearance.
+    fn node_ok(&mut self, check: &NodeCheck, id: NodeId, op: usize) -> Result<bool> {
+        let node = self.ev.graph.node(id);
+        if !check.labels.iter().all(|l| node.has_label(l)) {
+            return Ok(false);
+        }
+        for (k, expr) in &check.props {
+            let want = self.ev.eval(expr, &self.row, op)?;
+            self.ev.charge(op);
+            if node.prop(k).cypher_eq(&want) != Some(true) {
+                return Ok(false);
+            }
+        }
+        match check.var {
+            VarUse::Anon => {}
+            VarUse::Bind(slot) => self.row[slot] = Binding::Node(id),
+            VarUse::Check(slot) => {
+                return Ok(matches!(self.row[slot], Binding::Node(b) if b == id))
+            }
+        }
+        Ok(true)
+    }
+
+    /// Every path of MATCH `i` is bound: apply its WHERE and pass the
+    /// row on. The filter runs once per candidate row, so it counts
+    /// without a clock read; its time stays with the expand or scan
+    /// that produced the row.
+    fn matched_row(&mut self, i: usize, m: &'q MatchOp) -> Result<()> {
+        if let Some((filter, op)) = &m.filter {
+            let prof = self.ev.prof;
+            if let Some(pr) = prof {
+                pr.call(*op);
+                pr.rows_in(*op, 1);
+            }
+            if !self.ev.truth(filter, &self.row, *op)? {
+                return Ok(());
+            }
+            if let Some(pr) = prof {
+                pr.rows(*op, 1);
+            }
+        }
+        self.matched[i] += 1;
+        self.push(i + 1)
+    }
+}
+
+/// ORDER BY: Cypher comparison per key, falling back to the values'
+/// string renderings where Cypher cannot compare them.
+fn compare_keys(keys: &[(CExpr, bool)], a: &[Value], b: &[Value]) -> Ordering {
+    for (i, (_, descending)) in keys.iter().enumerate() {
+        let ord = a[i].cypher_cmp(&b[i]).unwrap_or_else(|| a[i].group_key().cmp(&b[i].group_key()));
+        let ord = if *descending { ord.reverse() } else { ord };
+        if !ord.is_eq() {
+            return ord;
+        }
+    }
+    Ordering::Equal
 }
 
 #[cfg(test)]
@@ -1088,6 +979,27 @@ mod tests {
         .unwrap();
         // Ordered pairs of distinct edges: 2 permutations.
         assert_eq!(rs.single_int(), Some(2));
+    }
+
+    #[test]
+    fn relationship_uniqueness_is_per_clause() {
+        let g = football();
+        // Separate clauses may bind the same edge: 3 × 3 pairs, and
+        // each played-in row finds at least its own edge again.
+        let rs = execute(
+            &g,
+            "MATCH (a:Person)-[r:PLAYED_IN]->(m:Match) MATCH (b:Person)-[s:PLAYED_IN]->(n:Match) \
+             RETURN COUNT(*) AS c",
+        )
+        .unwrap();
+        assert_eq!(rs.single_int(), Some(9));
+        let rs = execute(
+            &g,
+            "MATCH (a:Person)-[:PLAYED_IN]->(m:Match) \
+             OPTIONAL MATCH (b:Person)-[:PLAYED_IN]->(m) RETURN COUNT(b) AS c",
+        )
+        .unwrap();
+        assert_eq!(rs.single_int(), Some(5));
     }
 
     #[test]
@@ -1260,6 +1172,49 @@ mod tests {
         g.add_edge(a, a, "FOLLOWS", Default::default());
         let rs = execute(&g, "MATCH (x:U)-[:FOLLOWS]-(y) RETURN COUNT(*) AS c").unwrap();
         assert_eq!(rs.single_int(), Some(1));
+    }
+
+    #[test]
+    fn list_values_do_not_collide_in_distinct_and_grouping() {
+        let g = PropertyGraph::new();
+        // One string holding `,` and `s:` is not two strings.
+        let rs = execute(&g, "UNWIND [['a,s:b'], ['a','b']] AS x RETURN COUNT(DISTINCT x) AS c")
+            .unwrap();
+        assert_eq!(rs.single_int(), Some(2));
+        let rs =
+            execute(&g, "UNWIND [['a,s:b'], ['a','b']] AS x RETURN x AS x, COUNT(*) AS c").unwrap();
+        assert_eq!(rs.rows.len(), 2);
+        assert!(rs.rows.iter().all(|r| r[1] == Value::Int(1)), "{:?}", rs.rows);
+    }
+
+    #[test]
+    fn row_keys_do_not_collide_across_columns() {
+        // (`x␁s:y`, `z`) and (`x`, `y␁s:z`) are different rows even
+        // though their columns joined with `␁` read alike.
+        let mut g = PropertyGraph::new();
+        g.add_node(["N"], props([("a", Value::from("x\u{1}s:y")), ("b", Value::from("z"))]));
+        g.add_node(["N"], props([("a", Value::from("x")), ("b", Value::from("y\u{1}s:z"))]));
+        let rs = execute(&g, "MATCH (n:N) RETURN DISTINCT n.a AS a, n.b AS b").unwrap();
+        assert_eq!(rs.rows.len(), 2);
+        let rs =
+            execute(&g, "MATCH (n:N) WITH n.a AS a, n.b AS b, COUNT(*) AS c RETURN COUNT(*) AS c")
+                .unwrap();
+        assert_eq!(rs.single_int(), Some(2));
+    }
+
+    #[test]
+    fn errors_only_when_a_row_reaches_them() {
+        let g = football();
+        // No Ghost rows: the unknown variables and the bound
+        // variable-length relationship are never evaluated.
+        assert!(execute(&g, "MATCH (x:Ghost) RETURN y.id AS id").unwrap().is_empty());
+        assert!(execute(&g, "MATCH (x:Ghost) RETURN x.id AS id ORDER BY nope").unwrap().is_empty());
+        let q = "MATCH (x:Ghost)-[r:PLAYED_IN*1..2]->(b) RETURN COUNT(*) AS c";
+        assert_eq!(execute(&g, q).unwrap().single_int(), Some(0));
+        // A clause that cannot run fails even over no rows.
+        assert!(execute(&g, "MATCH (x:Ghost) WITH x.id RETURN COUNT(*) AS c").is_err());
+        assert!(execute(&g, "MATCH (x:Ghost) RETURN COUNT(*) + 1 AS c").is_err());
+        assert!(execute(&g, "MATCH (p:Person) RETURN y.id AS id").is_err());
     }
 
     // -- PROFILE ------------------------------------------------------

@@ -6,7 +6,8 @@
 //! engine to compute support / coverage / confidence, and classifies
 //! bad queries with [`analyzer::analyze`].
 //!
-//! Pipeline: [`lexer`] → [`parser`] → ([`analyzer`]) → [`exec`].
+//! Pipeline: [`lexer`] → [`parser`] → ([`analyzer`]) → ([`optimizer`])
+//! → [`plan`] → [`exec`].
 //!
 //! Supported subset (everything the paper's generated rules use):
 //! `MATCH` / `OPTIONAL MATCH` with linear path patterns and property
@@ -37,9 +38,11 @@ pub mod batch;
 pub mod error;
 pub mod eval;
 pub mod exec;
+mod keys;
 pub mod lexer;
 pub mod optimizer;
 pub mod parser;
+pub mod plan;
 pub mod plan_cache;
 pub mod profile;
 pub mod regex;
@@ -51,13 +54,11 @@ pub use ast::{
 };
 pub use batch::{BatchConfig, BatchSession, BatchStats};
 pub use error::{CypherError, Result, Span};
-pub use eval::{Binding, EvalCtx, Row};
-pub use exec::{
-    execute, execute_optimized, execute_optimized_profiled, execute_profiled, execute_query,
-    execute_traced, ResultSet,
-};
+pub use eval::Binding;
+pub use exec::{execute, execute_optimized, execute_profiled, ResultSet};
 pub use optimizer::{optimize, RewriteStats};
 pub use parser::{parse, parse_expr};
+pub use plan::Plan;
 pub use plan_cache::{
     fingerprint, normalize_text, CachedPlan, PlanCacheConfig, PlanCacheStats, QueryPlanCache,
 };

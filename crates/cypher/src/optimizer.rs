@@ -13,7 +13,7 @@
 //!    the same candidates at an earlier operator.
 //! 2. **Label reordering** — multi-label node patterns put their most
 //!    selective label first; the scan picks `labels.first()` for its
-//!    index and `bind_node` re-checks every label, so only the
+//!    index and the node check tests the others, so only the
 //!    candidate count changes.
 //! 3. **Pattern ordering** — within one `MATCH`, patterns run
 //!    cheapest-anchor-first (greedy on [`scan_cost`] under the
@@ -23,12 +23,12 @@
 //!    (edge uniqueness spans the whole clause) but may permute row
 //!    order, and `count` is the aggregate whose result is provably
 //!    order-independent.
-//! 4. **Path pre-reversal** — the executor's per-row "start at the
-//!    cheaper end" decision ([`should_reverse`]) is hoisted to plan
-//!    time. The runtime check keys only on row *membership* of the
-//!    endpoint variables, which is static per clause position, so
-//!    hoisting is exact; the strict `<` makes pre-reversal idempotent
-//!    when the executor re-checks at runtime.
+//! 4. **Path pre-reversal** — the "start at the cheaper end" decision
+//!    ([`should_reverse`]) is applied to the query text. The plan
+//!    compiler takes the same decision, keyed only on which endpoint
+//!    variables are bound, which is static per clause position, so
+//!    pre-reversal is exact; the strict `<` makes it idempotent when
+//!    the compiler re-checks.
 //!
 //! The cost model is [`grm_pgraph::Cardinality`]: exact counts from
 //! the label indexes, so every decision is deterministic.
@@ -74,9 +74,9 @@ impl RewriteStats {
 
 /// Estimated candidate count for enumerating `pattern`: a bound
 /// variable beats any scan; otherwise the smallest label index,
-/// falling back to a full node scan. Shared by the plan-time rewrite
-/// pass and the executor's runtime ordering check so profiled and
-/// unprofiled execution make one and the same decision.
+/// falling back to a full node scan. Shared by the rewrite pass and
+/// the plan compiler so rewritten and plain queries make one and the
+/// same decision.
 pub(crate) fn scan_cost(
     graph: &PropertyGraph,
     is_bound: &dyn Fn(&str) -> bool,

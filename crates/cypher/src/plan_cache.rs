@@ -12,8 +12,8 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::ast::Query;
 use crate::optimizer::RewriteStats;
+use crate::plan::Plan;
 
 /// Collapses runs of whitespace to single spaces and trims — the
 /// normalization under which two spellings of a query share one cache
@@ -78,12 +78,12 @@ impl PlanCacheStats {
     }
 }
 
-/// A compiled query as the cache stores it: the (possibly rewritten)
-/// AST ready for the executor, plus what the optimizer did to it.
-#[derive(Debug, Clone, PartialEq)]
+/// A compiled query as the cache stores it: the slot-compiled plan of
+/// the (possibly rewritten) query, plus what the optimizer did to it.
+#[derive(Debug, Clone)]
 pub struct CachedPlan {
-    /// Executable (optimized) form of the query.
-    pub query: Query,
+    /// Executable form of the query.
+    pub plan: Plan,
     /// Rewrites the optimizer applied when compiling this plan.
     pub rewrites: RewriteStats,
 }
@@ -204,7 +204,11 @@ mod tests {
     use crate::parser::parse;
 
     fn plan(src: &str) -> CachedPlan {
-        CachedPlan { query: parse(src).unwrap(), rewrites: RewriteStats::default() }
+        let g = grm_pgraph::PropertyGraph::new();
+        CachedPlan {
+            plan: Plan::compile(&parse(src).unwrap(), &g, true),
+            rewrites: RewriteStats::default(),
+        }
     }
 
     #[test]

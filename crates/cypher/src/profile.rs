@@ -1,17 +1,23 @@
 //! Operator-level query profiling — the engine side of Neo4j's
 //! `PROFILE`.
 //!
-//! [`Profiler`] pre-allocates one operator slot per executor stage
-//! straight from the AST (scan, expand, filter, projection,
-//! aggregation, sort, limit, produce-results), and the executor
-//! switches between slots as it moves through the query. Each slot
-//! tallies calls, rows in/out, [`DbHits`] and *self*-time:
+//! A compiled plan carries one operator slot ([`OpInfo`]) per
+//! executor stage (scan, expand, filter, projection, aggregation,
+//! sort, limit, produce-results), and [`Profiler`] keeps one tally
+//! per slot: calls, rows in/out, [`DbHits`] and *self*-time:
 //!
-//! * **Self-time** uses a switch/flush protocol — [`Profiler::switch`]
-//!   attributes the wall-clock elapsed since the previous switch to
-//!   the operator that was current, so the per-operator times
-//!   partition the run exactly and their sum can never exceed the
-//!   root's inclusive total (the property the proptests pin down).
+//! * **Self-time** uses a switch/flush protocol — entering an
+//!   operator attributes the wall-clock elapsed since the previous
+//!   switch to the operator that was current, so the per-operator
+//!   times partition the run exactly and their sum can never exceed
+//!   the root's inclusive total (the property the proptests pin
+//!   down). The clock is read on entering and leaving a label or
+//!   full scan call, an expand call that has a candidate edge of a
+//!   wanted type, and a blocking operator's flush (DESIGN.md §9 lists
+//!   the sites). Everything else — a MATCH `WHERE` candidate, a
+//!   projection, an aggregation fold, the other per-row operators —
+//!   is counted without a clock read, so its time lands on the
+//!   operator that produced the row.
 //! * **Db-hits** follow the [`DbHits`] definition in `grm-pgraph`:
 //!   nodes materialised by scans, edges examined by expansions,
 //!   property-map lookups anywhere.
@@ -27,13 +33,11 @@
 //! one `Option` check per site — the un-profiled path does zero
 //! accounting.
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::time::Instant;
 
 use grm_obs::PlanOpRecord;
 use grm_pgraph::DbHits;
-
-use crate::ast::{Clause, ProjItem, Query};
 
 /// One operator of an executed plan, with its recorded statistics.
 #[derive(Debug, Clone, PartialEq)]
@@ -149,13 +153,21 @@ impl QueryProfile {
     }
 }
 
-/// Mutable per-operator tally. Scan slots resolve their final name
-/// (`Argument` / `NodeByLabelScan` / `AllNodesScan`) and detail at
-/// run time, because the cost-based pattern reversal decides which
-/// end actually gets enumerated.
-struct OpSlot {
-    name: Cell<&'static str>,
-    detail: RefCell<String>,
+/// One operator slot of a compiled plan: its name and the AST
+/// fragment it executes. Scan slots also carry what actually runs —
+/// `Argument` / `NodeByLabelScan` / `AllNodesScan` and the enumerated
+/// end's detail, which the cost-based pattern reversal may flip —
+/// and report it once the scan has run at least once.
+#[derive(Debug, Clone)]
+pub(crate) struct OpInfo {
+    pub(crate) name: &'static str,
+    pub(crate) detail: String,
+    pub(crate) resolved: Option<(&'static str, String)>,
+}
+
+/// Mutable per-operator tally.
+#[derive(Default)]
+struct Tally {
     calls: Cell<u64>,
     rows_in: Cell<u64>,
     rows: Cell<u64>,
@@ -163,160 +175,29 @@ struct OpSlot {
     self_ns: Cell<u64>,
 }
 
-/// Operator slots of one MATCH path pattern: the start-node scan plus
-/// one expand per step, in *written* order.
-pub(crate) struct PatternOps {
-    pub(crate) scan: usize,
-    pub(crate) steps: Vec<usize>,
-}
-
-/// Operator slots of one clause.
-enum ClauseOps {
-    Match { patterns: Vec<PatternOps>, filter: Option<usize> },
-    With { projection: usize, filter: Option<usize>, distinct: Option<usize> },
-    Unwind { op: usize },
-}
-
-/// Operator slots of the RETURN section.
-pub(crate) struct RetOps {
-    pub(crate) projection: usize,
-    pub(crate) distinct: Option<usize>,
-    pub(crate) sort: Option<usize>,
-    pub(crate) window: Option<usize>,
-}
-
-/// The recording half of `PROFILE`: operator slots plus the ambient
-/// "current operator" the switch protocol and db-hit charging use.
+/// The recording half of `PROFILE`: one tally per operator slot of a
+/// compiled plan, plus the "current operator" of the time-switch
+/// protocol. Counts and db-hits name their operator explicitly, so a
+/// row that streams through several operators charges each one
+/// without a clock read; only [`Profiler::enter`] reads the clock.
 /// Single-threaded by construction (the executor is), hence `Cell`s.
-pub(crate) struct Profiler {
-    ops: Vec<OpSlot>,
-    clauses: Vec<ClauseOps>,
-    ret: RetOps,
-    root: usize,
+pub(crate) struct Profiler<'p> {
+    ops: &'p [OpInfo],
+    tally: Vec<Tally>,
     cur: Cell<usize>,
     last: Cell<Instant>,
     started: Instant,
 }
 
-fn slot(ops: &mut Vec<OpSlot>, name: &'static str, detail: String) -> usize {
-    ops.push(OpSlot {
-        name: Cell::new(name),
-        detail: RefCell::new(detail),
-        calls: Cell::new(0),
-        rows_in: Cell::new(0),
-        rows: Cell::new(0),
-        hits: Cell::new(DbHits::new()),
-        self_ns: Cell::new(0),
-    });
-    ops.len() - 1
-}
-
-fn join_items(items: &[ProjItem]) -> String {
-    items.iter().map(ToString::to_string).collect::<Vec<_>>().join(", ")
-}
-
-impl Profiler {
-    /// Allocates operator slots for every executor stage of `query`,
-    /// in execution order (deepest leaf first, `ProduceResults`
-    /// last); the slots form the plan chain.
-    pub(crate) fn new(query: &Query) -> Profiler {
-        let mut ops = Vec::new();
-        let mut clauses = Vec::new();
-        for clause in &query.clauses {
-            clauses.push(match clause {
-                Clause::Match { patterns, where_clause, .. } => ClauseOps::Match {
-                    patterns: patterns
-                        .iter()
-                        .map(|p| PatternOps {
-                            scan: slot(
-                                &mut ops,
-                                if p.start.labels.is_empty() {
-                                    "AllNodesScan"
-                                } else {
-                                    "NodeByLabelScan"
-                                },
-                                p.start.to_string(),
-                            ),
-                            steps: p
-                                .steps
-                                .iter()
-                                .map(|(rel, node)| {
-                                    slot(
-                                        &mut ops,
-                                        if rel.length.is_some() {
-                                            "VarLengthExpand"
-                                        } else {
-                                            "Expand"
-                                        },
-                                        format!("{rel}{node}"),
-                                    )
-                                })
-                                .collect(),
-                        })
-                        .collect(),
-                    filter: where_clause.as_ref().map(|w| slot(&mut ops, "Filter", w.to_string())),
-                },
-                Clause::With { distinct, items, where_clause } => ClauseOps::With {
-                    projection: slot(
-                        &mut ops,
-                        if items.iter().any(|i| i.expr.contains_aggregate()) {
-                            "EagerAggregation"
-                        } else {
-                            "Projection"
-                        },
-                        join_items(items),
-                    ),
-                    filter: where_clause.as_ref().map(|w| slot(&mut ops, "Filter", w.to_string())),
-                    distinct: distinct.then(|| slot(&mut ops, "Distinct", join_items(items))),
-                },
-                Clause::Unwind { expr, var } => {
-                    ClauseOps::Unwind { op: slot(&mut ops, "Unwind", format!("{expr} AS {var}")) }
-                }
-            });
-        }
-        let ret = &query.ret;
-        let ret_ops = RetOps {
-            projection: slot(
-                &mut ops,
-                if ret.items.iter().any(|i| i.expr.contains_aggregate()) {
-                    "EagerAggregation"
-                } else {
-                    "Projection"
-                },
-                join_items(&ret.items),
-            ),
-            distinct: ret.distinct.then(|| slot(&mut ops, "Distinct", join_items(&ret.items))),
-            sort: (!ret.order_by.is_empty()).then(|| {
-                let detail = ret
-                    .order_by
-                    .iter()
-                    .map(|o| format!("{}{}", o.expr, if o.descending { " DESC" } else { "" }))
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                slot(&mut ops, "Sort", detail)
-            }),
-            window: (ret.skip.is_some() || ret.limit.is_some()).then(|| {
-                let mut parts = Vec::new();
-                if let Some(s) = ret.skip {
-                    parts.push(format!("SKIP {s}"));
-                }
-                if let Some(l) = ret.limit {
-                    parts.push(format!("LIMIT {l}"));
-                }
-                slot(&mut ops, if ret.limit.is_some() { "Limit" } else { "Skip" }, parts.join(" "))
-            }),
-        };
-        let root = slot(
-            &mut ops,
-            "ProduceResults",
-            ret.items.iter().map(ProjItem::name).collect::<Vec<_>>().join(", "),
-        );
+impl<'p> Profiler<'p> {
+    /// A zeroed tally over `ops`, whose last slot (`ProduceResults`)
+    /// is the root and the initially current operator.
+    pub(crate) fn new(ops: &'p [OpInfo]) -> Profiler<'p> {
+        let root = ops.len() - 1;
         let now = Instant::now();
         Profiler {
             ops,
-            clauses,
-            ret: ret_ops,
-            root,
+            tally: ops.iter().map(|_| Tally::default()).collect(),
             cur: Cell::new(root),
             last: Cell::new(now),
             started: now,
@@ -327,13 +208,11 @@ impl Profiler {
     /// elapsed since the last switch to the operator that *was*
     /// current. Returns the previous operator so callers can restore
     /// it (see [`Profiler::enter`]).
-    pub(crate) fn switch(&self, op: usize) -> usize {
+    fn switch(&self, op: usize) -> usize {
         let now = Instant::now();
         let prev = self.cur.get();
-        let prev_slot = &self.ops[prev];
-        prev_slot
-            .self_ns
-            .set(prev_slot.self_ns.get() + now.duration_since(self.last.get()).as_nanos() as u64);
+        let t = &self.tally[prev];
+        t.self_ns.set(t.self_ns.get() + now.duration_since(self.last.get()).as_nanos() as u64);
         self.last.set(now);
         self.cur.set(op);
         prev
@@ -341,119 +220,75 @@ impl Profiler {
 
     /// Switches to `op` for the guard's lifetime; dropping restores
     /// the previous operator.
-    pub(crate) fn enter(&self, op: usize) -> OpGuard<'_> {
+    pub(crate) fn enter(&self, op: usize) -> OpGuard<'_, 'p> {
         OpGuard { p: self, prev: self.switch(op) }
     }
 
-    fn cur_slot(&self) -> &OpSlot {
-        &self.ops[self.cur.get()]
+    /// One invocation of `op`.
+    pub(crate) fn call(&self, op: usize) {
+        let t = &self.tally[op].calls;
+        t.set(t.get() + 1);
     }
 
-    /// One invocation of the current operator.
-    pub(crate) fn call(&self) {
-        let s = self.cur_slot();
-        s.calls.set(s.calls.get() + 1);
+    /// `n` rows consumed by `op`.
+    pub(crate) fn rows_in(&self, op: usize, n: u64) {
+        let t = &self.tally[op].rows_in;
+        t.set(t.get() + n);
     }
 
-    /// `n` rows consumed by the current operator.
-    pub(crate) fn rows_in(&self, n: u64) {
-        let s = self.cur_slot();
-        s.rows_in.set(s.rows_in.get() + n);
+    /// `n` rows produced by `op`.
+    pub(crate) fn rows(&self, op: usize, n: u64) {
+        let t = &self.tally[op].rows;
+        t.set(t.get() + n);
     }
 
-    /// `n` rows produced by the current operator.
-    pub(crate) fn rows(&self, n: u64) {
-        let s = self.cur_slot();
-        s.rows.set(s.rows.get() + n);
+    fn hit(&self, op: usize, f: impl FnOnce(&mut DbHits)) {
+        let t = &self.tally[op].hits;
+        let mut h = t.get();
+        f(&mut h);
+        t.set(h);
     }
 
-    /// `n` nodes materialised by the current operator's scan.
-    pub(crate) fn hit_nodes(&self, n: u64) {
-        let s = self.cur_slot();
-        let mut h = s.hits.get();
-        h.nodes += n;
-        s.hits.set(h);
+    /// `n` nodes materialised by `op`'s scan.
+    pub(crate) fn hit_nodes(&self, op: usize, n: u64) {
+        self.hit(op, |h| h.nodes += n);
     }
 
-    /// `n` candidate edges examined by the current operator.
-    pub(crate) fn hit_edges(&self, n: u64) {
-        let s = self.cur_slot();
-        let mut h = s.hits.get();
-        h.edges += n;
-        s.hits.set(h);
+    /// `n` candidate edges examined by `op`.
+    pub(crate) fn hit_edges(&self, op: usize, n: u64) {
+        self.hit(op, |h| h.edges += n);
     }
 
-    /// `n` property-map lookups by the current operator.
-    pub(crate) fn hit_props(&self, n: u64) {
-        let s = self.cur_slot();
-        let mut h = s.hits.get();
-        h.props += n;
-        s.hits.set(h);
-    }
-
-    /// Resolves the current (scan) operator's name and detail to what
-    /// actually ran — the cost-based reversal may enumerate the other
-    /// end of the pattern than the written one.
-    pub(crate) fn set_scan(&self, name: &'static str, detail: String) {
-        let s = self.cur_slot();
-        s.name.set(name);
-        *s.detail.borrow_mut() = detail;
-    }
-
-    /// Profiling handles for MATCH clause `i`.
-    pub(crate) fn match_prof(&self, i: usize) -> MatchProf<'_> {
-        match &self.clauses[i] {
-            ClauseOps::Match { patterns, filter } => {
-                MatchProf { p: self, patterns, filter: *filter }
-            }
-            _ => unreachable!("clause {i} was not profiled as MATCH"),
-        }
-    }
-
-    /// Profiling handles for WITH clause `i`.
-    pub(crate) fn with_prof(&self, i: usize) -> WithProf<'_> {
-        match &self.clauses[i] {
-            ClauseOps::With { projection, filter, distinct } => {
-                WithProf { p: self, projection: *projection, filter: *filter, distinct: *distinct }
-            }
-            _ => unreachable!("clause {i} was not profiled as WITH"),
-        }
-    }
-
-    /// The operator slot of UNWIND clause `i`.
-    pub(crate) fn unwind_prof(&self, i: usize) -> usize {
-        match &self.clauses[i] {
-            ClauseOps::Unwind { op } => *op,
-            _ => unreachable!("clause {i} was not profiled as UNWIND"),
-        }
-    }
-
-    /// RETURN-section operator slots.
-    pub(crate) fn ret_ops(&self) -> &RetOps {
-        &self.ret
+    /// `n` property-map lookups by `op`.
+    pub(crate) fn hit_props(&self, op: usize, n: u64) {
+        self.hit(op, |h| h.props += n);
     }
 
     /// Flushes the final time slice and freezes the tally into a
-    /// [`QueryProfile`]. The slots were allocated in execution order,
-    /// so folding them in order builds the chain leaf-up; the last
-    /// slot (`ProduceResults`) becomes the root.
+    /// [`QueryProfile`]. The slots are in execution order, so folding
+    /// them in order builds the chain leaf-up; the last slot
+    /// (`ProduceResults`) becomes the root.
     pub(crate) fn finish(self, src: &str) -> QueryProfile {
-        self.switch(self.root);
+        self.switch(self.ops.len() - 1);
         let total_us = self.started.elapsed().as_micros() as u64;
         let mut node: Option<PlanNode> = None;
         let mut sim_us = 0u64;
-        for s in &self.ops {
-            let hits = s.hits.get();
-            let sim = hits.total() + s.rows.get();
+        for (info, t) in self.ops.iter().zip(&self.tally) {
+            let hits = t.hits.get();
+            let sim = hits.total() + t.rows.get();
             sim_us += sim;
+            let (op, detail) = match &info.resolved {
+                Some((name, detail)) if t.calls.get() > 0 => (*name, detail),
+                _ => (info.name, &info.detail),
+            };
             let mut n = PlanNode {
-                op: s.name.get().to_string(),
-                detail: s.detail.borrow().clone(),
-                calls: s.calls.get(),
-                rows_in: s.rows_in.get(),
-                rows: s.rows.get(),
+                op: op.to_string(),
+                detail: detail.clone(),
+                calls: t.calls.get(),
+                rows_in: t.rows_in.get(),
+                rows: t.rows.get(),
                 db_hits: hits,
-                self_us: s.self_ns.get() / 1_000,
+                self_us: t.self_ns.get() / 1_000,
                 sim_us: sim,
                 children: Vec::new(),
             };
@@ -468,60 +303,13 @@ impl Profiler {
 }
 
 /// Restores the previously-current operator on drop.
-pub(crate) struct OpGuard<'p> {
-    p: &'p Profiler,
+pub(crate) struct OpGuard<'a, 'p> {
+    p: &'a Profiler<'p>,
     prev: usize,
 }
 
-impl Drop for OpGuard<'_> {
+impl Drop for OpGuard<'_, '_> {
     fn drop(&mut self) {
         self.p.switch(self.prev);
-    }
-}
-
-/// Profiling handles of one MATCH clause.
-#[derive(Clone, Copy)]
-pub(crate) struct MatchProf<'p> {
-    pub(crate) p: &'p Profiler,
-    pub(crate) patterns: &'p [PatternOps],
-    pub(crate) filter: Option<usize>,
-}
-
-/// Profiling handles of one WITH clause.
-#[derive(Clone, Copy)]
-pub(crate) struct WithProf<'p> {
-    pub(crate) p: &'p Profiler,
-    pub(crate) projection: usize,
-    pub(crate) filter: Option<usize>,
-    pub(crate) distinct: Option<usize>,
-}
-
-/// Profiling handles of one path pattern, frozen after the cost-based
-/// reversal decision so step slots can be addressed in *written*
-/// order whichever direction executes.
-#[derive(Clone, Copy)]
-pub(crate) struct PathProf<'p> {
-    pub(crate) p: &'p Profiler,
-    scan: usize,
-    steps: &'p [usize],
-    reversed: bool,
-}
-
-impl<'p> PathProf<'p> {
-    pub(crate) fn new(p: &'p Profiler, ops: &'p PatternOps, reversed: bool) -> PathProf<'p> {
-        PathProf { p, scan: ops.scan, steps: &ops.steps, reversed }
-    }
-
-    /// The scan slot of the end being enumerated.
-    pub(crate) fn scan_op(&self) -> usize {
-        self.scan
-    }
-
-    /// The slot for the step about to execute, given how many steps
-    /// (including it) remain on the walk.
-    pub(crate) fn step_op(&self, remaining: usize) -> usize {
-        let total = self.steps.len();
-        let pos = total - remaining;
-        self.steps[if self.reversed { total - 1 - pos } else { pos }]
     }
 }

@@ -242,6 +242,11 @@ impl PropertyGraph {
             .map(move |id| self.edge(*id))
     }
 
+    /// Ids of the nodes carrying `label`, in insertion order.
+    pub fn node_ids_with_label(&self, label: &str) -> &[NodeId] {
+        self.node_label_index.get(label).map_or(&[], Vec::as_slice)
+    }
+
     /// Count of nodes with `label` without materialising them.
     pub fn label_count(&self, label: &str) -> usize {
         self.node_label_index.get(label).map_or(0, Vec::len)
@@ -260,6 +265,16 @@ impl PropertyGraph {
     /// Incoming edges of `n`.
     pub fn in_edges<'a>(&'a self, n: NodeId) -> impl Iterator<Item = &'a Edge> + 'a {
         self.in_adj[n.0 as usize].iter().map(move |e| self.edge(*e))
+    }
+
+    /// Ids of the outgoing edges of `n`, in insertion order.
+    pub fn out_edge_ids(&self, n: NodeId) -> &[EdgeId] {
+        &self.out_adj[n.0 as usize]
+    }
+
+    /// Ids of the incoming edges of `n`, in insertion order.
+    pub fn in_edge_ids(&self, n: NodeId) -> &[EdgeId] {
+        &self.in_adj[n.0 as usize]
     }
 
     /// Out-degree of `n`.

@@ -44,4 +44,4 @@ pub use graph::{
 pub use io::{from_json, to_json, to_json_pretty, GraphDoc, IoError};
 pub use schema::{EdgeSignature, GraphSchema, PropertyStats};
 pub use stats::{Cardinality, DegreeStats, GraphStats};
-pub use value::Value;
+pub use value::{Value, ValueKey};

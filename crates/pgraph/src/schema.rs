@@ -8,9 +8,10 @@
 //! absent from the schema is how a *hallucinated* property (error
 //! class 2 of §4.4) is detected.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use crate::graph::PropertyGraph;
+use crate::value::{Value, ValueKey};
 
 /// Observed statistics for one property key under one label.
 #[derive(Debug, Clone, Default)]
@@ -81,80 +82,97 @@ pub struct GraphSchema {
     pub edge_signatures: BTreeMap<String, EdgeSignature>,
 }
 
+/// Per-(label, key) tally during inference: the stats plus the
+/// distinct values seen, keyed by the graph's own strings and values.
+type Tally<'g> = HashMap<&'g str, HashMap<&'g str, (PropertyStats, HashSet<ValueKey<'g>>)>>;
+
+fn observe<'g>(
+    per_label: &mut HashMap<&'g str, (PropertyStats, HashSet<ValueKey<'g>>)>,
+    key: &'g str,
+    value: &'g Value,
+) {
+    if value.is_null() {
+        return;
+    }
+    let (stats, seen) = per_label.entry(key).or_default();
+    stats.present += 1;
+    stats.types.insert(value.type_name());
+    if stats.samples.len() < PropertyStats::SAMPLE_LIMIT {
+        stats.samples.push(value.to_string());
+    }
+    seen.insert(ValueKey(value));
+}
+
+/// Freezes a tally into the schema's owned maps, filling each
+/// property's label total and distinct count.
+fn freeze(
+    tally: Tally<'_>,
+    total: impl Fn(&str) -> usize,
+) -> BTreeMap<String, BTreeMap<String, PropertyStats>> {
+    tally
+        .into_iter()
+        .map(|(label, per_label)| {
+            let total = total(label);
+            let props = per_label
+                .into_iter()
+                .map(|(key, (mut stats, seen))| {
+                    stats.total = total;
+                    stats.distinct = seen.len();
+                    (key.to_owned(), stats)
+                })
+                .collect();
+            (label.to_owned(), props)
+        })
+        .collect()
+}
+
 impl GraphSchema {
-    /// Infers the schema in one pass over the graph.
+    /// Infers the schema in one pass over the graph. The pass keys
+    /// its tallies on the graph's own label, key and value borrows,
+    /// so it allocates per distinct (label, key) pair and per sample,
+    /// not per property read.
     pub fn infer(g: &PropertyGraph) -> Self {
-        let mut schema = GraphSchema::default();
-        // Distinct-value tracking per (label, key).
-        let mut node_seen: BTreeMap<(String, String), BTreeSet<String>> = BTreeMap::new();
-        let mut edge_seen: BTreeMap<(String, String), BTreeSet<String>> = BTreeMap::new();
+        let mut node_tally: Tally<'_> = HashMap::new();
+        let mut edge_tally: Tally<'_> = HashMap::new();
+        let mut endpoints: HashMap<&str, HashMap<(&str, &str), usize>> = HashMap::new();
 
         for node in g.nodes() {
             for label in &node.labels {
-                let per_label = schema.node_props.entry(label.clone()).or_default();
-                // Count totals per label by bumping every known key's
-                // total lazily below; track via a sentinel pass:
+                let per_label = node_tally.entry(label.as_str()).or_default();
                 for (key, value) in &node.props {
-                    if value.is_null() {
-                        continue;
-                    }
-                    let stats = per_label.entry(key.clone()).or_default();
-                    stats.present += 1;
-                    stats.types.insert(value.type_name());
-                    if stats.samples.len() < PropertyStats::SAMPLE_LIMIT {
-                        stats.samples.push(value.to_string());
-                    }
-                    node_seen
-                        .entry((label.clone(), key.clone()))
-                        .or_default()
-                        .insert(value.group_key());
+                    observe(per_label, key, value);
                 }
             }
         }
         for edge in g.edges() {
-            let per_label = schema.edge_props.entry(edge.label.clone()).or_default();
+            let per_label = edge_tally.entry(edge.label.as_str()).or_default();
             for (key, value) in &edge.props {
-                if value.is_null() {
-                    continue;
-                }
-                let stats = per_label.entry(key.clone()).or_default();
-                stats.present += 1;
-                stats.types.insert(value.type_name());
-                if stats.samples.len() < PropertyStats::SAMPLE_LIMIT {
-                    stats.samples.push(value.to_string());
-                }
-                edge_seen
-                    .entry((edge.label.clone(), key.clone()))
-                    .or_default()
-                    .insert(value.group_key());
+                observe(per_label, key, value);
             }
-            let sig = schema.edge_signatures.entry(edge.label.clone()).or_default();
+            let sig = endpoints.entry(edge.label.as_str()).or_default();
             let src = g.node(edge.src);
             let dst = g.node(edge.dst);
             for sl in &src.labels {
                 for dl in &dst.labels {
-                    *sig.endpoints.entry((sl.clone(), dl.clone())).or_insert(0) += 1;
+                    *sig.entry((sl.as_str(), dl.as_str())).or_insert(0) += 1;
                 }
             }
         }
 
-        // Fill totals and distinct counts.
-        for (label, per_label) in &mut schema.node_props {
-            let total = g.label_count(label);
-            for (key, stats) in per_label.iter_mut() {
-                stats.total = total;
-                stats.distinct =
-                    node_seen.get(&(label.clone(), key.clone())).map_or(0, BTreeSet::len);
-            }
-        }
-        for (label, per_label) in &mut schema.edge_props {
-            let total = g.edge_label_count(label);
-            for (key, stats) in per_label.iter_mut() {
-                stats.total = total;
-                stats.distinct =
-                    edge_seen.get(&(label.clone(), key.clone())).map_or(0, BTreeSet::len);
-            }
-        }
+        let mut schema = GraphSchema {
+            node_props: freeze(node_tally, |l| g.label_count(l)),
+            edge_props: freeze(edge_tally, |l| g.edge_label_count(l)),
+            edge_signatures: endpoints
+                .into_iter()
+                .map(|(label, sig)| {
+                    let endpoints = sig
+                        .into_iter()
+                        .map(|((s, d), n)| ((s.to_owned(), d.to_owned()), n))
+                        .collect();
+                    (label.to_owned(), EdgeSignature { endpoints })
+                })
+                .collect(),
+        };
         // Labels with no properties at all still belong to the schema.
         for label in g.node_labels() {
             schema.node_props.entry(label).or_default();

@@ -9,6 +9,7 @@
 
 use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// A property value attached to a node or an edge.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -119,8 +120,12 @@ impl Value {
         }
     }
 
-    /// A stable key usable for grouping/DISTINCT. Floats are rendered
-    /// with full precision; lists recurse.
+    /// A stable string rendering that orders values which
+    /// [`Value::cypher_cmp`] cannot compare (ORDER BY's fallback).
+    /// Floats are rendered with full precision; lists recurse. Not a
+    /// grouping key: list elements are joined unescaped, so distinct
+    /// lists can render alike — group and deduplicate on
+    /// [`ValueKey`] instead.
     pub fn group_key(&self) -> String {
         match self {
             Value::Null => "∅".to_owned(),
@@ -132,6 +137,80 @@ impl Value {
             Value::List(vs) => {
                 let inner: Vec<String> = vs.iter().map(Value::group_key).collect();
                 format!("l:[{}]", inner.join(","))
+            }
+        }
+    }
+}
+
+/// The typed grouping key of a [`Value`]: `Hash + Eq` where two
+/// values are equal exactly when they have the same variant and the
+/// same content. Floats compare by bits with every NaN mapped to one
+/// value (so `0.0` and `-0.0` differ, as their renderings do), `Null`
+/// equals `Null`, and lists compare element-wise. DISTINCT, grouping
+/// and `count(DISTINCT …)` key on it; it borrows, so a lookup never
+/// copies the value.
+#[derive(Debug, Clone, Copy)]
+pub struct ValueKey<'a>(pub &'a Value);
+
+impl ValueKey<'_> {
+    fn float_bits(f: f64) -> u64 {
+        if f.is_nan() {
+            f64::NAN.to_bits()
+        } else {
+            f.to_bits()
+        }
+    }
+}
+
+impl PartialEq for ValueKey<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        match (self.0, other.0) {
+            (Value::Null, Value::Null) => true,
+            (Value::Bool(a), Value::Bool(b)) => a == b,
+            (Value::Int(a), Value::Int(b)) => a == b,
+            (Value::Float(a), Value::Float(b)) => Self::float_bits(*a) == Self::float_bits(*b),
+            (Value::Str(a), Value::Str(b)) => a == b,
+            (Value::DateTime(a), Value::DateTime(b)) => a == b,
+            (Value::List(a), Value::List(b)) => {
+                a.len() == b.len() && a.iter().zip(b).all(|(x, y)| ValueKey(x) == ValueKey(y))
+            }
+            _ => false,
+        }
+    }
+}
+
+impl Eq for ValueKey<'_> {}
+
+impl Hash for ValueKey<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        match self.0 {
+            Value::Null => state.write_u8(0),
+            Value::Bool(b) => {
+                state.write_u8(1);
+                b.hash(state);
+            }
+            Value::Int(i) => {
+                state.write_u8(2);
+                i.hash(state);
+            }
+            Value::Float(f) => {
+                state.write_u8(3);
+                Self::float_bits(*f).hash(state);
+            }
+            Value::Str(s) => {
+                state.write_u8(4);
+                s.hash(state);
+            }
+            Value::DateTime(t) => {
+                state.write_u8(5);
+                t.hash(state);
+            }
+            Value::List(vs) => {
+                state.write_u8(6);
+                vs.len().hash(state);
+                for v in vs {
+                    ValueKey(v).hash(state);
+                }
             }
         }
     }
@@ -235,6 +314,25 @@ mod tests {
     fn group_keys_distinguish_types() {
         assert_ne!(Value::Int(1).group_key(), Value::from("1").group_key());
         assert_ne!(Value::Bool(true).group_key(), Value::from("true").group_key());
+    }
+
+    #[test]
+    fn value_keys_compare_typed_content() {
+        use std::collections::HashSet;
+        let list = |items: &[&str]| Value::List(items.iter().map(|s| Value::from(*s)).collect());
+        // One string containing the element separator is not two strings.
+        let joined = list(&["a,s:b"]);
+        let split = list(&["a", "b"]);
+        assert_ne!(ValueKey(&joined), ValueKey(&split));
+        assert_ne!(ValueKey(&Value::Int(1)), ValueKey(&Value::Float(1.0)));
+        assert_ne!(ValueKey(&Value::Int(1)), ValueKey(&Value::DateTime(1)));
+        assert_ne!(ValueKey(&Value::Float(0.0)), ValueKey(&Value::Float(-0.0)));
+        assert_eq!(ValueKey(&Value::Float(f64::NAN)), ValueKey(&Value::Float(-f64::NAN)));
+        assert_eq!(ValueKey(&Value::Null), ValueKey(&Value::Null));
+        let values =
+            [joined.clone(), split, joined, Value::Float(f64::NAN), Value::Float(-f64::NAN)];
+        let distinct: HashSet<ValueKey<'_>> = values.iter().map(ValueKey).collect();
+        assert_eq!(distinct.len(), 3);
     }
 
     #[test]

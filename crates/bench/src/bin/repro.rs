@@ -359,7 +359,7 @@ fn timeline_run(args: &Args) -> (RunJournal, MiningReport) {
 /// Returns the naive and optimized db-hit totals and the session's
 /// counters.
 fn optimizer_ab(args: &Args) -> Result<(u64, u64, grm_cypher::BatchStats), String> {
-    use grm_cypher::{execute_profiled, BatchConfig, BatchSession};
+    use grm_cypher::{execute_profiled, BatchSession};
 
     let data = generate(
         DatasetId::Wwc2019,
@@ -367,7 +367,7 @@ fn optimizer_ab(args: &Args) -> Result<(u64, u64, grm_cypher::BatchStats), Strin
     );
     let graph = &data.graph;
     let mined = grm_baseline::mine_exhaustive(graph, grm_baseline::MinerConfig::default());
-    let mut session = BatchSession::new(BatchConfig::default());
+    let mut session = BatchSession::new(graph);
     let (mut naive_db_hits, mut optimized_db_hits) = (0u64, 0u64);
     for m in &mined {
         let q = grm_rules::reference_queries(&m.rule);
@@ -376,7 +376,7 @@ fn optimizer_ab(args: &Args) -> Result<(u64, u64, grm_cypher::BatchStats), Strin
                 .map_err(|e| format!("optimizer suite query failed naively: {e}\n  {q}"))?;
             naive_db_hits += naive_prof.db_hits().total();
             let (opt_rs, opt_prof) = session
-                .execute_profiled(graph, &q)
+                .execute_profiled(&q)
                 .map_err(|e| format!("optimizer suite query failed optimized: {e}\n  {q}"))?;
             optimized_db_hits += opt_prof.map(|p| p.db_hits().total()).unwrap_or(0);
             if naive_rs != *opt_rs {

@@ -195,8 +195,6 @@ pub fn optimizer_rows(
     d.exact("optimizer.suite_queries", stats.queries as f64);
     d.exact("optimizer.naive_db_hits", naive_db_hits as f64);
     d.exact("optimizer.optimized_db_hits", optimized_db_hits as f64);
-    d.exact("optimizer.plan_cache_lookups", stats.plan_cache.lookups as f64);
-    d.exact("optimizer.plan_cache_hits", stats.plan_cache.hits as f64);
     d.exact("optimizer.memo_hits", stats.memo_hits as f64);
 }
 

@@ -153,8 +153,7 @@ fn every_builder_fails_an_empty_journal() {
     serve_rows(&mut empty, &ServeStats::default(), 0);
     assert!(!empty.diff(&base.values()).is_empty(), "serve");
 
-    let mut ab = BatchStats { queries: 156, memo_hits: 82, ..BatchStats::default() };
-    ab.plan_cache.lookups = 156;
+    let ab = BatchStats { queries: 156, memo_hits: 82, ..BatchStats::default() };
     let mut base = Digest::new(42, 0.2);
     optimizer_rows(&mut base, 116_940, 72_140, &ab);
     let mut empty = Digest::new(42, 0.2);

@@ -17,8 +17,7 @@ use std::fmt::Write;
 
 use grm_baseline::{enumerate_candidates, MinerConfig};
 use grm_cypher::{
-    execute, execute_optimized, execute_profiled, BatchConfig, BatchSession, QueryProfile,
-    ResultSet,
+    execute, execute_optimized, execute_profiled, BatchSession, QueryProfile, ResultSet,
 };
 use grm_datasets::{generate, DatasetId, GenConfig};
 use grm_metrics::find_violations;
@@ -57,7 +56,7 @@ fn render_profile(out: &mut String, profile: &QueryProfile) {
 
 /// Everything observable about one query: the plain, optimized,
 /// profiled and session runs. Errors render as their message.
-fn render_query(out: &mut String, g: &PropertyGraph, session: &mut BatchSession, q: &str) {
+fn render_query(out: &mut String, g: &PropertyGraph, session: &mut BatchSession<'_>, q: &str) {
     let _ = writeln!(out, "query {q}");
     match execute(g, q) {
         Ok(rs) => render_rows(out, &rs),
@@ -80,7 +79,7 @@ fn render_query(out: &mut String, g: &PropertyGraph, session: &mut BatchSession,
             let _ = writeln!(out, "  profiled error {e}");
         }
     }
-    match session.execute_profiled(g, q) {
+    match session.execute_profiled(q) {
         Ok((rs, profile)) => {
             render_rows(out, &rs);
             match profile {
@@ -194,7 +193,7 @@ const TWITTER_SHAPES: &[&str] = &[
 /// Hashes one section's rendering, keeping the text for the failure
 /// report.
 fn section(g: &PropertyGraph, queries: &[String]) -> (usize, String) {
-    let mut session = BatchSession::new(BatchConfig::default());
+    let mut session = BatchSession::new(g);
     let mut text = String::new();
     for q in queries {
         render_query(&mut text, g, &mut session, q);

@@ -49,23 +49,6 @@ impl ContextStrategy {
     }
 }
 
-/// How the evaluation stage executes rule queries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScoringConfig {
-    /// Route scoring through the optimizing query layer (rewrites +
-    /// plan cache + result memo). Off, every query parses and walks
-    /// naively — `grm mine --no-optimizer`.
-    pub optimize: bool,
-    /// Plan-cache capacity in entries — `grm mine --plan-cache-size`.
-    pub plan_cache_size: usize,
-}
-
-impl Default for ScoringConfig {
-    fn default() -> Self {
-        ScoringConfig { optimize: true, plan_cache_size: 256 }
-    }
-}
-
 /// One experimental configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PipelineConfig {
@@ -85,8 +68,6 @@ pub struct PipelineConfig {
     /// Cap on the final merged rule set; `None` derives a
     /// paper-plausible budget from the configuration and seed.
     pub rule_budget: Option<usize>,
-    /// Query-layer knobs for the evaluation stage.
-    pub scoring: ScoringConfig,
 }
 
 impl PipelineConfig {
@@ -99,7 +80,6 @@ impl PipelineConfig {
             encoder: EncoderKind::Incident,
             seed: 42,
             rule_budget: None,
-            scoring: ScoringConfig::default(),
         }
     }
 
@@ -119,7 +99,6 @@ impl PipelineConfig {
                         encoder: EncoderKind::Incident,
                         seed,
                         rule_budget: None,
-                        scoring: ScoringConfig::default(),
                     });
                 }
             }

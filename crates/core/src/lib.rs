@@ -29,7 +29,7 @@ pub mod report;
 pub mod resilience;
 pub mod session;
 
-pub use config::{ContextStrategy, PipelineConfig, ScoringConfig};
+pub use config::{ContextStrategy, PipelineConfig};
 pub use parallel::{mine_parallel, ParallelMining};
 pub use pipeline::{MiningPipeline, RAG_QUERY};
 pub use report::{MiningReport, ResilienceSummary, RuleOutcome};

@@ -13,7 +13,7 @@
 
 use std::collections::HashMap;
 
-use grm_cypher::{BatchConfig, BatchSession, PlanCacheConfig};
+use grm_cypher::BatchSession;
 use grm_llm::{CallSkip, ResilientCall, ResilientLlm, SimLlm, Timed, TranslationResponse};
 use grm_metrics::{
     aggregate, class_counter, classify, correct, evaluate_resilient, record_batch_stats,
@@ -347,7 +347,10 @@ impl MiningPipeline {
         // unscored but keeps it in the set.
         let evaluate_span = root_scope.span_at("evaluate", mining_seconds + translation_seconds);
         let evaluate_scope = evaluate_span.scope();
-        let mut session = self.scoring_session();
+        // One session per evaluate pass: it keys its memo on query
+        // text alone, so a resumed or chaos run replaying the same
+        // rule sequence journals byte-identical counters.
+        let mut session = BatchSession::new(graph);
         let mut correctness = ClassTally::default();
         let mut outcomes = Vec::with_capacity(selected.len());
         for (i, (m, resp)) in selected.into_iter().zip(translations).enumerate() {
@@ -368,14 +371,12 @@ impl MiningPipeline {
                         &evaluate_scope,
                         label,
                         &unit,
-                        session.as_mut(),
+                        Some(&mut session),
                     )
                 },
             ));
         }
-        if let Some(session) = &session {
-            record_batch_stats(&evaluate_scope, &session.stats());
-        }
+        record_batch_stats(&evaluate_scope, &session.stats());
         evaluate_span.finish();
         root.finish();
 
@@ -408,24 +409,6 @@ impl MiningPipeline {
                 resumed_translate_units: resume.translated.len() as u64,
             }),
         }))
-    }
-
-    /// The scoring session of one evaluate pass, or `None` on the
-    /// naive path (`--no-optimizer`). The session keys every
-    /// decision on query text and the graph epoch, so a resumed or
-    /// chaos run replaying the same rule sequence journals
-    /// byte-identical counters.
-    fn scoring_session(&self) -> Option<BatchSession> {
-        let scoring = self.config.scoring;
-        scoring.optimize.then(|| {
-            BatchSession::new(BatchConfig {
-                plan_cache: PlanCacheConfig {
-                    capacity: scoring.plan_cache_size,
-                    ..PlanCacheConfig::default()
-                },
-                ..BatchConfig::default()
-            })
-        })
     }
 
     /// Steps 6–7 for one rule: classify the generated Cypher, tally

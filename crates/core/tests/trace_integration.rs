@@ -281,13 +281,6 @@ fn traced_run_attaches_per_rule_query_plans() {
     assert_eq!(profiled + memoized, 3 * scored as u64);
     let hits = journal.histogram("cypher_db_hits_per_query").expect("cypher_db_hits_per_query");
     assert_eq!(hits.count(), profiled);
-
-    // The session's run-wide cache counters landed on the journal.
-    assert!(journal.total("plan_cache_misses") > 0);
-    assert_eq!(
-        journal.total("plan_cache_hits") + journal.total("plan_cache_misses"),
-        3 * scored as u64,
-    );
 }
 
 #[test]

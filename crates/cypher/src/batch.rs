@@ -3,16 +3,17 @@
 //! The metric scorers run the same Filter→Expand→Count query shapes
 //! thousands of times — every rule evaluates three count queries, and
 //! the head-total query repeats verbatim across rules sharing a head.
-//! A [`BatchSession`] compiles each distinct query once (parse,
-//! optimize and slot-compile to a [`Plan`], kept in the
-//! [`QueryPlanCache`]) and memoizes the result set
-//! per (normalized text, graph epoch), so a repeated count costs zero
-//! db-hits instead of a full re-walk.
+//! A [`BatchSession`] borrows the graph it scores and memoizes every
+//! result set on the query's whitespace-normalized text, so a repeated
+//! count costs zero db-hits instead of a full re-walk. A memo miss
+//! parses, optimizes, compiles and runs the query.
 //!
-//! Every decision keys on query text, the graph epoch, and logical
-//! ticks — no wall clock, no randomness — so a session driven by the
-//! same query sequence over the same graph behaves identically in
-//! serial, chaos, and resumed runs, keeping journals byte-stable.
+//! The borrow is what makes the text a sound key: the graph cannot
+//! change while a session is alive, and a session never sees another
+//! graph. Every decision keys on query text alone — no wall clock, no
+//! randomness — so a session driven by the same query sequence over
+//! the same graph behaves identically in serial, chaos, and resumed
+//! runs, keeping journals byte-stable.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -24,28 +25,13 @@ use crate::exec::ResultSet;
 use crate::optimizer::{optimize, RewriteStats};
 use crate::parser::parse;
 use crate::plan::Plan;
-use crate::plan_cache::{
-    normalize_text, CachedPlan, PlanCacheConfig, PlanCacheStats, QueryPlanCache,
-};
 use crate::profile::QueryProfile;
 
-/// Knobs of a scoring session.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchConfig {
-    /// Run the optimizer rewrite pass on compile (`--no-optimizer`
-    /// turns this off).
-    pub optimize: bool,
-    /// Memoize result sets per (query, epoch). Off, every call
-    /// executes; the plan cache still skips re-compilation.
-    pub memoize: bool,
-    /// Plan-cache sizing/TTL.
-    pub plan_cache: PlanCacheConfig,
-}
-
-impl Default for BatchConfig {
-    fn default() -> Self {
-        BatchConfig { optimize: true, memoize: true, plan_cache: PlanCacheConfig::default() }
-    }
+/// Collapses runs of whitespace to single spaces and trims — the
+/// normalization under which two spellings of a query share one memo
+/// entry.
+fn normalize_text(src: &str) -> String {
+    src.split_whitespace().collect::<Vec<_>>().join(" ")
 }
 
 /// Work counters of one session.
@@ -53,47 +39,66 @@ impl Default for BatchConfig {
 pub struct BatchStats {
     /// Queries asked of the session.
     pub queries: u64,
-    /// Queries that actually executed (`queries - memo_hits`).
+    /// Queries compiled and run: `queries - memo_hits`, less those
+    /// that failed to parse.
     pub executed: u64,
     /// Queries answered from the result memo without touching the
     /// store.
     pub memo_hits: u64,
     /// Rewrites applied across all compiled plans.
     pub rewrites: RewriteStats,
-    /// Plan-cache counters.
-    pub plan_cache: PlanCacheStats,
 }
 
-/// A scoring session: plan cache + result memo over one logical graph.
+/// A scoring session: a result memo over one borrowed graph.
+///
+/// ```
+/// use grm_cypher::BatchSession;
+/// use grm_pgraph::{PropertyGraph, PropertyMap};
+///
+/// let mut g = PropertyGraph::new();
+/// g.add_node(["Team"], PropertyMap::new());
+/// let mut session = BatchSession::new(&g);
+/// let q = "MATCH (n:Team) RETURN COUNT(*) AS c";
+/// assert_eq!(session.execute(q).unwrap().single_int(), Some(1));
+/// assert_eq!(session.execute(q).unwrap().single_int(), Some(1));
+/// assert_eq!(session.stats().memo_hits, 1);
+/// ```
 #[derive(Debug)]
-pub struct BatchSession {
-    config: BatchConfig,
-    cache: QueryPlanCache,
-    memo: HashMap<(String, u64), Arc<ResultSet>>,
+pub struct BatchSession<'g> {
+    graph: &'g PropertyGraph,
+    memo: HashMap<String, Arc<ResultSet>>,
     stats: BatchStats,
 }
 
-impl BatchSession {
-    /// Fresh session under `config`.
-    pub fn new(config: BatchConfig) -> Self {
-        BatchSession {
-            config,
-            cache: QueryPlanCache::new(config.plan_cache),
-            memo: HashMap::new(),
-            stats: BatchStats::default(),
-        }
+impl<'g> BatchSession<'g> {
+    /// A fresh session over `graph`. The graph stays borrowed while
+    /// the session lives, so it cannot change under the memo:
+    ///
+    /// ```compile_fail
+    /// use grm_cypher::BatchSession;
+    /// use grm_pgraph::{PropertyGraph, PropertyMap};
+    ///
+    /// let mut g = PropertyGraph::new();
+    /// g.add_node(["Team"], PropertyMap::new());
+    /// let mut session = BatchSession::new(&g);
+    /// let q = "MATCH (n:Team) RETURN COUNT(*) AS c";
+    /// assert_eq!(session.execute(q).unwrap().single_int(), Some(1));
+    /// g.add_node(["Team"], PropertyMap::new());
+    /// assert_eq!(session.execute(q).unwrap().single_int(), Some(1));
+    /// ```
+    pub fn new(graph: &'g PropertyGraph) -> Self {
+        BatchSession { graph, memo: HashMap::new(), stats: BatchStats::default() }
     }
 
-    /// Counter snapshot (plan-cache counters included).
+    /// Counter snapshot.
     pub fn stats(&self) -> BatchStats {
-        let mut s = self.stats;
-        s.plan_cache = self.cache.stats();
-        s
+        self.stats
     }
 
-    /// Executes `src` against `graph` through the optimizing layer.
-    pub fn execute(&mut self, graph: &PropertyGraph, src: &str) -> Result<Arc<ResultSet>> {
-        self.run(graph, src, false).map(|(rs, _)| rs)
+    /// Executes `src` against the session's graph through the
+    /// optimizer.
+    pub fn execute(&mut self, src: &str) -> Result<Arc<ResultSet>> {
+        self.run(src, false).map(|(rs, _)| rs)
     }
 
     /// [`BatchSession::execute`] with operator-level profiling. The
@@ -101,55 +106,30 @@ impl BatchSession {
     /// there is nothing to attribute db-hits to.
     pub fn execute_profiled(
         &mut self,
-        graph: &PropertyGraph,
         src: &str,
     ) -> Result<(Arc<ResultSet>, Option<QueryProfile>)> {
-        self.run(graph, src, true)
+        self.run(src, true)
     }
 
-    fn run(
-        &mut self,
-        graph: &PropertyGraph,
-        src: &str,
-        profiled: bool,
-    ) -> Result<(Arc<ResultSet>, Option<QueryProfile>)> {
+    fn run(&mut self, src: &str, profiled: bool) -> Result<(Arc<ResultSet>, Option<QueryProfile>)> {
         self.stats.queries += 1;
         let text = normalize_text(src);
-        let epoch = graph.epoch();
-        // The plan lookup runs first even when the memo will answer,
-        // so cache hit-rates reflect every repeated query.
-        let cached = self.cache.lookup(&text, epoch);
-        if self.config.memoize {
-            if let Some(rs) = self.memo.get(&(text.clone(), epoch)) {
-                self.stats.memo_hits += 1;
-                return Ok((Arc::clone(rs), None));
-            }
+        if let Some(rs) = self.memo.get(&text) {
+            self.stats.memo_hits += 1;
+            return Ok((Arc::clone(rs), None));
         }
-        let plan = match cached {
-            Some(p) => p,
-            None => {
-                let parsed = parse(src)?;
-                let (query, rewrites) = if self.config.optimize {
-                    optimize(&parsed, graph)
-                } else {
-                    (parsed, RewriteStats::default())
-                };
-                self.stats.rewrites.absorb(&rewrites);
-                let plan = Plan::compile(&query, graph, true);
-                self.cache.insert(&text, epoch, CachedPlan { plan, rewrites })
-            }
-        };
+        let (query, rewrites) = optimize(&parse(src)?, self.graph);
+        self.stats.rewrites.absorb(&rewrites);
+        let plan = Plan::compile(&query, self.graph, profiled);
         self.stats.executed += 1;
         let (rs, profile) = if profiled {
-            let (rs, profile) = plan.plan.run_profiled(graph, src)?;
+            let (rs, profile) = plan.run_profiled(self.graph, src)?;
             (rs, Some(profile))
         } else {
-            (plan.plan.run(graph, None)?, None)
+            (plan.run(self.graph, None)?, None)
         };
         let rs = Arc::new(rs);
-        if self.config.memoize {
-            self.memo.insert((text, epoch), Arc::clone(&rs));
-        }
+        self.memo.insert(text, Arc::clone(&rs));
         Ok((rs, profile))
     }
 }
@@ -173,24 +153,29 @@ mod tests {
     const COUNT: &str = "MATCH (t:Team)-[:IN_TOURNAMENT]->(x:Tournament) RETURN COUNT(*) AS c";
 
     #[test]
+    fn normalization_collapses_whitespace() {
+        assert_eq!(normalize_text("  MATCH (n)\n  RETURN\tn  "), "MATCH (n) RETURN n");
+        assert_eq!(normalize_text("MATCH (n) RETURN n"), normalize_text("MATCH  (n)\nRETURN n"));
+    }
+
+    #[test]
     fn memo_answers_repeats_without_profiles() {
         let g = graph();
-        let mut s = BatchSession::new(BatchConfig::default());
-        let (r1, p1) = s.execute_profiled(&g, COUNT).unwrap();
-        let (r2, p2) = s.execute_profiled(&g, COUNT).unwrap();
+        let mut s = BatchSession::new(&g);
+        let (r1, p1) = s.execute_profiled(COUNT).unwrap();
+        let (r2, p2) = s.execute_profiled(COUNT).unwrap();
         assert!(p1.is_some());
         assert!(p2.is_none());
         assert_eq!(r1.single_int(), Some(4));
         assert_eq!(*r1, *r2);
         let st = s.stats();
         assert_eq!((st.queries, st.executed, st.memo_hits), (2, 1, 1));
-        assert_eq!((st.plan_cache.hits, st.plan_cache.misses), (1, 1));
     }
 
     #[test]
     fn optimized_matches_naive_execution() {
         let g = graph();
-        let mut s = BatchSession::new(BatchConfig::default());
+        let mut s = BatchSession::new(&g);
         for q in [
             COUNT,
             "MATCH (t:Team) WHERE t.rank = 2 RETURN COUNT(*) AS c",
@@ -198,30 +183,18 @@ mod tests {
             "OPTIONAL MATCH (x:Ghost) RETURN COUNT(x) AS c",
         ] {
             let naive = execute(&g, q).unwrap();
-            let batched = s.execute(&g, q).unwrap();
+            let batched = s.execute(q).unwrap();
             assert_eq!(naive, *batched, "divergence on {q}");
         }
     }
 
     #[test]
-    fn epoch_bump_invalidates_memo_and_plans() {
-        let mut g = graph();
-        let mut s = BatchSession::new(BatchConfig::default());
-        assert_eq!(s.execute(&g, COUNT).unwrap().single_int(), Some(4));
-        let team = g.add_node(["Team"], PropertyMap::new());
-        let tourn = g.nodes().find(|n| n.has_label("Tournament")).unwrap().id;
-        g.add_edge(team, tourn, "IN_TOURNAMENT", PropertyMap::new());
-        assert_eq!(s.execute(&g, COUNT).unwrap().single_int(), Some(5));
-        assert_eq!(s.stats().memo_hits, 0);
-    }
-
-    #[test]
-    fn whitespace_variants_share_one_plan_and_memo() {
+    fn whitespace_variants_share_one_memo_entry() {
         let g = graph();
-        let mut s = BatchSession::new(BatchConfig::default());
-        let a = s.execute(&g, COUNT).unwrap();
+        let mut s = BatchSession::new(&g);
+        let a = s.execute(COUNT).unwrap();
         let b = s
-            .execute(&g, "MATCH (t:Team)-[:IN_TOURNAMENT]->(x:Tournament)\n  RETURN COUNT(*) AS c")
+            .execute("MATCH (t:Team)-[:IN_TOURNAMENT]->(x:Tournament)\n  RETURN COUNT(*) AS c")
             .unwrap();
         assert_eq!(*a, *b);
         let st = s.stats();
@@ -229,25 +202,12 @@ mod tests {
     }
 
     #[test]
-    fn optimizer_off_still_memoizes_and_matches() {
-        let g = graph();
-        let mut s = BatchSession::new(BatchConfig { optimize: false, ..BatchConfig::default() });
-        let naive = execute(&g, COUNT).unwrap();
-        assert_eq!(naive, *s.execute(&g, COUNT).unwrap());
-        assert_eq!(naive, *s.execute(&g, COUNT).unwrap());
-        let st = s.stats();
-        assert_eq!(st.rewrites.total(), 0);
-        assert_eq!(st.memo_hits, 1);
-    }
-
-    #[test]
     fn parse_errors_propagate_and_cache_nothing() {
         let g = graph();
-        let mut s = BatchSession::new(BatchConfig::default());
-        assert!(s.execute(&g, "MATCH (").is_err());
-        assert!(s.execute(&g, "MATCH (").is_err());
+        let mut s = BatchSession::new(&g);
+        assert!(s.execute("MATCH (").is_err());
+        assert!(s.execute("MATCH (").is_err());
         let st = s.stats();
-        assert_eq!((st.queries, st.executed), (2, 0));
-        assert_eq!(st.plan_cache.misses, 2);
+        assert_eq!((st.queries, st.executed, st.memo_hits), (2, 0, 0));
     }
 }

@@ -100,8 +100,8 @@ pub fn execute_profiled(graph: &PropertyGraph, src: &str) -> Result<(ResultSet, 
 /// statistics, and executes the rewritten query. Result-identical to
 /// [`execute`] — the rewrite rules are proven order-preserving (see
 /// `optimizer`) — but typically far cheaper in db-hits. For repeated
-/// queries prefer a [`crate::BatchSession`], which also caches the
-/// compiled plan and memoizes results.
+/// queries prefer a [`crate::BatchSession`], which also memoizes
+/// results.
 pub fn execute_optimized(graph: &PropertyGraph, src: &str) -> Result<ResultSet> {
     let query = parse(src)?;
     let (query, _) = crate::optimizer::optimize(&query, graph);

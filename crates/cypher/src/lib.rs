@@ -43,7 +43,6 @@ pub mod lexer;
 pub mod optimizer;
 pub mod parser;
 pub mod plan;
-pub mod plan_cache;
 pub mod profile;
 pub mod regex;
 
@@ -52,15 +51,12 @@ pub use ast::{
     BinOp, Clause, Direction, Expr, NodePattern, OrderItem, PathPattern, ProjItem, Query,
     RelPattern, Return, UnaryOp,
 };
-pub use batch::{BatchConfig, BatchSession, BatchStats};
+pub use batch::{BatchSession, BatchStats};
 pub use error::{CypherError, Result, Span};
 pub use eval::Binding;
 pub use exec::{execute, execute_optimized, execute_profiled, ResultSet};
 pub use optimizer::{optimize, RewriteStats};
 pub use parser::{parse, parse_expr};
 pub use plan::Plan;
-pub use plan_cache::{
-    fingerprint, normalize_text, CachedPlan, PlanCacheConfig, PlanCacheStats, QueryPlanCache,
-};
 pub use profile::{PlanNode, QueryProfile};
 pub use regex::{Regex, RegexError};

@@ -14,8 +14,8 @@
 //! to make per row: which end of each path pattern to enumerate (the
 //! optimizer's `should_reverse` cost model, over the variables bound
 //! at that point), and which scan that is. A plan is therefore tied
-//! to the graph it was compiled against, which is why the
-//! [`crate::BatchSession`] plan cache keys plans on the graph epoch.
+//! to the graph it was compiled against and is run only on that
+//! graph; nothing keeps a plan beyond the call that compiled it.
 
 use std::ops::Range;
 
@@ -178,8 +178,7 @@ pub(crate) enum Op {
     Fail(CypherError),
 }
 
-/// A query compiled against one graph, ready to execute any number of
-/// times. This is what the [`crate::QueryPlanCache`] stores.
+/// A query compiled against one graph, ready to execute on it.
 #[derive(Debug, Clone)]
 pub struct Plan {
     pub(crate) ops: Vec<Op>,

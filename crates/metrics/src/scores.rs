@@ -61,20 +61,19 @@ pub fn evaluate_traced(
 /// flag it. On a disabled scope nothing is profiled: the engine does
 /// zero db-hit accounting.
 ///
-/// With a shared [`BatchSession`] each distinct query compiles once
-/// via the plan cache, and repeated counts (the head-total query
-/// recurs verbatim across rules sharing a head) come from the
-/// session's result memo at zero db-hits. A memoized answer bumps
-/// `cypher_queries_memoized` and attaches no plan — nothing ran. An
-/// executed query accounts exactly like the naive (`None`) path, so
-/// a session whose memo never hits journals the same per-rule plan
-/// shape.
+/// With a shared [`BatchSession`] (over `graph`) repeated counts —
+/// the head-total query recurs verbatim across rules sharing a head —
+/// come from the session's result memo at zero db-hits. A memoized
+/// answer bumps `cypher_queries_memoized` and attaches no plan —
+/// nothing ran. An executed query accounts exactly like the naive
+/// (`None`) path, so a session whose memo never hits journals the
+/// same per-rule plan shape.
 pub fn evaluate_labeled(
     graph: &PropertyGraph,
     queries: &RuleQueries,
     scope: &Scope,
     label: &str,
-    mut session: Option<&mut BatchSession>,
+    mut session: Option<&mut BatchSession<'_>>,
 ) -> Result<RuleMetrics, CypherError> {
     scope.add(Counter::SupportEvaluations, 1);
     let mut plan = scope.is_enabled().then(|| PlanRecord::new(label));
@@ -82,7 +81,7 @@ pub fn evaluate_labeled(
         let mut count = |query: &str| -> Result<i64, CypherError> {
             let Some(plan) = plan.as_mut() else {
                 return match session.as_deref_mut() {
-                    Some(session) => single_count(&*session.execute(graph, query)?, query),
+                    Some(session) => single_count(&*session.execute(query)?, query),
                     None => single_count(&execute(graph, query)?, query),
                 };
             };
@@ -92,7 +91,7 @@ pub fn evaluate_labeled(
             };
             let (count, rows, profile) = match session.as_deref_mut() {
                 Some(session) => {
-                    let (rs, profile) = session.execute_profiled(graph, query)?;
+                    let (rs, profile) = session.execute_profiled(query)?;
                     if profile.is_some() {
                         executed();
                     }
@@ -133,21 +132,17 @@ pub fn evaluate_labeled(
     Ok(metrics_from(satisfied, body, head_total))
 }
 
-/// Folds a finished session's plan-cache and optimizer counters into
-/// `scope` — call once per run, after the evaluate loop, so journals
-/// carry run-wide cache hit-rates. Memo hits are *not* re-added here:
-/// [`evaluate_labeled`] counts them per query. Zero counters
-/// stay unrecorded to keep journals free of noise rows.
+/// Folds a finished session's optimizer rewrite counters into
+/// `scope` — call once per run, after the evaluate loop. Memo hits
+/// are *not* re-added here: [`evaluate_labeled`] counts them per
+/// query. Zero counters stay unrecorded to keep journals free of
+/// noise rows.
 pub fn record_batch_stats(scope: &Scope, stats: &BatchStats) {
     let add = |counter: Counter, value: u64| {
         if value > 0 {
             scope.add(counter, value);
         }
     };
-    add(Counter::PlanCacheHits, stats.plan_cache.hits);
-    add(Counter::PlanCacheMisses, stats.plan_cache.misses);
-    add(Counter::PlanCacheEvictions, stats.plan_cache.evictions);
-    add(Counter::PlanCacheExpirations, stats.plan_cache.expirations);
     add(Counter::OptimizerPredicatesPushed, stats.rewrites.predicates_pushed);
     add(Counter::OptimizerLabelsReordered, stats.rewrites.labels_reordered);
     add(Counter::OptimizerPatternsReordered, stats.rewrites.patterns_reordered);
@@ -194,7 +189,7 @@ pub fn evaluate_resilient(
     scope: &Scope,
     label: &str,
     unit: &grm_resil::UnitPlan,
-    session: Option<&mut BatchSession>,
+    session: Option<&mut BatchSession<'_>>,
 ) -> Option<RuleMetrics> {
     if !chaos_gate(scope, label, unit) {
         return None;
@@ -336,14 +331,13 @@ mod tests {
 
     #[test]
     fn batched_matches_naive_and_memoizes_shared_heads() {
-        use grm_cypher::BatchConfig;
         let g = graph();
         let rules = [
             ConsistencyRule::MandatoryProperty { label: "User".into(), key: "name".into() },
             ConsistencyRule::UniqueProperty { label: "User".into(), key: "id".into() },
             ConsistencyRule::MandatoryProperty { label: "User".into(), key: "id".into() },
         ];
-        let mut session = BatchSession::new(BatchConfig::default());
+        let mut session = BatchSession::new(&g);
         for rule in &rules {
             let q = reference_queries(rule);
             let naive = evaluate(&g, &q).unwrap();

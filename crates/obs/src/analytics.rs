@@ -489,21 +489,11 @@ impl PlanReport {
     }
 }
 
-/// Run-wide plan-cache and optimizer counters, read off a journal's
-/// counter totals — the table behind the `grm trace plans` cache
-/// section and its `--json` artifact.
+/// Run-wide optimizer counters, read off a journal's counter totals —
+/// the table behind the `grm trace plans` optimizer section and its
+/// `--json` artifact.
 #[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct PlanCacheReport {
-    /// Plan-cache lookups (`hits + misses`).
-    pub lookups: u64,
-    /// Lookups answered from the cache.
-    pub hits: u64,
-    /// Lookups that had to compile.
-    pub misses: u64,
-    /// Entries displaced by the capacity bound.
-    pub evictions: u64,
-    /// Entries dropped by the TTL.
-    pub expirations: u64,
+pub struct OptimizerReport {
     /// Queries answered from the result memo without executing.
     pub memoized_queries: u64,
     /// `WHERE` equality conjuncts pushed into pattern property maps.
@@ -514,67 +504,40 @@ pub struct PlanCacheReport {
     pub patterns_reordered: u64,
     /// Paths pre-reversed towards their cheaper end.
     pub paths_reversed: u64,
-    /// `hits / lookups`, in percent (0 when the cache never ran).
-    pub hit_rate_pct: f64,
 }
 
-impl PlanCacheReport {
+impl OptimizerReport {
     /// Reads the run-wide counter totals.
-    pub fn from_journal(journal: &RunJournal) -> PlanCacheReport {
-        let hits = journal.total("plan_cache_hits");
-        let misses = journal.total("plan_cache_misses");
-        let lookups = hits + misses;
-        let hit_rate_pct = if lookups == 0 { 0.0 } else { 100.0 * hits as f64 / lookups as f64 };
-        PlanCacheReport {
-            lookups,
-            hits,
-            misses,
-            evictions: journal.total("plan_cache_evictions"),
-            expirations: journal.total("plan_cache_expirations"),
+    pub fn from_journal(journal: &RunJournal) -> OptimizerReport {
+        OptimizerReport {
             memoized_queries: journal.total("cypher_queries_memoized"),
             predicates_pushed: journal.total("optimizer_predicates_pushed"),
             labels_reordered: journal.total("optimizer_labels_reordered"),
             patterns_reordered: journal.total("optimizer_patterns_reordered"),
             paths_reversed: journal.total("optimizer_paths_reversed"),
-            hit_rate_pct,
         }
     }
 
-    /// True when the run never touched the optimizing layer (naive
-    /// scoring path, or a pre-optimizer journal).
+    /// True when the run neither memoized nor rewrote a query.
     pub fn is_empty(&self) -> bool {
-        self.lookups == 0 && self.memoized_queries == 0
+        *self == OptimizerReport::default()
     }
 
-    /// Two-row summary table for the text mode of `grm trace plans`.
+    /// One-row summary table for the text mode of `grm trace plans`.
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "plan cache:\n  {:<9} {:>6} {:>8} {:>10} {:>12} {:>9} {:>9}\n",
-            "lookups", "hits", "misses", "evictions", "expirations", "hit%", "memoized"
-        ));
-        out.push_str(&format!(
-            "  {:<9} {:>6} {:>8} {:>10} {:>12} {:>8.1} {:>9}\n",
-            self.lookups,
-            self.hits,
-            self.misses,
-            self.evictions,
-            self.expirations,
-            self.hit_rate_pct,
+        format!(
+            "optimizer:\n  {:<9} {:>7} {:>9} {:>9} {:>10}\n  {:<9} {:>7} {:>9} {:>9} {:>10}\n",
+            "memoized",
+            "pushed",
+            "relabels",
+            "reorders",
+            "reversals",
             self.memoized_queries,
-        ));
-        out.push_str(&format!(
-            "optimizer rewrites:\n  {:<9} {:>8} {:>10} {:>9}\n",
-            "pushed", "relabels", "reorders", "reversals"
-        ));
-        out.push_str(&format!(
-            "  {:<9} {:>8} {:>10} {:>9}\n",
             self.predicates_pushed,
             self.labels_reordered,
             self.patterns_reordered,
             self.paths_reversed,
-        ));
-        out
+        )
     }
 }
 

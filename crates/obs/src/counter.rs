@@ -51,15 +51,12 @@ pub enum Counter {
     /// Cypher queries answered from the scoring session's result memo
     /// without executing (zero db-hits).
     CypherQueriesMemoized,
-    /// Plan-cache lookups that found a reusable compiled plan.
+    /// No longer recorded: the query-plan cache it counted is gone.
+    /// Kept only because the benchmark under `perfbench/` still names
+    /// it; reads 0.
     PlanCacheHits,
-    /// Plan-cache lookups that had to compile (absent, stale epoch,
-    /// or expired entry).
+    /// No longer recorded, like [`Counter::PlanCacheHits`]; reads 0.
     PlanCacheMisses,
-    /// Plan-cache entries displaced by the capacity bound.
-    PlanCacheEvictions,
-    /// Plan-cache entries dropped by the TTL.
-    PlanCacheExpirations,
     /// `WHERE` equality conjuncts the optimizer pushed into pattern
     /// property maps.
     OptimizerPredicatesPushed,
@@ -126,8 +123,6 @@ impl Counter {
             Counter::CypherQueriesMemoized => "cypher_queries_memoized",
             Counter::PlanCacheHits => "plan_cache_hits",
             Counter::PlanCacheMisses => "plan_cache_misses",
-            Counter::PlanCacheEvictions => "plan_cache_evictions",
-            Counter::PlanCacheExpirations => "plan_cache_expirations",
             Counter::OptimizerPredicatesPushed => "optimizer_predicates_pushed",
             Counter::OptimizerLabelsReordered => "optimizer_labels_reordered",
             Counter::OptimizerPatternsReordered => "optimizer_patterns_reordered",

@@ -98,7 +98,7 @@ mod timeline;
 
 pub use analytics::{
     explain_rule, folded_stacks, CounterDiffRow, FaultReport, FlameWeight, HistoDiffRow,
-    LineageReport, MemComponent, MemReport, MemSpanRow, OriginYield, PlanCacheReport, PlanOpAgg,
+    LineageReport, MemComponent, MemReport, MemSpanRow, OptimizerReport, OriginYield, PlanOpAgg,
     PlanReport, PlanScopeAgg, StageDiffRow, TraceDiff,
 };
 pub use bus::{

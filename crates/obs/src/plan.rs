@@ -12,9 +12,11 @@
 /// call and every query absorbed into the owning [`PlanRecord`].
 #[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct PlanOpRecord {
-    /// Slash-joined position in the plan tree, root first (e.g.
-    /// `"ProduceResults/Projection/Filter/Expand(r)"`). Unique within
-    /// a record; merge key for [`PlanRecord::absorb`].
+    /// Slash-joined operator names from the plan root down (e.g.
+    /// `"ProduceResults/Projection/Filter/Expand"`). Different
+    /// queries can put different operators at one path; `(path,
+    /// detail)` is unique within a record and is the merge key for
+    /// [`PlanRecord::absorb`].
     pub path: String,
     /// Operator name alone (`NodeByLabelScan`, `Expand`, `Filter`,
     /// `Projection`, `EagerAggregation`, ...).
@@ -78,7 +80,8 @@ pub struct PlanRecord {
     pub sim_us: u64,
     /// True when the slow-query policy flagged this record.
     pub slow: bool,
-    /// Per-operator statistics, sorted by `path` at serialisation.
+    /// Per-operator statistics, sorted by `(path, detail)` at
+    /// serialisation.
     pub ops: Vec<PlanOpRecord>,
 }
 
@@ -96,26 +99,26 @@ impl PlanRecord {
     }
 
     /// Folds one executed query's profile into this record: operators
-    /// merge by `path`, totals accumulate. `rows` is the query's
-    /// result-row count, `total_us`/`sim_us` its inclusive real and
-    /// simulated time.
+    /// merge by `(path, detail)` — the same operator of two queries —
+    /// and totals accumulate. `rows` is the query's result-row count,
+    /// `total_us`/`sim_us` its inclusive real and simulated time.
     pub fn absorb(&mut self, ops: Vec<PlanOpRecord>, rows: u64, total_us: u64, sim_us: u64) {
         self.queries += 1;
         self.rows += rows;
         self.total_us += total_us;
         self.sim_us += sim_us;
         for op in ops {
-            match self.ops.iter_mut().find(|o| o.path == op.path) {
+            match self.ops.iter_mut().find(|o| o.path == op.path && o.detail == op.detail) {
                 Some(existing) => existing.merge(&op),
                 None => self.ops.push(op),
             }
         }
     }
 
-    /// Sorts operators by path — journal bytes must not depend on the
-    /// order queries were absorbed.
+    /// Sorts operators by `(path, detail)` — journal bytes must not
+    /// depend on the order queries were absorbed.
     pub fn sort_ops(&mut self) {
-        self.ops.sort_by(|a, b| a.path.cmp(&b.path));
+        self.ops.sort_by(|a, b| (&a.path, &a.detail).cmp(&(&b.path, &b.detail)));
     }
 }
 
@@ -177,6 +180,31 @@ mod tests {
         assert_eq!(scan.db_nodes, 10);
         assert_eq!(scan.calls, 2);
         assert_eq!(rec.db_hits(), 13);
+    }
+
+    #[test]
+    fn absorb_keeps_different_operators_at_one_path_apart() {
+        let at =
+            |detail: &str, hits| PlanOpRecord { detail: detail.into(), ..op("Root/Filter", hits) };
+        let mut rec = PlanRecord::new("rule-0");
+        rec.absorb(vec![op("Root", 1), at("r.minutes IS NOT NULL", 7)], 1, 0, 0);
+        rec.absorb(vec![op("Root", 1), at("c = 1", 0)], 1, 0, 0);
+        rec.absorb(vec![op("Root", 1), at("c = 1", 0)], 1, 0, 0);
+        rec.sort_ops();
+        let rows: Vec<_> = rec
+            .ops
+            .iter()
+            .map(|o| (o.path.as_str(), o.detail.as_str(), o.calls, o.db_hits()))
+            .collect();
+        assert_eq!(
+            rows,
+            [
+                ("Root", "", 3, 3),
+                ("Root/Filter", "c = 1", 2, 0),
+                ("Root/Filter", "r.minutes IS NOT NULL", 1, 7),
+            ]
+        );
+        assert_eq!(rec.db_hits(), 10);
     }
 
     #[test]

@@ -90,10 +90,6 @@ pub struct PropertyGraph {
     edge_label_index: HashMap<String, Vec<EdgeId>>,
     out_adj: Vec<Vec<EdgeId>>,
     in_adj: Vec<Vec<EdgeId>>,
-    /// Monotonic mutation counter; bumped by every write, including
-    /// `node_mut`/`edge_mut` handouts (the handout may mutate, so the
-    /// conservative bump keeps cached query plans sound).
-    epoch: u64,
 }
 
 impl PropertyGraph {
@@ -113,17 +109,7 @@ impl PropertyGraph {
             edge_label_index: HashMap::new(),
             out_adj: Vec::with_capacity(n),
             in_adj: Vec::with_capacity(n),
-            epoch: 0,
         }
-    }
-
-    /// Schema/content epoch of the graph: a counter bumped by every
-    /// mutation (inserts and mutable accesses alike). Query-plan and
-    /// result caches key on it so a mutated graph can never serve a
-    /// stale cached answer. Purely logical — no wall-clock involved —
-    /// so cache behaviour is deterministic across runs.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// Adds a node. Labels are sorted and deduplicated so encodings
@@ -133,7 +119,6 @@ impl PropertyGraph {
         L: IntoIterator<Item = S>,
         S: Into<String>,
     {
-        self.epoch += 1;
         let id = NodeId(self.nodes.len() as u32);
         let mut labels: Vec<String> = labels.into_iter().map(Into::into).collect();
         labels.sort();
@@ -163,7 +148,6 @@ impl PropertyGraph {
             (src.0 as usize) < self.nodes.len() && (dst.0 as usize) < self.nodes.len(),
             "edge endpoint out of range: {src} -> {dst}"
         );
-        self.epoch += 1;
         let id = EdgeId(self.edges.len() as u32);
         let label = label.into();
         self.edge_label_index.entry(label.clone()).or_default().push(id);
@@ -202,13 +186,11 @@ impl PropertyGraph {
     /// Mutable node access (used by the violation injector in
     /// `grm-datasets` to drop or corrupt properties).
     pub fn node_mut(&mut self, id: NodeId) -> &mut Node {
-        self.epoch += 1;
         &mut self.nodes[id.0 as usize]
     }
 
     /// Mutable edge access.
     pub fn edge_mut(&mut self, id: EdgeId) -> &mut Edge {
-        self.epoch += 1;
         &mut self.edges[id.0 as usize]
     }
 
@@ -515,23 +497,5 @@ mod tests {
             g3.add_edge(a, n, "KNOWS", PropertyMap::new());
         }
         assert!(g3.footprint().total_bytes() > fp.total_bytes());
-    }
-
-    #[test]
-    fn epoch_advances_on_every_mutation() {
-        let mut g = PropertyGraph::new();
-        assert_eq!(g.epoch(), 0);
-        let a = g.add_node(["A"], PropertyMap::new());
-        let b = g.add_node(["A"], PropertyMap::new());
-        assert_eq!(g.epoch(), 2);
-        g.add_edge(a, b, "E", PropertyMap::new());
-        assert_eq!(g.epoch(), 3);
-        let _ = g.node_mut(a);
-        let snapshot = g.clone();
-        assert_eq!(g.epoch(), 4);
-        assert_eq!(snapshot.epoch(), 4);
-        let e = g.edges().next().unwrap().id;
-        let _ = g.edge_mut(e);
-        assert_eq!(g.epoch(), 5);
     }
 }

@@ -97,7 +97,6 @@ const USAGE: &str = "usage:
                [--slow-query-ms MS] [--slow-query-db-hits N]
                [--fault-rate F] [--fault-seed N] [--max-retries N]
                [--breaker-threshold N] [--kill-after N] [--resume FILE.jsonl]
-               [--no-optimizer] [--plan-cache-size N]
                [--progress]                  # live in-place progress on stderr
                [--events FILE.jsonl]         # stream v8 Event records as they happen
                [--metrics-out FILE.prom] [--metrics-every N]   # Prometheus text snapshots
@@ -129,41 +128,38 @@ const USAGE: &str = "usage:
   grm serve    load   --addr ADDR [--jobs N] [--tenants N] [--concurrency N]
                [--abuse N] [--expect-shed] [--expect-trips]   # overload drill";
 
-/// Minimal flag parser: `--key value` pairs plus positionals.
+/// Minimal flag parser: `--key value` pairs, bare `--switch`es and
+/// positionals.
 struct Flags {
     named: HashMap<String, String>,
     switches: Vec<String>,
     positional: Vec<String>,
 }
 
-fn parse_flags(args: &[String], switch_names: &[&str]) -> Result<Flags, String> {
+/// Parses `args` against the verb's own flags, each list
+/// whitespace-separated: `switch_names` take no value, `value_names`
+/// take one. Any other `--flag` is an error, so a misspelled or
+/// retired flag never runs silently with a default.
+fn parse_flags(args: &[String], switch_names: &str, value_names: &str) -> Result<Flags, String> {
     let mut named = HashMap::new();
     let mut switches = Vec::new();
     let mut positional = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         if let Some(name) = a.strip_prefix("--") {
-            if switch_names.contains(&name) {
+            if switch_names.split_whitespace().any(|s| s == name) {
                 switches.push(name.to_owned());
-            } else {
+            } else if value_names.split_whitespace().any(|v| v == name) {
                 let value = it.next().ok_or_else(|| format!("--{name} needs a value"))?;
                 named.insert(name.to_owned(), value.clone());
+            } else {
+                return Err(format!("unknown flag --{name}"));
             }
         } else {
             positional.push(a.clone());
         }
     }
     Ok(Flags { named, switches, positional })
-}
-
-impl Flags {
-    /// Rejects any `--key value` flag whose key is not in `allowed`.
-    fn only(&self, allowed: &[&str]) -> Result<(), String> {
-        match self.named.keys().find(|k| !allowed.contains(&k.as_str())) {
-            Some(key) => Err(format!("unknown flag --{key}")),
-            None => Ok(()),
-        }
-    }
 }
 
 fn load_graph(flags: &Flags) -> Result<PropertyGraph, String> {
@@ -173,7 +169,7 @@ fn load_graph(flags: &Flags) -> Result<PropertyGraph, String> {
 }
 
 fn cmd_generate(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args, &["clean"])?;
+    let flags = parse_flags(args, "clean", "dataset seed scale out")?;
     let dataset = match flags.named.get("dataset").map(String::as_str) {
         Some("wwc2019") => DatasetId::Wwc2019,
         Some("cybersecurity") => DatasetId::Cybersecurity,
@@ -214,7 +210,7 @@ fn parse_opt<T: std::str::FromStr>(flags: &Flags, key: &str) -> Result<Option<T>
 }
 
 fn cmd_stats(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args, &[])?;
+    let flags = parse_flags(args, "", "graph")?;
     let g = load_graph(&flags)?;
     let s = GraphStats::of(&g);
     println!("nodes: {}", s.nodes);
@@ -228,14 +224,14 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_schema(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args, &[])?;
+    let flags = parse_flags(args, "", "graph")?;
     let g = load_graph(&flags)?;
     print!("{}", GraphSchema::infer(&g).summary());
     Ok(())
 }
 
 fn cmd_encode(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args, &[])?;
+    let flags = parse_flags(args, "", "graph encoder")?;
     let g = load_graph(&flags)?;
     let text = match flags.named.get("encoder").map(String::as_str) {
         None | Some("incident") => encode_incident(&g),
@@ -248,7 +244,7 @@ fn cmd_encode(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_query(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args, &[])?;
+    let flags = parse_flags(args, "", "graph")?;
     let g = load_graph(&flags)?;
     let query = flags.positional.first().ok_or("a Cypher query argument is required")?;
     let rs = execute(&g, query).map_err(|e| e.to_string())?;
@@ -269,7 +265,13 @@ fn cmd_mine(args: &[String]) -> Result<(), String> {
     use graph_rule_mining::resil::ChaosConfig;
     use std::sync::Arc;
 
-    let flags = parse_flags(args, &["trace-summary", "deterministic", "no-optimizer", "progress"])?;
+    let flags = parse_flags(
+        args,
+        "trace-summary deterministic progress",
+        "graph model strategy prompting seed workers json rules-out trace slow-query-ms \
+         slow-query-db-hits fault-rate fault-seed max-retries breaker-threshold kill-after resume \
+         events metrics-out metrics-every metrics-listen",
+    )?;
     let g = load_graph(&flags)?;
     let model = match flags.named.get("model").map(String::as_str) {
         None | Some("llama3") => ModelKind::Llama3,
@@ -289,12 +291,6 @@ fn cmd_mine(args: &[String]) -> Result<(), String> {
     };
     let mut config = PipelineConfig::new(model, strategy, prompting);
     config.seed = parse_or(&flags, "seed", 42)?;
-    config.scoring.optimize = !flags.switches.iter().any(|s| s == "no-optimizer");
-    config.scoring.plan_cache_size =
-        parse_or(&flags, "plan-cache-size", config.scoring.plan_cache_size)?;
-    if config.scoring.plan_cache_size == 0 {
-        return Err("--plan-cache-size must be at least 1".into());
-    }
     let workers: usize = parse_or(&flags, "workers", 1)?;
 
     // Chaos / resume configuration (all off by default).
@@ -797,7 +793,7 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
     use graph_rule_mining::obs::Recorder;
     use graph_rule_mining::rules::{reference_queries, to_nl, ConsistencyRule};
 
-    let flags = parse_flags(args, &[])?;
+    let flags = parse_flags(args, "", "graph rules limit trace")?;
     let g = load_graph(&flags)?;
     let rules_path = flags.named.get("rules").ok_or("--rules FILE is required")?;
     let limit: usize = parse_or(&flags, "limit", 3)?;
@@ -868,7 +864,7 @@ fn cmd_audit(args: &[String]) -> Result<(), String> {
     use graph_rule_mining::metrics::find_violations;
     use graph_rule_mining::rules::to_nl;
 
-    let flags = parse_flags(args, &[])?;
+    let flags = parse_flags(args, "", "graph limit")?;
     let g = load_graph(&flags)?;
     let limit: usize = parse_or(&flags, "limit", 5)?;
 
@@ -917,7 +913,7 @@ fn cmd_diff(args: &[String]) -> Result<(), String> {
     use graph_rule_mining::metrics::drift;
     use graph_rule_mining::rules::{to_nl, ConsistencyRule};
 
-    let flags = parse_flags(args, &[])?;
+    let flags = parse_flags(args, "", "before after rules threshold")?;
     let load = |key: &str| -> Result<PropertyGraph, String> {
         let path = flags.named.get(key).ok_or(format!("--{key} FILE is required"))?;
         let json = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
@@ -964,7 +960,7 @@ fn cmd_diff(args: &[String]) -> Result<(), String> {
 fn cmd_trace(args: &[String]) -> Result<(), String> {
     use graph_rule_mining::obs::{
         folded_stacks, CriticalPathReport, FaultReport, FlameWeight, LineageReport, MemReport,
-        PlanCacheReport, PlanReport, RunJournal, TimelineReport, TraceDiff,
+        OptimizerReport, PlanReport, RunJournal, TimelineReport, TraceDiff,
     };
 
     let Some((verb, rest)) = args.split_first() else {
@@ -979,7 +975,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     };
     match verb.as_str() {
         "summary" => {
-            let flags = parse_flags(rest, &["json"])?;
+            let flags = parse_flags(rest, "json", "")?;
             let path = flags.positional.first().ok_or("trace summary needs a journal FILE")?;
             let journal = load(path)?;
             if flags.switches.iter().any(|s| s == "json") {
@@ -992,8 +988,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "lineage" => {
-            let flags = parse_flags(rest, &["json"])?;
-            flags.only(&[])?;
+            let flags = parse_flags(rest, "json", "")?;
             let path = flags.positional.first().ok_or("trace lineage needs a journal FILE")?;
             let journal = load(path)?;
             let report = LineageReport::from_journal(&journal);
@@ -1012,8 +1007,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "faults" => {
-            let flags = parse_flags(rest, &["json"])?;
-            flags.only(&[])?;
+            let flags = parse_flags(rest, "json", "")?;
             let path = flags.positional.first().ok_or("trace faults needs a journal FILE")?;
             let journal = load(path)?;
             let report = FaultReport::from_journal(&journal);
@@ -1032,7 +1026,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "diff" => {
-            let flags = parse_flags(rest, &["json"])?;
+            let flags = parse_flags(rest, "json", "tolerance")?;
             let [a_path, b_path] = flags.positional.as_slice() else {
                 return Err("trace diff needs two journal files: A.jsonl B.jsonl".into());
             };
@@ -1062,8 +1056,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "timeline" => {
-            let flags = parse_flags(rest, &["json"])?;
-            flags.only(&["top"])?;
+            let flags = parse_flags(rest, "json", "top")?;
             let path = flags.positional.first().ok_or("trace timeline needs a journal FILE")?;
             let top: usize = parse_or(&flags, "top", 8)?;
             let journal = load(path)?;
@@ -1083,7 +1076,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "critical-path" => {
-            let flags = parse_flags(rest, &["json"])?;
+            let flags = parse_flags(rest, "json", "top")?;
             let path =
                 flags.positional.first().ok_or("trace critical-path needs a journal FILE")?;
             let top: usize = parse_or(&flags, "top", 3)?;
@@ -1105,7 +1098,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "flame" => {
-            let flags = parse_flags(rest, &["real", "sim", "mem"])?;
+            let flags = parse_flags(rest, "real sim mem", "")?;
             let path = flags.positional.first().ok_or("trace flame needs a journal FILE")?;
             let sim = flags.switches.iter().any(|s| s == "sim");
             let real = flags.switches.iter().any(|s| s == "real");
@@ -1124,8 +1117,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "mem" => {
-            let flags = parse_flags(rest, &["json"])?;
-            flags.only(&["top"])?;
+            let flags = parse_flags(rest, "json", "top")?;
             let path = flags.positional.first().ok_or("trace mem needs a journal FILE")?;
             let top: usize = parse_or(&flags, "top", 10)?;
             let journal = load(path)?;
@@ -1145,16 +1137,15 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "plans" => {
-            let flags = parse_flags(rest, &["json"])?;
-            flags.only(&["top"])?;
+            let flags = parse_flags(rest, "json", "top")?;
             let path = flags.positional.first().ok_or("trace plans needs a journal FILE")?;
             let top: usize = parse_or(&flags, "top", 10)?;
             let journal = load(path)?;
-            let cache = PlanCacheReport::from_journal(&journal);
+            let optimizer = OptimizerReport::from_journal(&journal);
             if flags.switches.iter().any(|s| s == "json") {
-                // The machine-readable plan-cache/optimizer digest —
-                // what CI uploads as the plan-cache stats artifact.
-                let json = serde_json::to_string_pretty(&cache).map_err(|e| e.to_string())?;
+                // The machine-readable optimizer digest — what CI
+                // uploads as the optimizer stats artifact.
+                let json = serde_json::to_string_pretty(&optimizer).map_err(|e| e.to_string())?;
                 println!("{json}");
                 return Ok(());
             }
@@ -1166,19 +1157,19 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
                 ));
             }
             print!("{}", report.render(top));
-            if !cache.is_empty() {
-                print!("{}", cache.render());
+            if !optimizer.is_empty() {
+                print!("{}", optimizer.render());
             }
             Ok(())
         }
         "tail" => {
-            let flags = parse_flags(rest, &["no-follow"])?;
+            let flags = parse_flags(rest, "no-follow", "")?;
             let path = flags.positional.first().ok_or("trace tail needs an events FILE.jsonl")?;
             let follow = !flags.switches.iter().any(|s| s == "no-follow");
             tail_events(path, follow)
         }
         "prom" => {
-            let flags = parse_flags(rest, &[])?;
+            let flags = parse_flags(rest, "", "events")?;
             let path = flags.positional.first().ok_or("trace prom needs a metrics FILE.prom")?;
             let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
             let samples = graph_rule_mining::obs::parse_exposition(&text)
@@ -1294,7 +1285,7 @@ fn render_event(ev: &graph_rule_mining::obs::TelemetryEvent) -> String {
 fn cmd_explain(args: &[String]) -> Result<(), String> {
     use graph_rule_mining::obs::{explain_rule, RunJournal};
 
-    let flags = parse_flags(args, &[])?;
+    let flags = parse_flags(args, "", "")?;
     let [rule, path] = flags.positional.as_slice() else {
         return Err("explain needs a rule id and a journal: grm explain rule-0 FILE.jsonl".into());
     };
@@ -1341,7 +1332,12 @@ fn cmd_serve_server(args: &[String]) -> Result<(), String> {
     use std::sync::atomic::AtomicU64;
     use std::sync::Arc;
 
-    let flags = parse_flags(args, &[])?;
+    let flags = parse_flags(
+        args,
+        "",
+        "listen graph rules workers queue-depth rate-limit burst spool fault-rate fault-seed \
+         max-retries breaker-threshold",
+    )?;
     let g = load_graph(&flags)?;
     let rules: Vec<ConsistencyRule> = match flags.named.get("rules") {
         Some(path) => {
@@ -1442,7 +1438,7 @@ fn print_job_status(status: &graph_rule_mining::serve::JobStatus) {
 fn cmd_serve_submit(args: &[String]) -> Result<(), String> {
     use graph_rule_mining::serve::{http_request, JobSpec};
 
-    let flags = parse_flags(args, &["wait"])?;
+    let flags = parse_flags(args, "wait", "addr tenant kind seed deadline kill-after rule source")?;
     let addr = serve_addr(&flags)?;
     let spec = JobSpec {
         tenant: flags.named.get("tenant").cloned().unwrap_or_default(),
@@ -1472,7 +1468,7 @@ fn cmd_serve_submit(args: &[String]) -> Result<(), String> {
 fn cmd_serve_status(args: &[String]) -> Result<(), String> {
     use graph_rule_mining::serve::{http_request, JobStatus};
 
-    let flags = parse_flags(args, &["wait"])?;
+    let flags = parse_flags(args, "wait", "addr job")?;
     let addr = serve_addr(&flags)?;
     let job: u64 = parse_opt(&flags, "job")?.ok_or("--job N is required")?;
     let status = if flags.switches.iter().any(|s| s == "wait") {
@@ -1492,7 +1488,7 @@ fn cmd_serve_status(args: &[String]) -> Result<(), String> {
 fn cmd_serve_stats(args: &[String]) -> Result<(), String> {
     use graph_rule_mining::serve::{http_request, ServeStats};
 
-    let flags = parse_flags(args, &[])?;
+    let flags = parse_flags(args, "", "addr")?;
     let addr = serve_addr(&flags)?;
     let (code, body) =
         http_request(&addr, "GET", "/stats", "").map_err(|e| format!("querying stats: {e}"))?;
@@ -1507,7 +1503,7 @@ fn cmd_serve_stats(args: &[String]) -> Result<(), String> {
 fn cmd_serve_drain(args: &[String]) -> Result<(), String> {
     use graph_rule_mining::serve::http_request;
 
-    let flags = parse_flags(args, &[])?;
+    let flags = parse_flags(args, "", "addr")?;
     let addr = serve_addr(&flags)?;
     let (code, body) =
         http_request(&addr, "POST", "/shutdown", "").map_err(|e| format!("draining: {e}"))?;
@@ -1530,7 +1526,8 @@ fn cmd_serve_load(args: &[String]) -> Result<(), String> {
     use graph_rule_mining::serve::{http_request, ServeStats};
     use std::sync::{Arc, Mutex};
 
-    let flags = parse_flags(args, &["expect-shed", "expect-trips"])?;
+    let flags =
+        parse_flags(args, "expect-shed expect-trips", "addr jobs tenants concurrency abuse")?;
     let addr = serve_addr(&flags)?;
     let jobs: usize = parse_or(&flags, "jobs", 200)?;
     let tenants: usize = parse_or(&flags, "tenants", 4)?.max(1);

@@ -6,13 +6,13 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use grm_core::RAG_QUERY;
 use grm_datasets::{generate, DatasetId, GenConfig};
-use grm_textenc::encode_incident;
+use grm_textenc::{encode_incident, Tokenized};
 use grm_vecstore::{RagConfig, Retriever};
 
 fn bench_topk(c: &mut Criterion) {
     let graph =
         generate(DatasetId::Cybersecurity, &GenConfig { seed: 42, scale: 1.0, clean: false }).graph;
-    let encoded = encode_incident(&graph);
+    let encoded = Tokenized::new(encode_incident(&graph));
 
     let mut group = c.benchmark_group("ablation/topk");
     for top_k in [1usize, 2, 4, 8, 16] {

@@ -1,11 +1,15 @@
 //! Figure 2 bench: the two context strategies' machinery — encoding,
-//! tokenization, window chunking, RAG ingestion and retrieval — plus
-//! the incident-vs-adjacency encoder ablation from DESIGN.md §5.
+//! tokenization, window chunking, the model's read of its context,
+//! RAG ingestion and retrieval — plus the incident-vs-adjacency
+//! encoder ablation from DESIGN.md §5.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use grm_core::RAG_QUERY;
 use grm_datasets::{generate, DatasetId, GenConfig};
-use grm_textenc::{chunk, encode_adjacency, encode_incident, token_count, WindowConfig};
+use grm_pgraph::GraphSchema;
+use grm_textenc::{
+    chunk, encode_adjacency, encode_incident, token_count, GraphFragment, Tokenized, WindowConfig,
+};
 use grm_vecstore::{RagConfig, Retriever};
 
 fn bench_encoding(c: &mut Criterion) {
@@ -19,13 +23,30 @@ fn bench_encoding(c: &mut Criterion) {
     group.bench_function("adjacency", |b| b.iter(|| encode_adjacency(&graph)));
     group.finish();
 
-    let encoded = encode_incident(&graph);
+    let encoded = Tokenized::new(encode_incident(&graph));
+    let text = encoded.text();
     let mut group = c.benchmark_group("figure2/window");
-    group.throughput(Throughput::Bytes(encoded.len() as u64));
-    group.bench_function("tokenize", |b| b.iter(|| token_count(&encoded)));
+    group.throughput(Throughput::Bytes(text.len() as u64));
+    group.bench_function("tokenize", |b| b.iter(|| token_count(text)));
     group.bench_function("chunk_8000_500", |b| {
-        b.iter(|| chunk(&encoded, WindowConfig::default()).len())
+        b.iter(|| chunk(text, WindowConfig::default()).len())
     });
+    group.finish();
+
+    // What the simulated model does with each SWA window (its fragment
+    // graph and that graph's schema), and the RAG coverage count.
+    let windows = encoded.chunk(WindowConfig::default()).windows;
+    let mut group = c.benchmark_group("figure2/read");
+    group.throughput(Throughput::Bytes(text.len() as u64));
+    group.bench_function("swa_windows", |b| {
+        b.iter(|| {
+            windows
+                .iter()
+                .map(|w| GraphSchema::infer(&GraphFragment::parse(&w.text).into_graph()))
+                .collect::<Vec<_>>()
+        })
+    });
+    group.bench_function("count_elements", |b| b.iter(|| GraphFragment::count_elements(text)));
     group.finish();
 
     let mut group = c.benchmark_group("figure2/rag");

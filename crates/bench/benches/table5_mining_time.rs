@@ -8,19 +8,19 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use grm_core::RAG_QUERY;
 use grm_datasets::{generate, DatasetId, GenConfig};
 use grm_llm::{MiningPrompt, ModelKind, PromptStyle, SimLlm};
-use grm_textenc::{chunk, encode_incident, WindowConfig};
+use grm_textenc::{encode_incident, Tokenized, WindowConfig};
 use grm_vecstore::{RagConfig, Retriever};
 
 fn bench_mining(c: &mut Criterion) {
     for id in DatasetId::ALL {
         let graph = generate(id, &GenConfig { seed: 42, scale: 0.05, clean: false }).graph;
-        let encoded = encode_incident(&graph);
+        let encoded = Tokenized::new(encode_incident(&graph));
         let mut group = c.benchmark_group(format!("table5/{}", id.name()));
         group.sample_size(10);
 
         group.bench_function("swa_zero_shot", |b| {
             b.iter(|| {
-                let ws = chunk(&encoded, WindowConfig::new(2000, 200));
+                let ws = encoded.chunk(WindowConfig::new(2000, 200));
                 let mut model = SimLlm::new(ModelKind::Llama3, 42);
                 let mut mined = 0usize;
                 for w in &ws.windows {

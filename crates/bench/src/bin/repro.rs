@@ -54,7 +54,7 @@ use grm_obs::{CountingSink, Recorder, RunJournal};
 use grm_pgraph::GraphStats;
 use grm_resil::ChaosConfig;
 use grm_rules::RuleComplexity;
-use grm_textenc::{chunk, encode_incident, WindowConfig};
+use grm_textenc::{encode_incident, Tokenized, WindowConfig};
 use grm_vecstore::{RagConfig, Retriever};
 
 // Count every allocation so `--trace` journals carry real per-span
@@ -701,8 +701,8 @@ fn figure2(args: &Args, cache: &mut GridCache) {
     );
     for id in DatasetId::ALL {
         let d = generate(id, &GenConfig { seed: args.seed, scale: args.scale, clean: false });
-        let encoded = encode_incident(&d.graph);
-        let ws = chunk(&encoded, WindowConfig::default());
+        let encoded = Tokenized::new(encode_incident(&d.graph));
+        let ws = encoded.chunk(WindowConfig::default());
         let retriever = Retriever::ingest(&encoded, RagConfig::default());
         let retrieval = retriever.retrieve(RAG_QUERY);
         println!(

@@ -88,9 +88,9 @@ impl MiningPipeline {
                     .collect(),
             ));
         }
-        let encoded = encode_traced(graph, cfg.encoder, scope);
         match &cfg.strategy {
             ContextStrategy::SlidingWindow(wc) => {
+                let encoded = encode_traced(graph, cfg.encoder, scope);
                 let ws = chunk_traced(&encoded, *wc, scope);
                 let origins = ws
                     .windows
@@ -112,6 +112,7 @@ impl MiningPipeline {
                 }
             }
             ContextStrategy::Rag(rc) => {
+                let encoded = encode_traced(graph, cfg.encoder, scope);
                 let retriever = Retriever::ingest_traced(&encoded, *rc, scope);
                 if scope.is_enabled() {
                     let fp = retriever.footprint();

@@ -67,9 +67,16 @@ impl MiningPrompt {
         MiningPrompt { style, context: context.into(), target_rules: None }
     }
 
-    /// Renders the full prompt text sent to the model.
+    /// Renders the full prompt text sent to the model: a fixed head
+    /// ending in `"\nGraph:\n"`, then the context.
     pub fn render(&self) -> String {
         let mut out = String::with_capacity(self.context.len() + 512);
+        self.write_head(&mut out);
+        out.push_str(&self.context);
+        out
+    }
+
+    fn write_head(&self, out: &mut String) {
         out.push_str(RULE_MINING_INSTRUCTION);
         out.push('\n');
         if let Some(n) = self.target_rules {
@@ -84,13 +91,18 @@ impl MiningPrompt {
             }
         }
         out.push_str("\nGraph:\n");
-        out.push_str(&self.context);
-        out
     }
 
-    /// Token count of the rendered prompt (drives the timing model).
+    /// Token count of the rendered prompt (drives the timing model),
+    /// without rendering it. The head's last token is the `:` of
+    /// `Graph:`, and whitespace rides forward onto the next token, so
+    /// the head's final `\n` joins the context's first token — or is
+    /// the one trailing-whitespace token of an empty or blank context.
     pub fn token_count(&self) -> usize {
-        token_count(&self.render())
+        let mut head = String::with_capacity(512);
+        self.write_head(&mut head);
+        head.pop();
+        token_count(&head) + token_count(&self.context).max(1)
     }
 }
 

@@ -91,3 +91,33 @@ proptest! {
         prop_assert!(short > 0.0);
     }
 }
+
+/// Contexts at the head/context seam: empty, blank, leading
+/// whitespace, non-ASCII, and encoder lines.
+fn prompt_context() -> impl Strategy<Value = String> {
+    prop_oneof![
+        Just(String::new()),
+        "[ \t\n]{1,4}",
+        "[ \n]{0,2}[a-zé_:.]{0,8}",
+        ".{0,200}",
+        Just("Node n0 with labels User has properties {id: 1, name: 'a'}.\n".to_owned()),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A prompt's token count, taken without rendering it, is the
+    /// rendered prompt's.
+    #[test]
+    fn prompt_token_count_matches_render(
+        context in prompt_context(),
+        few in any::<bool>(),
+        target in prop_oneof![Just(None), (0usize..30).prop_map(Some)],
+    ) {
+        let style = if few { PromptStyle::FewShot } else { PromptStyle::ZeroShot };
+        let mut prompt = MiningPrompt::new(style, context);
+        prompt.target_rules = target;
+        prop_assert_eq!(prompt.token_count(), grm_textenc::token_count(&prompt.render()));
+    }
+}

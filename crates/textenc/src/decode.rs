@@ -44,41 +44,67 @@ impl GraphFragment {
     /// lines are counted in `skipped_lines`.
     pub fn parse(text: &str) -> GraphFragment {
         let mut frag = GraphFragment::default();
-        for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with("Graph with ") {
-                continue;
-            }
-            if let Some(edge) = parse_edge_line(line) {
-                frag.edges.push(edge);
-            } else if let Some(node) = parse_node_line(line) {
-                frag.nodes.push(node);
-            } else {
-                frag.skipped_lines += 1;
+        let mut props = PropertyMap::new();
+        for line in element_lines(text) {
+            let mut insert = |key: &str, lit: Literal| {
+                props.insert(key.to_owned(), lit.value());
+            };
+            match read_line(line, &mut insert) {
+                Some(Element::Edge { src, label, dst, dst_labels }) => {
+                    frag.edges.push(FragmentEdge {
+                        src,
+                        label: label.to_owned(),
+                        props: std::mem::take(&mut props),
+                        dst,
+                        dst_labels: split_labels(dst_labels),
+                    });
+                }
+                Some(Element::Node { id, labels }) => {
+                    frag.nodes.push(FragmentNode {
+                        id,
+                        labels: split_labels(labels),
+                        props: std::mem::take(&mut props),
+                    });
+                }
+                None => {
+                    props.clear();
+                    frag.skipped_lines += 1;
+                }
             }
         }
         frag
+    }
+
+    /// `parse(text).nodes.len() + parse(text).edges.len()`: the same
+    /// grammar, read without building a label, key or value.
+    pub fn count_elements(text: &str) -> usize {
+        element_lines(text).filter(|line| read_line(line, &mut |_, _| {}).is_some()).count()
     }
 
     /// Rebuilds a small property graph from the fragment — the
     /// "mental model" the simulated LLM reasons over. Edges whose
     /// source node is outside the fragment are dropped (their source
     /// labels are unknown); unseen targets become label-only stubs.
-    pub fn to_graph(&self) -> PropertyGraph {
+    /// Labels, keys and values move into the graph.
+    pub fn into_graph(self) -> PropertyGraph {
         let mut g = PropertyGraph::new();
         let mut ids = std::collections::HashMap::new();
-        for n in &self.nodes {
-            let id = g.add_node(n.labels.clone(), n.props.clone());
+        for n in self.nodes {
+            let id = g.add_node(n.labels, n.props);
             ids.insert(n.id, id);
         }
-        for e in &self.edges {
+        for e in self.edges {
             let Some(&src) = ids.get(&e.src) else { continue };
-            let dst = *ids
-                .entry(e.dst)
-                .or_insert_with(|| g.add_node(e.dst_labels.clone(), PropertyMap::new()));
-            g.add_edge(src, dst, e.label.clone(), e.props.clone());
+            let dst =
+                *ids.entry(e.dst).or_insert_with(|| g.add_node(e.dst_labels, PropertyMap::new()));
+            g.add_edge(src, dst, e.label, e.props);
         }
         g
+    }
+
+    /// [`GraphFragment::into_graph`] of a copy of the fragment.
+    pub fn to_graph(&self) -> PropertyGraph {
+        self.clone().into_graph()
     }
 
     /// Infers the schema of [`GraphFragment::to_graph`].
@@ -97,19 +123,56 @@ impl GraphFragment {
     }
 }
 
+/// The trimmed lines of `text` that may hold a graph element: blank
+/// lines and the `Graph with ...` header are neither elements nor
+/// skipped.
+fn element_lines(text: &str) -> impl Iterator<Item = &str> {
+    text.lines().map(str::trim).filter(|line| !line.is_empty() && !line.starts_with("Graph with "))
+}
+
+fn split_labels(labels: &str) -> Vec<String> {
+    labels.split(':').map(str::to_owned).collect()
+}
+
+/// One encoder line as the grammar reads it, borrowed from the line.
+/// Its properties went to the caller's callback as they were read.
+enum Element<'a> {
+    Node { id: u32, labels: &'a str },
+    Edge { src: u32, label: &'a str, dst: u32, dst_labels: &'a str },
+}
+
+/// The fragment grammar: reads one trimmed line as an edge, else as a
+/// node, calling `prop` for each `key: literal` pair in line order.
+/// At most one of the two readings reaches the properties: both need
+/// a `u32` right after `Node n`, and what follows it (` -[` or
+/// ` with labels `) decides which one parses it. So a line that fails
+/// after `prop` was called is skipped.
+fn read_line<'a>(
+    line: &'a str,
+    prop: &mut impl FnMut(&'a str, Literal<'a>),
+) -> Option<Element<'a>> {
+    edge_line(line, prop).or_else(|| node_line(line, prop))
+}
+
 /// `Node n0 with labels A:B has properties {k: v}.`
-fn parse_node_line(line: &str) -> Option<FragmentNode> {
+fn node_line<'a>(
+    line: &'a str,
+    prop: &mut impl FnMut(&'a str, Literal<'a>),
+) -> Option<Element<'a>> {
     let rest = line.strip_prefix("Node n")?;
     let (id_str, rest) = rest.split_once(" with labels ")?;
     let id: u32 = id_str.parse().ok()?;
-    let (labels_str, rest) = rest.split_once(" has properties ")?;
+    let (labels, rest) = rest.split_once(" has properties ")?;
     let props_str = rest.strip_suffix('.')?;
-    let props = parse_props(props_str)?;
-    Some(FragmentNode { id, labels: labels_str.split(':').map(str::to_owned).collect(), props })
+    read_props(props_str, prop)?;
+    Some(Element::Node { id, labels })
 }
 
 /// `Node n0 -[TYPE {k: v}]-> Node n5 (Match).`
-fn parse_edge_line(line: &str) -> Option<FragmentEdge> {
+fn edge_line<'a>(
+    line: &'a str,
+    prop: &mut impl FnMut(&'a str, Literal<'a>),
+) -> Option<Element<'a>> {
     let rest = line.strip_prefix("Node n")?;
     let (src_str, rest) = rest.split_once(" -[")?;
     let src: u32 = src_str.parse().ok()?;
@@ -118,23 +181,16 @@ fn parse_edge_line(line: &str) -> Option<FragmentEdge> {
         Some((l, p)) => (l, p),
         None => (head, "{}"),
     };
-    let props = parse_props(props_str)?;
+    read_props(props_str, prop)?;
     let (dst_str, rest) = rest.split_once(" (")?;
     let dst: u32 = dst_str.parse().ok()?;
-    let dst_labels_str = rest.strip_suffix(").")?;
-    Some(FragmentEdge {
-        src,
-        label: label.to_owned(),
-        props,
-        dst,
-        dst_labels: dst_labels_str.split(':').map(str::to_owned).collect(),
-    })
+    let dst_labels = rest.strip_suffix(").")?;
+    Some(Element::Edge { src, label, dst, dst_labels })
 }
 
 /// `{k: v, k2: v2}` — must consume the whole string.
-fn parse_props(s: &str) -> Option<PropertyMap> {
+fn read_props<'a>(s: &'a str, prop: &mut impl FnMut(&'a str, Literal<'a>)) -> Option<()> {
     let inner = s.strip_prefix('{')?.strip_suffix('}')?;
-    let mut props = PropertyMap::new();
     let mut rest = inner.trim();
     while !rest.is_empty() {
         let (key, after) = rest.split_once(':')?;
@@ -142,8 +198,8 @@ fn parse_props(s: &str) -> Option<PropertyMap> {
         if key.is_empty() || !key.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
             return None;
         }
-        let (value, remainder) = parse_value(after.trim())?;
-        props.insert(key.to_owned(), value);
+        let (lit, remainder) = literal(after.trim())?;
+        prop(key, lit);
         rest = remainder.trim_start();
         if let Some(r) = rest.strip_prefix(',') {
             rest = r.trim_start();
@@ -151,69 +207,111 @@ fn parse_props(s: &str) -> Option<PropertyMap> {
             return None;
         }
     }
-    Some(props)
+    Some(())
 }
 
-/// Parses one literal, returning it and the remaining input.
-fn parse_value(s: &str) -> Option<(Value, &str)> {
-    if let Some(rest) = s.strip_prefix('\'') {
-        // String with backslash escapes.
-        let mut out = String::new();
-        let mut chars = rest.char_indices();
-        while let Some((i, c)) = chars.next() {
-            match c {
-                '\\' => {
-                    let (_, esc) = chars.next()?;
-                    out.push(esc);
+/// One property literal as the grammar read it: its extent in the
+/// line, plus any scalar it already had to parse to accept it.
+enum Literal<'a> {
+    /// `null`, a boolean, a number or a `datetime(..)`.
+    Scalar(Value),
+    /// A quoted string's body, escapes still in place.
+    Str(&'a str),
+    /// A whole list literal, brackets included, every item well formed.
+    List(&'a str),
+}
+
+impl Literal<'_> {
+    /// Builds the value the literal denotes.
+    fn value(self) -> Value {
+        match self {
+            Literal::Scalar(v) => v,
+            Literal::Str(body) if !body.contains('\\') => Value::Str(body.to_owned()),
+            Literal::Str(body) => {
+                let mut out = String::with_capacity(body.len());
+                let mut chars = body.chars();
+                while let Some(c) = chars.next() {
+                    out.push(if c == '\\' { chars.next().expect("read escape") } else { c });
                 }
-                '\'' => return Some((Value::Str(out), &rest[i + 1..])),
-                other => out.push(other),
+                Value::Str(out)
+            }
+            Literal::List(list) => {
+                let mut items = Vec::new();
+                list_items(&list[1..], &mut |item| items.push(item.value())).expect("read list");
+                Value::List(items)
+            }
+        }
+    }
+}
+
+/// Reads one literal, returning it and the remaining input.
+fn literal(s: &str) -> Option<(Literal<'_>, &str)> {
+    if let Some(rest) = s.strip_prefix('\'') {
+        // String with backslash escapes. Every byte of a multi-byte
+        // character is >= 0x80, so stepping over an escape's first
+        // byte never lands on a quote or a backslash.
+        let bytes = rest.as_bytes();
+        let mut i = 0;
+        while i < bytes.len() {
+            match bytes[i] {
+                b'\\' => i += 2,
+                b'\'' => return Some((Literal::Str(&rest[..i]), &rest[i + 1..])),
+                _ => i += 1,
             }
         }
         return None; // unterminated
     }
     if let Some(rest) = s.strip_prefix("datetime(") {
         let (num, rest) = rest.split_once(')')?;
-        return Some((Value::DateTime(num.trim().parse().ok()?), rest));
+        return Some((Literal::Scalar(Value::DateTime(num.trim().parse().ok()?)), rest));
     }
-    if let Some(mut rest) = s.strip_prefix('[') {
-        let mut items = Vec::new();
-        rest = rest.trim_start();
-        if let Some(r) = rest.strip_prefix(']') {
-            return Some((Value::List(items), r));
-        }
-        loop {
-            let (v, r) = parse_value(rest)?;
-            items.push(v);
-            rest = r.trim_start();
-            if let Some(r) = rest.strip_prefix(',') {
-                rest = r.trim_start();
-            } else if let Some(r) = rest.strip_prefix(']') {
-                return Some((Value::List(items), r));
-            } else {
-                return None;
-            }
-        }
+    if let Some(items) = s.strip_prefix('[') {
+        let rest = list_items(items, &mut |_| {})?;
+        return Some((Literal::List(&s[..s.len() - rest.len()]), rest));
     }
     for (word, value) in
         [("null", Value::Null), ("true", Value::Bool(true)), ("false", Value::Bool(false))]
     {
         if let Some(rest) = s.strip_prefix(word) {
-            return Some((value, rest));
+            return Some((Literal::Scalar(value), rest));
         }
     }
     // Number: consume [-0-9.] prefix.
     let end = s
-        .char_indices()
-        .take_while(|(i, c)| c.is_ascii_digit() || *c == '.' || (*i == 0 && *c == '-'))
-        .map(|(i, c)| i + c.len_utf8())
-        .last()?;
-    let num = &s[..end];
-    let rest = &s[end..];
-    if num.contains('.') {
-        Some((Value::Float(num.parse().ok()?), rest))
+        .bytes()
+        .enumerate()
+        .take_while(|(i, b)| b.is_ascii_digit() || *b == b'.' || (*i == 0 && *b == b'-'))
+        .count();
+    if end == 0 {
+        return None;
+    }
+    let (num, rest) = s.split_at(end);
+    let value = if num.contains('.') {
+        Value::Float(num.parse().ok()?)
     } else {
-        Some((Value::Int(num.parse().ok()?), rest))
+        Value::Int(num.parse().ok()?)
+    };
+    Some((Literal::Scalar(value), rest))
+}
+
+/// Reads the items of a list whose `[` is consumed, through its `]`,
+/// returning the input after the `]`.
+fn list_items<'a>(s: &'a str, item: &mut impl FnMut(Literal<'a>)) -> Option<&'a str> {
+    let mut rest = s.trim_start();
+    if let Some(r) = rest.strip_prefix(']') {
+        return Some(r);
+    }
+    loop {
+        let (lit, r) = literal(rest)?;
+        item(lit);
+        rest = r.trim_start();
+        if let Some(r) = rest.strip_prefix(',') {
+            rest = r.trim_start();
+        } else if let Some(r) = rest.strip_prefix(']') {
+            return Some(r);
+        } else {
+            return None;
+        }
     }
 }
 
@@ -282,6 +380,10 @@ mod tests {
         assert!(!schema.has_node_label("Match"));
     }
 
+    fn parse_value(s: &str) -> Option<(Value, &str)> {
+        literal(s).map(|(lit, rest)| (lit.value(), rest))
+    }
+
     #[test]
     fn value_literals_roundtrip() {
         let (v, rest) = parse_value("'a\\'b' , tail").unwrap();
@@ -294,6 +396,10 @@ mod tests {
         assert_eq!(
             parse_value("[1, 'x']").unwrap().0,
             Value::List(vec![Value::Int(1), Value::from("x")])
+        );
+        assert_eq!(
+            parse_value("[[1], []]]").unwrap(),
+            (Value::List(vec![Value::List(vec![Value::Int(1)]), Value::List(vec![])]), "]")
         );
     }
 

@@ -10,7 +10,7 @@
 //! ([`crate::decode`]).
 //!
 //! An **adjacency encoder** is provided as the ablation alternative
-//! (`bench/benches/encoding.rs` compares the two).
+//! (`crates/bench/benches/figure2_encoding.rs` compares the two).
 
 use std::fmt::Write as _;
 

@@ -37,7 +37,7 @@ pub mod window;
 pub use decode::{FragmentEdge, FragmentNode, GraphFragment};
 pub use incident::{encode, encode_adjacency, encode_incident, EncoderKind};
 pub use summary::{encode_summary, SummaryConfig};
-pub use tokenizer::{token_count, tokenize, MAX_PIECE};
+pub use tokenizer::{token_count, tokenize, Tokenized, MAX_PIECE};
 pub use trace::{chunk_traced, encode_summary_traced, encode_traced};
 pub use window::{
     chunk, BrokenPattern, Window, WindowConfig, WindowSet, DEFAULT_OVERLAP, DEFAULT_WINDOW_SIZE,

@@ -21,41 +21,99 @@ pub const MAX_PIECE: usize = 4;
 /// `tokens.concat() == text`.
 pub fn tokenize(text: &str) -> Vec<&str> {
     let mut out = Vec::with_capacity(text.len() / 3 + 1);
-    let bytes = text.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        let start = i;
-        // Leading whitespace rides along with the token.
-        while i < bytes.len() && (bytes[i] as char).is_ascii_whitespace() {
-            i += 1;
-        }
-        if i >= bytes.len() {
-            // Trailing whitespace becomes one final token.
-            out.push(&text[start..]);
-            break;
-        }
-        let c = bytes[i] as char;
-        if c.is_ascii_alphanumeric() || c == '_' {
-            let mut taken = 0;
-            while i < bytes.len()
-                && ((bytes[i] as char).is_ascii_alphanumeric() || bytes[i] == b'_')
-                && taken < MAX_PIECE
-            {
-                i += 1;
-                taken += 1;
-            }
-        } else {
-            // Punctuation or non-ASCII: single scalar value.
-            i += utf8_len(bytes[i]);
-        }
-        out.push(&text[start..i]);
-    }
+    out.extend(Tokens::new(text).map(|(start, end)| &text[start..end]));
     out
 }
 
 /// Number of tokens in `text` (without materialising pieces).
 pub fn token_count(text: &str) -> usize {
-    tokenize(text).len()
+    Tokens::new(text).count()
+}
+
+/// A text with the token boundaries of one scan over it: token `i` is
+/// `text[bounds[i]..bounds[i + 1]]`, and the last bound is
+/// `text.len()`. The encoded graph is scanned once per run and every
+/// stage that counts or cuts it reads these bounds.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Tokenized {
+    text: String,
+    bounds: Vec<usize>,
+}
+
+impl Tokenized {
+    /// Scans `text` once.
+    pub fn new(text: String) -> Self {
+        let bounds = token_bounds(&text);
+        Tokenized { text, bounds }
+    }
+
+    /// The scanned text.
+    pub fn text(&self) -> &str {
+        &self.text
+    }
+
+    /// Number of tokens, `token_count(self.text())`.
+    pub fn token_count(&self) -> usize {
+        self.bounds.len() - 1
+    }
+
+    /// Token start offsets followed by `text.len()`.
+    pub(crate) fn bounds(&self) -> &[usize] {
+        &self.bounds
+    }
+}
+
+/// Token start offsets of `text` followed by `text.len()`.
+pub(crate) fn token_bounds(text: &str) -> Vec<usize> {
+    // Encoder text averages about 2.5 bytes a token, so this rarely
+    // has to grow.
+    let mut bounds = Vec::with_capacity(text.len() / 2 + 2);
+    bounds.extend(Tokens::new(text).map(|(start, _)| start));
+    bounds.push(text.len());
+    bounds
+}
+
+/// The one tokenizer scan: yields each token's byte range in order.
+struct Tokens<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Tokens<'a> {
+    fn new(text: &'a str) -> Self {
+        Tokens { bytes: text.as_bytes(), pos: 0 }
+    }
+}
+
+impl Iterator for Tokens<'_> {
+    type Item = (usize, usize);
+
+    fn next(&mut self) -> Option<(usize, usize)> {
+        let bytes = self.bytes;
+        let start = self.pos;
+        if start >= bytes.len() {
+            return None;
+        }
+        let mut i = start;
+        // Leading whitespace rides along with the token.
+        while i < bytes.len() && bytes[i].is_ascii_whitespace() {
+            i += 1;
+        }
+        if i < bytes.len() {
+            if bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_' {
+                let piece_end = (i + MAX_PIECE).min(bytes.len());
+                while i < piece_end && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
+                    i += 1;
+                }
+            } else {
+                // Punctuation or non-ASCII: single scalar value.
+                i += utf8_len(bytes[i]);
+            }
+        }
+        // Otherwise trailing whitespace becomes one final token.
+        self.pos = i;
+        Some((start, i))
+    }
 }
 
 fn utf8_len(first_byte: u8) -> usize {

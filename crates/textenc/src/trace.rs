@@ -1,5 +1,5 @@
 //! Instrumented entry points: same behaviour as [`crate::encode`] /
-//! [`crate::chunk`] / [`crate::encode_summary`], recording a stage
+//! [`Tokenized::chunk`] / [`crate::encode_summary`], recording a stage
 //! span and encoder counters on the given [`grm_obs::Scope`]. The
 //! untraced functions stay the zero-overhead default.
 
@@ -8,20 +8,22 @@ use grm_pgraph::PropertyGraph;
 
 use crate::incident::{encode, EncoderKind};
 use crate::summary::{encode_summary, SummaryConfig};
-use crate::tokenizer::token_count;
-use crate::window::{chunk, WindowConfig, WindowSet};
+use crate::tokenizer::{token_count, Tokenized};
+use crate::window::{WindowConfig, WindowSet};
 
 /// [`crate::encode`] under an `encode` span, counting nodes, edges
-/// and emitted tokens.
-pub fn encode_traced(g: &PropertyGraph, kind: EncoderKind, scope: &Scope) -> String {
+/// and emitted tokens. The text comes back with the bounds of the
+/// token scan that counted it, which chunking and RAG ingestion cut
+/// from.
+pub fn encode_traced(g: &PropertyGraph, kind: EncoderKind, scope: &Scope) -> Tokenized {
     let span = scope.span("encode");
-    let text = encode(g, kind);
+    let encoded = Tokenized::new(encode(g, kind));
     let inner = span.scope();
     inner.add(Counter::NodesEncoded, g.node_count() as u64);
     inner.add(Counter::EdgesEncoded, g.edge_count() as u64);
-    inner.add(Counter::TokensEmitted, token_count(&text) as u64);
+    inner.add(Counter::TokensEmitted, encoded.token_count() as u64);
     span.finish();
-    text
+    encoded
 }
 
 /// [`crate::encode_summary`] under a `summarize` span.
@@ -36,13 +38,13 @@ pub fn encode_summary_traced(g: &PropertyGraph, config: SummaryConfig, scope: &S
     text
 }
 
-/// [`crate::chunk`] under a `chunk` span, counting windows and the
-/// broken patterns of §4.5, recording the per-window token-count
+/// [`Tokenized::chunk`] under a `chunk` span, counting windows and
+/// the broken patterns of §4.5, recording the per-window token-count
 /// distribution, and attaching one journal `Boundary` record per
 /// broken pattern (the seam it straddles and the node it belongs to).
-pub fn chunk_traced(text: &str, config: WindowConfig, scope: &Scope) -> WindowSet {
+pub fn chunk_traced(encoded: &Tokenized, config: WindowConfig, scope: &Scope) -> WindowSet {
     let span = scope.span("chunk");
-    let ws = chunk(text, config);
+    let ws = encoded.chunk(config);
     let inner = span.scope();
     inner.add(Counter::WindowsProduced, ws.len() as u64);
     inner.add(Counter::BrokenPatterns, ws.broken_patterns as u64);
@@ -64,6 +66,7 @@ pub fn chunk_traced(text: &str, config: WindowConfig, scope: &Scope) -> WindowSe
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::window::chunk;
     use grm_obs::Recorder;
     use grm_pgraph::props;
 
@@ -85,15 +88,15 @@ mod tests {
         let g = graph();
         let rec = Recorder::new();
         let scope = rec.root_scope();
-        let text = encode_traced(&g, EncoderKind::Incident, &scope);
-        assert_eq!(text, encode(&g, EncoderKind::Incident));
-        let ws = chunk_traced(&text, WindowConfig::new(200, 20), &scope);
-        assert_eq!(ws.len(), chunk(&text, WindowConfig::new(200, 20)).len());
+        let encoded = encode_traced(&g, EncoderKind::Incident, &scope);
+        assert_eq!(encoded.text(), encode(&g, EncoderKind::Incident));
+        let ws = chunk_traced(&encoded, WindowConfig::new(200, 20), &scope);
+        assert_eq!(ws.len(), chunk(encoded.text(), WindowConfig::new(200, 20)).len());
 
         let journal = rec.snapshot();
         assert_eq!(journal.span("encode").unwrap().counter("nodes_encoded"), 50);
         assert_eq!(journal.span("encode").unwrap().counter("edges_encoded"), 49);
-        assert!(journal.total("tokens_emitted") > 0);
+        assert_eq!(journal.total("tokens_emitted"), token_count(encoded.text()) as u64);
         assert_eq!(journal.span("chunk").unwrap().counter("windows_produced"), ws.len() as u64);
     }
 
@@ -102,9 +105,9 @@ mod tests {
         let g = graph();
         let rec = Recorder::new();
         let scope = rec.root_scope();
-        let text = encode_traced(&g, EncoderKind::Incident, &scope);
+        let encoded = encode_traced(&g, EncoderKind::Incident, &scope);
         // Zero overlap on small windows guarantees some breakage.
-        let ws = chunk_traced(&text, WindowConfig::new(60, 0), &scope);
+        let ws = chunk_traced(&encoded, WindowConfig::new(60, 0), &scope);
         assert!(ws.broken_patterns > 0);
         let journal = rec.snapshot();
         assert_eq!(journal.boundaries.len(), ws.broken_patterns);

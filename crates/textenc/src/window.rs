@@ -11,7 +11,7 @@
 //! (6 / 11 / 6 for the three datasets) — [`WindowSet::broken_patterns`]
 //! measures exactly that.
 
-use crate::tokenizer::tokenize;
+use crate::tokenizer::{token_bounds, Tokenized};
 
 /// Paper defaults (§3.1.1).
 pub const DEFAULT_WINDOW_SIZE: usize = 8000;
@@ -107,32 +107,57 @@ impl WindowSet {
 /// incident encoder emits exactly one graph element per line). A line
 /// is intact iff at least one window contains it entirely.
 pub fn chunk(text: &str, config: WindowConfig) -> WindowSet {
-    let tokens = tokenize(text);
-    let total = tokens.len();
-    let stride = config.window_size - config.overlap;
+    chunk_bounds(text, &token_bounds(text), config)
+}
 
+impl Tokenized {
+    /// [`chunk`] over the bounds of this text's one scan.
+    pub fn chunk(&self, config: WindowConfig) -> WindowSet {
+        chunk_bounds(self.text(), self.bounds(), config)
+    }
+
+    /// The windows of [`Tokenized::chunk`] without its broken-pattern
+    /// accounting, for callers that never read it (RAG ingestion).
+    pub fn windows(&self, config: WindowConfig) -> Vec<Window> {
+        cut_windows(self.text(), self.bounds(), config)
+    }
+}
+
+fn chunk_bounds(text: &str, bounds: &[usize], config: WindowConfig) -> WindowSet {
+    let windows = cut_windows(text, bounds, config);
+    let breakages = broken_pattern_details(text, bounds, &windows);
+    WindowSet {
+        windows,
+        config,
+        total_tokens: bounds.len() - 1,
+        broken_patterns: breakages.len(),
+        breakages,
+    }
+}
+
+/// The one chunker: windows of `config.window_size` tokens, each
+/// starting `window_size - overlap` tokens after the previous one,
+/// the last ending at the last token. A window's text is one slice
+/// copy between its first and past-the-end token bounds.
+fn cut_windows(text: &str, bounds: &[usize], config: WindowConfig) -> Vec<Window> {
+    let total = bounds.len() - 1;
+    let stride = config.window_size - config.overlap;
     let mut windows = Vec::new();
-    let mut ranges: Vec<(usize, usize)> = Vec::new();
     let mut start = 0usize;
-    let mut index = 0usize;
     while start < total {
         let end = (start + config.window_size).min(total);
         windows.push(Window {
-            index,
-            text: tokens[start..end].concat(),
+            index: windows.len(),
+            text: text[bounds[start]..bounds[end]].to_owned(),
             start_token: start,
             token_len: end - start,
         });
-        ranges.push((start, end));
-        index += 1;
         if end == total {
             break;
         }
         start += stride;
     }
-
-    let breakages = broken_pattern_details(text, &tokens, &ranges);
-    WindowSet { windows, config, total_tokens: total, broken_patterns: breakages.len(), breakages }
+    windows
 }
 
 /// Finds the *patterns* that no window contains entirely.
@@ -146,26 +171,14 @@ pub fn chunk(text: &str, config: WindowConfig) -> WindowSet {
 /// reports 6 / 11 / 6 of them across the three datasets). Each is
 /// reported with the node id and the first/last window overlapping
 /// its bytes.
-fn broken_pattern_details(
-    text: &str,
-    tokens: &[&str],
-    ranges: &[(usize, usize)],
-) -> Vec<BrokenPattern> {
-    if ranges.len() <= 1 {
+fn broken_pattern_details(text: &str, bounds: &[usize], windows: &[Window]) -> Vec<BrokenPattern> {
+    if windows.len() <= 1 {
         return Vec::new();
     }
-    // Map token index -> byte offset of token start.
-    let mut offsets = Vec::with_capacity(tokens.len() + 1);
-    let mut pos = 0usize;
-    for t in tokens {
-        offsets.push(pos);
-        pos += t.len();
-    }
-    offsets.push(pos);
-
-    // Byte ranges of the windows.
-    let byte_ranges: Vec<(usize, usize)> =
-        ranges.iter().map(|(s, e)| (offsets[*s], offsets[*e])).collect();
+    // Byte ranges of the windows. Both ends strictly increase with the
+    // window index, so each query below is a binary search.
+    let starts: Vec<usize> = windows.iter().map(|w| bounds[w.start_token]).collect();
+    let ends: Vec<usize> = windows.iter().map(|w| bounds[w.start_token + w.token_len]).collect();
 
     // Group consecutive lines into per-node blocks.
     let mut broken = Vec::new();
@@ -174,13 +187,21 @@ fn broken_pattern_details(
     let mut line_start = 0usize;
     let flush = |start: usize, end: usize, id: Option<&str>, broken: &mut Vec<BrokenPattern>| {
         if end > start {
-            let contained = byte_ranges.iter().any(|(ws, we)| *ws <= start && end <= *we);
+            // The last window starting at or before the block has the
+            // furthest end of all windows that do.
+            let before = starts.partition_point(|ws| *ws <= start);
+            let contained = before > 0 && end <= ends[before - 1];
             if !contained {
-                let overlaps = |(ws, we): &(usize, usize)| *ws < end && start < *we;
+                // Overlapping windows: those ending after the block
+                // starts and starting before it ends — one run.
+                let first = ends.partition_point(|we| *we <= start);
+                let past = starts.partition_point(|ws| *ws < end);
+                let (first_window, last_window) =
+                    if first < past { (first, past - 1) } else { (0, 0) };
                 broken.push(BrokenPattern {
                     node: id.map(|n| format!("n{n}")).unwrap_or_else(|| "-".to_owned()),
-                    first_window: byte_ranges.iter().position(overlaps).unwrap_or(0),
-                    last_window: byte_ranges.iter().rposition(overlaps).unwrap_or(0),
+                    first_window,
+                    last_window,
                 });
             }
         }

@@ -1,8 +1,11 @@
 //! Property-based tests for tokenization, windowing, and fragment
-//! decoding.
+//! decoding, including differential tests against the straightforward
+//! definitions in [`reference`].
 
 use grm_pgraph::{props, PropertyGraph, Value};
-use grm_textenc::{chunk, encode_incident, tokenize, GraphFragment, WindowConfig};
+use grm_textenc::{
+    chunk, encode_incident, token_count, tokenize, GraphFragment, Tokenized, WindowConfig,
+};
 use proptest::prelude::*;
 
 proptest! {
@@ -125,6 +128,439 @@ proptest! {
         prop_assert!(frag.nodes.len() <= g.node_count());
         for n in &frag.nodes {
             prop_assert!(n.labels == vec!["User".to_owned()]);
+        }
+    }
+}
+
+/// Straightforward definitions the text path is checked against: a
+/// tokenizer that collects every piece, a chunker that concatenates
+/// token pieces and scans every window for every node block, and a
+/// fragment parser and graph builder that copy every value.
+mod reference {
+    use grm_pgraph::{PropertyGraph, PropertyMap, Value};
+    use grm_textenc::{BrokenPattern, FragmentEdge, FragmentNode, GraphFragment, Window};
+
+    pub fn tokenize(text: &str) -> Vec<&str> {
+        let mut out = Vec::new();
+        let bytes = text.as_bytes();
+        let mut i = 0;
+        while i < bytes.len() {
+            let start = i;
+            while i < bytes.len() && (bytes[i] as char).is_ascii_whitespace() {
+                i += 1;
+            }
+            if i >= bytes.len() {
+                out.push(&text[start..]);
+                break;
+            }
+            let c = bytes[i] as char;
+            if c.is_ascii_alphanumeric() || c == '_' {
+                let mut taken = 0;
+                while i < bytes.len()
+                    && ((bytes[i] as char).is_ascii_alphanumeric() || bytes[i] == b'_')
+                    && taken < grm_textenc::MAX_PIECE
+                {
+                    i += 1;
+                    taken += 1;
+                }
+            } else {
+                i += text[i..].chars().next().map_or(1, char::len_utf8);
+            }
+            out.push(&text[start..i]);
+        }
+        out
+    }
+
+    pub fn chunk(text: &str, size: usize, overlap: usize) -> (Vec<Window>, Vec<BrokenPattern>) {
+        let tokens = tokenize(text);
+        let mut windows = Vec::new();
+        let mut start = 0;
+        while start < tokens.len() {
+            let end = (start + size).min(tokens.len());
+            windows.push(Window {
+                index: windows.len(),
+                text: tokens[start..end].concat(),
+                start_token: start,
+                token_len: end - start,
+            });
+            if end == tokens.len() {
+                break;
+            }
+            start += size - overlap;
+        }
+        if windows.len() <= 1 {
+            return (windows, Vec::new());
+        }
+        let mut offsets = vec![0];
+        for t in &tokens {
+            offsets.push(offsets.last().unwrap() + t.len());
+        }
+        let ranges: Vec<(usize, usize)> = windows
+            .iter()
+            .map(|w| (offsets[w.start_token], offsets[w.start_token + w.token_len]))
+            .collect();
+        // Per-node line blocks, each checked against every window.
+        let mut blocks: Vec<(usize, usize, Option<&str>)> = Vec::new();
+        let mut pos = 0;
+        for line in text.split_inclusive('\n') {
+            let id = line.strip_prefix("Node n").and_then(|rest| {
+                let end = rest.find(|c: char| !c.is_ascii_digit())?;
+                (end > 0).then(|| &rest[..end])
+            });
+            match blocks.last_mut() {
+                Some(block) if block.2 == id => block.1 = pos + line.len(),
+                _ => blocks.push((pos, pos + line.len(), id)),
+            }
+            pos += line.len();
+        }
+        let broken = blocks
+            .into_iter()
+            .filter(|(start, end, _)| !ranges.iter().any(|(ws, we)| ws <= start && end <= we))
+            .map(|(start, end, id)| {
+                let overlaps = |(ws, we): &(usize, usize)| *ws < end && start < *we;
+                BrokenPattern {
+                    node: id.map_or_else(|| "-".to_owned(), |n| format!("n{n}")),
+                    first_window: ranges.iter().position(overlaps).unwrap_or(0),
+                    last_window: ranges.iter().rposition(overlaps).unwrap_or(0),
+                }
+            })
+            .collect();
+        (windows, broken)
+    }
+
+    pub fn parse(text: &str) -> GraphFragment {
+        let mut frag = GraphFragment::default();
+        for line in text.lines() {
+            let line = line.trim();
+            if line.is_empty() || line.starts_with("Graph with ") {
+                continue;
+            }
+            if let Some(edge) = edge_line(line) {
+                frag.edges.push(edge);
+            } else if let Some(node) = node_line(line) {
+                frag.nodes.push(node);
+            } else {
+                frag.skipped_lines += 1;
+            }
+        }
+        frag
+    }
+
+    fn node_line(line: &str) -> Option<FragmentNode> {
+        let rest = line.strip_prefix("Node n")?;
+        let (id_str, rest) = rest.split_once(" with labels ")?;
+        let id: u32 = id_str.parse().ok()?;
+        let (labels_str, rest) = rest.split_once(" has properties ")?;
+        let props = props(rest.strip_suffix('.')?)?;
+        Some(FragmentNode { id, labels: labels_str.split(':').map(str::to_owned).collect(), props })
+    }
+
+    fn edge_line(line: &str) -> Option<FragmentEdge> {
+        let rest = line.strip_prefix("Node n")?;
+        let (src_str, rest) = rest.split_once(" -[")?;
+        let src: u32 = src_str.parse().ok()?;
+        let (head, rest) = rest.split_once("]-> Node n")?;
+        let (label, props_str) = head.split_once(' ').unwrap_or((head, "{}"));
+        let props = props(props_str)?;
+        let (dst_str, rest) = rest.split_once(" (")?;
+        let dst: u32 = dst_str.parse().ok()?;
+        let dst_labels = rest.strip_suffix(").")?.split(':').map(str::to_owned).collect();
+        Some(FragmentEdge { src, label: label.to_owned(), props, dst, dst_labels })
+    }
+
+    fn props(s: &str) -> Option<PropertyMap> {
+        let inner = s.strip_prefix('{')?.strip_suffix('}')?;
+        let mut props = PropertyMap::new();
+        let mut rest = inner.trim();
+        while !rest.is_empty() {
+            let (key, after) = rest.split_once(':')?;
+            let key = key.trim();
+            if key.is_empty() || !key.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
+                return None;
+            }
+            let (value, remainder) = value(after.trim())?;
+            props.insert(key.to_owned(), value);
+            rest = remainder.trim_start();
+            if let Some(r) = rest.strip_prefix(',') {
+                rest = r.trim_start();
+            } else if !rest.is_empty() {
+                return None;
+            }
+        }
+        Some(props)
+    }
+
+    fn value(s: &str) -> Option<(Value, &str)> {
+        if let Some(rest) = s.strip_prefix('\'') {
+            let mut out = String::new();
+            let mut chars = rest.char_indices();
+            while let Some((i, c)) = chars.next() {
+                match c {
+                    '\\' => out.push(chars.next()?.1),
+                    '\'' => return Some((Value::Str(out), &rest[i + 1..])),
+                    other => out.push(other),
+                }
+            }
+            return None;
+        }
+        if let Some(rest) = s.strip_prefix("datetime(") {
+            let (num, rest) = rest.split_once(')')?;
+            return Some((Value::DateTime(num.trim().parse().ok()?), rest));
+        }
+        if let Some(mut rest) = s.strip_prefix('[') {
+            let mut items = Vec::new();
+            rest = rest.trim_start();
+            if let Some(r) = rest.strip_prefix(']') {
+                return Some((Value::List(items), r));
+            }
+            loop {
+                let (v, r) = value(rest)?;
+                items.push(v);
+                rest = r.trim_start();
+                if let Some(r) = rest.strip_prefix(',') {
+                    rest = r.trim_start();
+                } else if let Some(r) = rest.strip_prefix(']') {
+                    return Some((Value::List(items), r));
+                } else {
+                    return None;
+                }
+            }
+        }
+        for (word, value) in
+            [("null", Value::Null), ("true", Value::Bool(true)), ("false", Value::Bool(false))]
+        {
+            if let Some(rest) = s.strip_prefix(word) {
+                return Some((value, rest));
+            }
+        }
+        let end = s
+            .char_indices()
+            .take_while(|(i, c)| c.is_ascii_digit() || *c == '.' || (*i == 0 && *c == '-'))
+            .map(|(i, c)| i + c.len_utf8())
+            .last()?;
+        let (num, rest) = s.split_at(end);
+        if num.contains('.') {
+            Some((Value::Float(num.parse().ok()?), rest))
+        } else {
+            Some((Value::Int(num.parse().ok()?), rest))
+        }
+    }
+
+    pub fn to_graph(frag: &GraphFragment) -> PropertyGraph {
+        let mut g = PropertyGraph::new();
+        let mut ids = std::collections::HashMap::new();
+        for n in &frag.nodes {
+            ids.insert(n.id, g.add_node(n.labels.clone(), n.props.clone()));
+        }
+        for e in &frag.edges {
+            let Some(&src) = ids.get(&e.src) else { continue };
+            let dst = *ids
+                .entry(e.dst)
+                .or_insert_with(|| g.add_node(e.dst_labels.clone(), PropertyMap::new()));
+            g.add_edge(src, dst, e.label.clone(), e.props.clone());
+        }
+        g
+    }
+}
+
+/// Pieces of the fragment grammar, glued at random into near-miss
+/// lines: `+` ids (which `u32` parsing accepts), escaped and
+/// unterminated quotes, `datetime(..)`, nested lists, headers.
+const PIECES: [&str; 40] = [
+    "Node n",
+    "Node n",
+    "0",
+    "+5",
+    "12",
+    "x",
+    " -[",
+    "]-> Node n",
+    " with labels ",
+    "A:B",
+    " has properties ",
+    "{",
+    "}",
+    "k: ",
+    "id: ",
+    ", ",
+    "'",
+    "\\'",
+    "\\",
+    "a'b",
+    "é",
+    "datetime(",
+    " 42",
+    ")",
+    "[",
+    "]",
+    "[1, [2, 'x']]",
+    "null",
+    "true",
+    "-3.5",
+    "1.2.3",
+    "7",
+    " (",
+    ").",
+    ".",
+    " ",
+    "\n",
+    "Graph with 2 nodes and 1 edges.\n",
+    "\t",
+    "🦀",
+];
+
+fn grammar_soup() -> impl Strategy<Value = String> {
+    prop::collection::vec(0..PIECES.len(), 0..60)
+        .prop_map(|picks| picks.into_iter().map(|i| PIECES[i]).collect())
+}
+
+/// Incident encodings of small graphs with awkward string values,
+/// cut at arbitrary character boundaries as a window or chunk would.
+fn truncated_encoding() -> impl Strategy<Value = String> {
+    (
+        1usize..8,
+        prop::collection::vec("[a-z' \\\\é,:{}]{0,6}", 1..4),
+        prop::collection::vec((0u8..8, 0u8..8), 0..10),
+        0usize..2000,
+        0usize..2000,
+    )
+        .prop_map(|(nodes, strings, edges, a, b)| {
+            let mut g = PropertyGraph::new();
+            for i in 0..nodes {
+                let s = strings[i % strings.len()].clone();
+                let p = props([("id", Value::Int(i as i64)), ("name", Value::Str(s))]);
+                g.add_node(if i % 2 == 0 { vec!["User"] } else { vec!["User", "Admin"] }, p);
+            }
+            for (s, d) in edges {
+                let src = grm_pgraph::NodeId(u32::from(s) % nodes as u32);
+                let dst = grm_pgraph::NodeId(u32::from(d) % nodes as u32);
+                g.add_edge(src, dst, "FOLLOWS", props([("since", Value::DateTime(7))]));
+            }
+            let text = encode_incident(&g);
+            let snap = |i: usize| {
+                (i % (text.len() + 1)..=text.len())
+                    .find(|i| text.is_char_boundary(*i))
+                    .unwrap_or(text.len())
+            };
+            let (lo, hi) = (snap(a.min(b)), snap(a.max(b)));
+            text[lo.min(hi)..hi].to_owned()
+        })
+}
+
+/// A property literal: quoted strings with escapes, numbers,
+/// datetimes, keywords, and lists nested two deep.
+fn literal() -> BoxedStrategy<String> {
+    let leaf = prop_oneof![
+        "'[a-z é\\\\']{0,6}'",
+        "'[a-z]{0,2}\\\\'[a-zé]{0,2}\\\\\\\\'",
+        "[-]{0,1}[0-9]{1,3}",
+        "[0-9]{1,2}[.][0-9]{0,2}",
+        "datetime\\([ ]{0,1}[-]{0,1}[0-9]{1,4}\\)",
+        Just("null".to_owned()),
+        Just("false".to_owned()),
+    ]
+    .boxed();
+    let list = |item: BoxedStrategy<String>| {
+        prop::collection::vec(item, 0..3).prop_map(|items| format!("[{}]", items.join(", ")))
+    };
+    let shallow = prop_oneof![leaf.clone(), list(leaf.clone())].boxed();
+    prop_oneof![leaf, list(shallow)].boxed()
+}
+
+/// Lines in the encoder's grammar, with `+` ids and odd spacing.
+fn element_lines() -> impl Strategy<Value = String> {
+    let line = (
+        "[+]{0,1}[0-9]{1,2}",
+        "[A-Z][a-z]{0,3}",
+        prop::collection::vec(("[a-z_]{1,3}", literal()), 0..4),
+        any::<bool>(),
+        "[0-9]{1,2}",
+        "[ ]{0,2}",
+    )
+        .prop_map(|(id, label, props, edge, dst, pad)| {
+            let props: Vec<String> = props.iter().map(|(k, v)| format!("{k}: {v}")).collect();
+            let props = props.join(", ");
+            if edge {
+                format!(
+                    "{pad}Node n{id} -[{} {{{props}}}]-> Node n{dst} ({label}).",
+                    label.to_uppercase()
+                )
+            } else {
+                format!("Node n{id} with labels {label}:X has properties {{{props}}}.{pad}")
+            }
+        });
+    prop::collection::vec(line, 0..12).prop_map(|lines| lines.join("\n"))
+}
+
+fn any_text() -> impl Strategy<Value = String> {
+    prop_oneof![
+        ".{0,300}",
+        "[ \t\n]{0,12}",
+        "[a-z0-9_ \n.,:'{}]{0,300}",
+        grammar_soup(),
+        truncated_encoding(),
+        element_lines(),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Every token reading — pieces, count, and a [`Tokenized`]'s
+    /// count — is the reference tokenizer's.
+    #[test]
+    fn tokenizer_matches_reference(text in any_text()) {
+        let pieces = reference::tokenize(&text);
+        prop_assert_eq!(tokenize(&text), pieces.clone());
+        prop_assert_eq!(token_count(&text), pieces.len());
+        prop_assert_eq!(Tokenized::new(text.clone()).token_count(), pieces.len());
+    }
+
+    /// Window texts, token spans and broken patterns equal the
+    /// reference chunker's, through both `chunk` and the one-scan
+    /// `Tokenized` path, and `Tokenized::windows` cuts the same windows.
+    #[test]
+    fn chunking_matches_reference(text in any_text(), size in 1usize..40, overlap in 0usize..40) {
+        let overlap = overlap % size;
+        let cfg = WindowConfig::new(size, overlap);
+        let (windows, breakages) = reference::chunk(&text, size, overlap);
+        let total = reference::tokenize(&text).len();
+        let tokenized = Tokenized::new(text.clone());
+        for ws in [chunk(&text, cfg), tokenized.chunk(cfg)] {
+            prop_assert_eq!(&ws.windows, &windows);
+            prop_assert_eq!(&ws.breakages, &breakages);
+            prop_assert_eq!(ws.broken_patterns, breakages.len());
+            prop_assert_eq!(ws.total_tokens, total);
+        }
+        prop_assert_eq!(tokenized.windows(cfg), windows);
+    }
+
+    /// `parse` reads what the reference parser reads, and
+    /// `count_elements` counts exactly its nodes and edges.
+    #[test]
+    fn parse_and_count_match_reference(text in any_text()) {
+        let frag = GraphFragment::parse(&text);
+        let expected = reference::parse(&text);
+        prop_assert_eq!(&frag.nodes, &expected.nodes);
+        prop_assert_eq!(&frag.edges, &expected.edges);
+        prop_assert_eq!(frag.skipped_lines, expected.skipped_lines);
+        prop_assert_eq!(GraphFragment::count_elements(&text), frag.nodes.len() + frag.edges.len());
+    }
+
+    /// The moving graph builder builds the copying reference's graph,
+    /// node by node and edge by edge.
+    #[test]
+    fn into_graph_matches_reference(text in any_text()) {
+        let frag = GraphFragment::parse(&text);
+        let expected = reference::to_graph(&frag);
+        let g = frag.into_graph();
+        prop_assert_eq!(g.node_count(), expected.node_count());
+        prop_assert_eq!(g.edge_count(), expected.edge_count());
+        for (a, b) in g.nodes().zip(expected.nodes()) {
+            prop_assert_eq!((a.id, &a.labels, &a.props), (b.id, &b.labels, &b.props));
+        }
+        for (a, b) in g.edges().zip(expected.edges()) {
+            prop_assert_eq!((a.src, a.dst, &a.label, &a.props), (b.src, b.dst, &b.label, &b.props));
         }
     }
 }

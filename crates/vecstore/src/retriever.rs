@@ -9,7 +9,7 @@
 //! this implementation naturally — it is measured by
 //! [`Retrieval::coverage`].
 
-use grm_textenc::{chunk, token_count, GraphFragment, WindowConfig};
+use grm_textenc::{token_count, GraphFragment, Tokenized, WindowConfig};
 
 use crate::store::VectorStore;
 
@@ -85,20 +85,20 @@ impl Retrieval {
 impl Retriever {
     /// Ingests encoded graph text: chunk → embed → store. Chunk ids
     /// are store insertion order, which equals chunk order in the
-    /// encoded text — `chunk-<id>` is a stable origin id.
-    pub fn ingest(encoded: &str, config: RagConfig) -> Self {
-        let windows = chunk(encoded, WindowConfig::new(config.chunk_tokens, 0));
+    /// encoded text — `chunk-<id>` is a stable origin id. Chunks are
+    /// cut from the bounds of the text's one token scan.
+    pub fn ingest(encoded: &Tokenized, config: RagConfig) -> Self {
+        let windows = encoded.windows(WindowConfig::new(config.chunk_tokens, 0));
         let mut store = VectorStore::new();
         let mut chunk_spans = Vec::with_capacity(windows.len());
-        for w in &windows.windows {
-            store.insert(w.text.clone());
+        for w in windows {
             chunk_spans.push((w.start_token, w.token_len));
+            store.insert(w.text);
         }
-        let full = GraphFragment::parse(encoded);
         Retriever {
             store,
             config,
-            total_elements: full.nodes.len() + full.edges.len(),
+            total_elements: GraphFragment::count_elements(encoded.text()),
             chunk_spans,
         }
     }
@@ -127,13 +127,13 @@ impl Retriever {
             .map(|id| self.chunk_spans.get(*id).copied().unwrap_or((0, 0)))
             .collect();
         let scores: Vec<f32> = hits.iter().map(|h| h.score).collect();
-        let visible = GraphFragment::parse(&chunks.join("\n"));
+        let visible_elements = GraphFragment::count_elements(&chunks.join("\n"));
         Retrieval {
             chunks,
             chunk_ids,
             chunk_spans,
             scores,
-            visible_elements: visible.nodes.len() + visible.edges.len(),
+            visible_elements,
             total_elements: self.total_elements,
         }
     }
@@ -146,7 +146,7 @@ impl Retriever {
 
     /// [`Retriever::ingest`] under a `rag.ingest` span, counting the
     /// chunks embedded into the store.
-    pub fn ingest_traced(encoded: &str, config: RagConfig, scope: &grm_obs::Scope) -> Self {
+    pub fn ingest_traced(encoded: &Tokenized, config: RagConfig, scope: &grm_obs::Scope) -> Self {
         let span = scope.span("rag.ingest");
         let retriever = Retriever::ingest(encoded, config);
         span.scope().add(grm_obs::Counter::ChunksIngested, retriever.chunk_count() as u64);
@@ -178,6 +178,10 @@ mod tests {
     use grm_pgraph::{props, PropertyGraph};
     use grm_textenc::encode_incident;
 
+    fn encoded(g: &PropertyGraph) -> Tokenized {
+        Tokenized::new(encode_incident(g))
+    }
+
     fn bigish_graph() -> PropertyGraph {
         let mut g = PropertyGraph::new();
         let mut users = Vec::new();
@@ -193,14 +197,14 @@ mod tests {
 
     #[test]
     fn ingest_creates_multiple_chunks() {
-        let text = encode_incident(&bigish_graph());
+        let text = encoded(&bigish_graph());
         let r = Retriever::ingest(&text, RagConfig { chunk_tokens: 256, top_k: 3 });
         assert!(r.chunk_count() > 3, "{}", r.chunk_count());
     }
 
     #[test]
     fn retrieval_returns_top_k_chunks() {
-        let text = encode_incident(&bigish_graph());
+        let text = encoded(&bigish_graph());
         let r = Retriever::ingest(&text, RagConfig { chunk_tokens: 256, top_k: 3 });
         let ret = r.retrieve("consistency rules about User followers");
         assert_eq!(ret.chunks.len(), 3);
@@ -209,7 +213,7 @@ mod tests {
 
     #[test]
     fn retrieval_carries_stable_chunk_ids_and_spans() {
-        let text = encode_incident(&bigish_graph());
+        let text = encoded(&bigish_graph());
         let cfg = RagConfig { chunk_tokens: 256, top_k: 3 };
         let r = Retriever::ingest(&text, cfg);
         let ret = r.retrieve("consistency rules about User followers");
@@ -230,7 +234,7 @@ mod tests {
     fn generic_query_covers_only_part_of_the_graph() {
         // The paper's §4.5 observation: a generic rule-mining prompt
         // retrieves a small slice of the graph.
-        let text = encode_incident(&bigish_graph());
+        let text = encoded(&bigish_graph());
         let r = Retriever::ingest(&text, RagConfig { chunk_tokens: 256, top_k: 3 });
         let ret = r.retrieve("Generate consistency rules for this property graph");
         assert!(ret.coverage() < 0.9, "coverage {}", ret.coverage());
@@ -239,16 +243,18 @@ mod tests {
 
     #[test]
     fn context_is_parseable_fragment_text() {
-        let text = encode_incident(&bigish_graph());
+        let text = encoded(&bigish_graph());
         let r = Retriever::ingest(&text, RagConfig::default());
         let ret = r.retrieve("rules");
         let frag = GraphFragment::parse(&ret.context());
         assert_eq!(frag.nodes.len() + frag.edges.len(), ret.visible_elements);
+        let full = GraphFragment::parse(text.text());
+        assert_eq!(full.nodes.len() + full.edges.len(), ret.total_elements);
     }
 
     #[test]
     fn traced_retrieval_records_chunks_and_coverage() {
-        let text = encode_incident(&bigish_graph());
+        let text = encoded(&bigish_graph());
         let rec = grm_obs::Recorder::new();
         let scope = rec.root_scope();
         let cfg = RagConfig { chunk_tokens: 256, top_k: 3 };
@@ -266,7 +272,7 @@ mod tests {
 
     #[test]
     fn retriever_footprint_covers_store_and_span_table() {
-        let text = encode_incident(&bigish_graph());
+        let text = encoded(&bigish_graph());
         let cfg = RagConfig { chunk_tokens: 256, top_k: 3 };
         let r = Retriever::ingest(&text, cfg);
         let fp = r.footprint();
@@ -280,7 +286,7 @@ mod tests {
 
     #[test]
     fn context_tokens_bounded_by_chunks() {
-        let text = encode_incident(&bigish_graph());
+        let text = encoded(&bigish_graph());
         let cfg = RagConfig { chunk_tokens: 128, top_k: 2 };
         let r = Retriever::ingest(&text, cfg);
         let tokens = r.context_tokens("rules");

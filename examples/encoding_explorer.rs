@@ -12,7 +12,7 @@
 use graph_rule_mining::datasets::{generate, DatasetId, GenConfig};
 use graph_rule_mining::pipeline::RAG_QUERY;
 use graph_rule_mining::textenc::{
-    chunk, encode_adjacency, encode_incident, token_count, GraphFragment, WindowConfig,
+    encode_adjacency, encode_incident, token_count, GraphFragment, Tokenized, WindowConfig,
 };
 use graph_rule_mining::vecstore::{RagConfig, Retriever};
 
@@ -22,19 +22,23 @@ fn main() {
     println!("graph: {} nodes, {} edges\n", g.node_count(), g.edge_count());
 
     // 1. The two encoders.
-    let incident = encode_incident(g);
+    let incident = Tokenized::new(encode_incident(g));
     let adjacency = encode_adjacency(g);
-    println!("incident encoding:  {} chars, {} tokens", incident.len(), token_count(&incident));
+    println!(
+        "incident encoding:  {} chars, {} tokens",
+        incident.text().len(),
+        incident.token_count()
+    );
     println!("adjacency encoding: {} chars, {} tokens", adjacency.len(), token_count(&adjacency));
     println!("\nfirst incident lines:");
-    for line in incident.lines().take(4) {
+    for line in incident.text().lines().take(4) {
         println!("  {line}");
     }
 
     // 2. Sliding windows (paper defaults are 8000/500; we shrink them
     // so this small graph still produces several windows).
     let cfg = WindowConfig::new(1200, 100);
-    let windows = chunk(&incident, cfg);
+    let windows = incident.chunk(cfg);
     println!(
         "\nsliding windows of {} tokens (overlap {}): {} windows, {} patterns broken",
         cfg.window_size,

@@ -139,7 +139,8 @@ struct Flags {
 /// Parses `args` against the verb's own flags, each list
 /// whitespace-separated: `switch_names` take no value, `value_names`
 /// take one. Any other `--flag` is an error, so a misspelled or
-/// retired flag never runs silently with a default.
+/// retired flag never runs silently with a default, and so is a flag
+/// given twice, which would otherwise silently keep one of its values.
 fn parse_flags(args: &[String], switch_names: &str, value_names: &str) -> Result<Flags, String> {
     let mut named = HashMap::new();
     let mut switches = Vec::new();
@@ -147,6 +148,9 @@ fn parse_flags(args: &[String], switch_names: &str, value_names: &str) -> Result
     let mut it = args.iter();
     while let Some(a) = it.next() {
         if let Some(name) = a.strip_prefix("--") {
+            if named.contains_key(name) || switches.iter().any(|s| s == name) {
+                return Err(format!("repeated flag --{name}"));
+            }
             if switch_names.split_whitespace().any(|s| s == name) {
                 switches.push(name.to_owned());
             } else if value_names.split_whitespace().any(|v| v == name) {

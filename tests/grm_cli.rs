@@ -1,7 +1,7 @@
 //! `grm` flag handling: every verb rejects a flag it does not read —
 //! a misspelled or retired flag exits 1 with `error: unknown flag`
-//! before any work, never a panic — and accepts every flag it
-//! documents.
+//! before any work, never a panic — rejects a flag given twice, and
+//! accepts every flag it documents.
 
 use std::process::Command;
 
@@ -58,6 +58,22 @@ fn every_verb_rejects_flags_it_does_not_read() {
         assert_eq!(code, Some(1), "{args}: {stderr}");
         assert!(!stderr.contains("panicked"), "{args}: {stderr}");
         assert_eq!(stderr.trim_end(), format!("error: unknown flag --{flag}"), "{args}");
+    }
+}
+
+#[test]
+fn every_verb_rejects_a_repeated_flag() {
+    let cases = [
+        ("seed", "mine --graph missing.json --seed 3 --seed 4 --deterministic --json r.json"),
+        ("scale", "generate --dataset wwc2019 --scale 0.2 --scale 0.3 --out missing.json"),
+        ("top", "trace plans missing.json --top 3 --top 4"),
+        ("tenant", "serve submit --addr 127.0.0.1:1 --tenant a --tenant b --kind mine"),
+        ("json", "trace summary missing.json --json --json"),
+    ];
+    for (flag, args) in cases {
+        let (code, stderr) = grm(args);
+        assert_eq!(code, Some(1), "{args}: {stderr}");
+        assert_eq!(stderr.trim_end(), format!("error: repeated flag --{flag}"), "{args}");
     }
 }
 

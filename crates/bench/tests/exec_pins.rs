@@ -37,7 +37,7 @@ fn render_rows(out: &mut String, rs: &ResultSet) {
 
 fn render_profile(out: &mut String, profile: &QueryProfile) {
     let _ = writeln!(out, "  profile rows {} sim {}", profile.rows, profile.sim_us);
-    for op in profile.plan_ops() {
+    for op in &profile.ops {
         let _ = writeln!(
             out,
             "  {} | {} | calls {} in {} rows {} hits {}/{}/{} sim {}",

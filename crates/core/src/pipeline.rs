@@ -20,8 +20,8 @@ use grm_metrics::{
     ClassTally, QueryClass, RuleMetrics,
 };
 use grm_obs::{
-    ChaosRecord, CheckpointRecord, Counter, DegradedRecord, FootprintRow, Histo, LineageRecord,
-    MemRecord, OriginRef, Recorder, Scope,
+    ChaosRecord, CheckpointRecord, Counter, FootprintRow, Histo, LineageRecord, MemRecord,
+    OriginRef, Recorder, Scope,
 };
 use grm_pgraph::{GraphSchema, PropertyGraph};
 use grm_resil::{FaultPlan, Stage};
@@ -74,7 +74,7 @@ impl MiningPipeline {
         // comparisons are unaffected. Guarded so untraced runs pay
         // nothing.
         if scope.is_enabled() {
-            scope.mem(MemRecord::footprint_of(
+            scope.record(MemRecord::footprint_of(
                 "graph",
                 graph
                     .footprint()
@@ -116,7 +116,7 @@ impl MiningPipeline {
                 let retriever = Retriever::ingest_traced(&encoded, *rc, scope);
                 if scope.is_enabled() {
                     let fp = retriever.footprint();
-                    scope.mem(MemRecord::footprint_of(
+                    scope.record(MemRecord::footprint_of(
                         "vecstore",
                         vec![
                             FootprintRow {
@@ -233,7 +233,7 @@ impl MiningPipeline {
         let empty = ResumeState::default();
         let resume = opts.resume.as_ref().filter(|_| chaos).unwrap_or(&empty);
         if chaos {
-            recorder.set_chaos(ChaosRecord {
+            recorder.root_scope().record(ChaosRecord {
                 run_seed: cfg.seed,
                 fault_seed: opts.chaos.fault_seed,
                 fault_rate: opts.chaos.fault_rate,
@@ -453,7 +453,7 @@ impl MiningPipeline {
         };
         // Lineage: the rule's full ancestry chain, from origin
         // context(s) through merge and translation to its scores.
-        evaluate_scope.lineage(LineageRecord {
+        evaluate_scope.record(LineageRecord {
             span: None,
             index: i as u64,
             rule: format!("rule-{i}"),
@@ -518,9 +518,10 @@ struct MergedRule {
 }
 
 /// Settles one LLM call of `stage`: adds its simulated cost (call
-/// plus faults) to `seconds`, checkpoints a completed unit when
-/// `chaos` is on, and journals a degraded one. Returns the response
-/// of a completed unit.
+/// plus faults) to `seconds` and checkpoints a completed unit when
+/// `chaos` is on; [`ResilientLlm`] has already journaled the unit's
+/// faults, retries and degradation. Returns the response of a
+/// completed unit.
 pub(crate) fn settle<T: Timed + serde::Serialize>(
     call: Result<ResilientCall<T>, CallSkip>,
     stage: Stage,
@@ -533,7 +534,7 @@ pub(crate) fn settle<T: Timed + serde::Serialize>(
         Ok(call) => {
             *seconds += call.response.seconds() + call.fault_seconds;
             if chaos {
-                scope.checkpoint(CheckpointRecord {
+                scope.record(CheckpointRecord {
                     span: None,
                     stage: stage.name().to_owned(),
                     unit: key as u64,
@@ -542,27 +543,11 @@ pub(crate) fn settle<T: Timed + serde::Serialize>(
             }
             Some(call.response)
         }
-        Err(skip) => {
-            if let CallSkip::Abandoned { fault_seconds, .. } = skip {
-                *seconds += fault_seconds;
-            }
-            let (counter, unit) = match stage {
-                Stage::Mine => (Counter::WindowsDegraded, format!("context-{key}")),
-                _ => (Counter::RulesDegraded, format!("rule-{key}")),
-            };
-            scope.add(counter, 1);
-            scope.degraded(DegradedRecord {
-                span: None,
-                stage: stage.name().to_owned(),
-                unit,
-                reason: match skip {
-                    CallSkip::BreakerOpen => "breaker_open",
-                    CallSkip::Abandoned { .. } => "retries_exhausted",
-                }
-                .to_owned(),
-            });
+        Err(CallSkip::Abandoned { fault_seconds, .. }) => {
+            *seconds += fault_seconds;
             None
         }
+        Err(CallSkip::BreakerOpen) => None,
     }
 }
 

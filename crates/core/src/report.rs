@@ -111,15 +111,4 @@ impl MiningReport {
     pub fn to_json_pretty(&self) -> serde_json::Result<String> {
         serde_json::to_string_pretty(self)
     }
-
-    /// One-line table row: `#rules, support, coverage, confidence`.
-    pub fn table_row(&self) -> String {
-        format!(
-            "{:>6} {:>10.0} {:>8.2} {:>8.2}",
-            self.rule_count(),
-            self.aggregate.support,
-            self.aggregate.coverage_pct,
-            self.aggregate.confidence_pct
-        )
-    }
 }

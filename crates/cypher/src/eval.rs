@@ -7,7 +7,7 @@
 //! what makes a *hallucinated property* (paper §4.4, error class 2)
 //! produce an empty-but-running query instead of a failure.
 //!
-//! An [`Expr`] compiles once per query into a [`CExpr`] whose
+//! An [`Expr`] compiles once per query into a `CExpr` whose
 //! variables are slot indices into the executor's row, whose function
 //! calls are resolved, and whose constant `=~` pattern is compiled.
 //! Anything that is an error only when evaluated (an unknown

@@ -89,7 +89,7 @@ pub fn execute(graph: &PropertyGraph, src: &str) -> Result<ResultSet> {
 
 /// Parses and executes `src` with operator-level profiling — this
 /// engine's `PROFILE`. Returns the result set together with the
-/// recorded plan tree ([`QueryProfile`]); [`execute`] does zero
+/// recorded operator chain ([`QueryProfile`]); [`execute`] does zero
 /// accounting.
 pub fn execute_profiled(graph: &PropertyGraph, src: &str) -> Result<(ResultSet, QueryProfile)> {
     let query = parse(src)?;
@@ -1219,20 +1219,18 @@ mod tests {
 
     // -- PROFILE ------------------------------------------------------
 
-    use crate::profile::{PlanNode, QueryProfile};
+    use crate::profile::QueryProfile;
+    use grm_obs::PlanOpRecord;
 
     fn profiled(g: &PropertyGraph, src: &str) -> (ResultSet, QueryProfile) {
         execute_profiled(g, src).unwrap()
     }
 
-    fn op<'a>(profile: &'a QueryProfile, name: &str) -> &'a PlanNode {
-        fn find<'a>(n: &'a PlanNode, name: &str) -> Option<&'a PlanNode> {
-            if n.op == name {
-                return Some(n);
-            }
-            n.children.iter().find_map(|c| find(c, name))
-        }
-        find(&profile.root, name)
+    fn op<'a>(profile: &'a QueryProfile, name: &str) -> &'a PlanOpRecord {
+        profile
+            .ops
+            .iter()
+            .find(|o| o.op == name)
             .unwrap_or_else(|| panic!("operator {name} not in plan:\n{}", profile.render()))
     }
 
@@ -1258,10 +1256,10 @@ mod tests {
         let (rs, profile) = profiled(&g, "MATCH (m:Match) RETURN COUNT(*) AS c");
         assert_eq!(rs.single_int(), Some(2));
         let scan = op(&profile, "NodeByLabelScan");
-        assert_eq!(scan.db_hits.nodes, 2);
+        assert_eq!(scan.db_nodes, 2);
         assert_eq!(scan.rows, 2);
-        assert_eq!(profile.root.op, "ProduceResults");
-        assert_eq!(profile.root.rows, 1);
+        assert_eq!(profile.ops[0].op, "ProduceResults");
+        assert_eq!(profile.ops[0].rows, 1);
         // Aggregation sits between the scan and the result.
         let agg = op(&profile, "EagerAggregation");
         assert_eq!(agg.rows_in, 2);
@@ -1278,23 +1276,23 @@ mod tests {
         assert_eq!(rs.len(), 2);
         // Scan enumerates both Person nodes.
         let scan = op(&profile, "NodeByLabelScan");
-        assert_eq!(scan.db_hits.nodes, 2);
+        assert_eq!(scan.db_nodes, 2);
         assert_eq!(scan.rows, 2);
         // Expand examines all 5 out-edges of the two people (type
         // filtering happens after the candidates are materialised)
         // and produces the 3 PLAYED_IN bindings.
         let expand = op(&profile, "Expand");
-        assert_eq!(expand.db_hits.edges, 5);
+        assert_eq!(expand.db_edges, 5);
         assert_eq!(expand.rows, 3);
         // The WHERE filter reads r.minutes once per candidate row and
         // keeps the two 90-minute appearances.
         let filter = op(&profile, "Filter");
         assert_eq!(filter.rows_in, 3);
-        assert_eq!(filter.db_hits.props, 3);
+        assert_eq!(filter.db_props, 3);
         assert_eq!(filter.rows, 2);
         // RETURN projection reads p.name per surviving row.
         let proj = op(&profile, "Projection");
-        assert_eq!(proj.db_hits.props, 2);
+        assert_eq!(proj.db_props, 2);
         assert_eq!(profile.db_hits().total(), 2 + 5 + 3 + 2);
     }
 
@@ -1309,9 +1307,9 @@ mod tests {
         assert_eq!(rs.single_int(), Some(2));
         let scan = op(&profile, "NodeByLabelScan");
         assert!(scan.detail.contains("Tournament"), "detail: {}", scan.detail);
-        assert_eq!(scan.db_hits.nodes, 1);
+        assert_eq!(scan.db_nodes, 1);
         let expand = op(&profile, "Expand");
-        assert_eq!(expand.db_hits.edges, 2);
+        assert_eq!(expand.db_edges, 2);
         assert_eq!(expand.rows, 2);
     }
 
@@ -1322,7 +1320,7 @@ mod tests {
             &g,
             "MATCH (p:Person)-[:PLAYED_IN]->(m:Match) RETURN m.date AS d ORDER BY d LIMIT 1",
         );
-        let ops = profile.plan_ops();
+        let ops = &profile.ops;
         assert_eq!(ops[0].path, "ProduceResults");
         assert!(ops.iter().skip(1).all(|o| o.path.starts_with("ProduceResults/")));
         let chain: Vec<&str> = ops.iter().map(|o| o.op.as_str()).collect();
@@ -1350,6 +1348,6 @@ mod tests {
         assert_eq!(rs.single_int(), Some(2));
         let var = op(&profile, "VarLengthExpand");
         assert_eq!(var.rows, 2);
-        assert!(var.db_hits.edges >= 2);
+        assert!(var.db_edges >= 2);
     }
 }

@@ -58,5 +58,5 @@ pub use exec::{execute, execute_optimized, execute_profiled, ResultSet};
 pub use optimizer::{optimize, RewriteStats};
 pub use parser::{parse, parse_expr};
 pub use plan::Plan;
-pub use profile::{PlanNode, QueryProfile};
+pub use profile::QueryProfile;
 pub use regex::{Regex, RegexError};

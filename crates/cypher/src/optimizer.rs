@@ -16,7 +16,7 @@
 //!    index and the node check tests the others, so only the
 //!    candidate count changes.
 //! 3. **Pattern ordering** — within one `MATCH`, patterns run
-//!    cheapest-anchor-first (greedy on [`scan_cost`] under the
+//!    cheapest-anchor-first (greedy on `scan_cost` under the
 //!    statically known bound variables). Applied only to queries
 //!    whose every projection boundary is `count`-aggregate-only:
 //!    reordering preserves the *set* of complete instantiations
@@ -24,7 +24,7 @@
 //!    order, and `count` is the aggregate whose result is provably
 //!    order-independent.
 //! 4. **Path pre-reversal** — the "start at the cheaper end" decision
-//!    ([`should_reverse`]) is applied to the query text. The plan
+//!    (`should_reverse`) is applied to the query text. The plan
 //!    compiler takes the same decision, keyed only on which endpoint
 //!    variables are bound, which is static per clause position, so
 //!    pre-reversal is exact; the strict `<` makes it idempotent when

@@ -1,9 +1,9 @@
 //! Operator-level query profiling — the engine side of Neo4j's
 //! `PROFILE`.
 //!
-//! A compiled plan carries one operator slot ([`OpInfo`]) per
+//! A compiled plan carries one operator slot (`OpInfo`) per
 //! executor stage (scan, expand, filter, projection, aggregation,
-//! sort, limit, produce-results), and [`Profiler`] keeps one tally
+//! sort, limit, produce-results), and `Profiler` keeps one tally
 //! per slot: calls, rows in/out, [`DbHits`] and *self*-time:
 //!
 //! * **Self-time** uses a switch/flush protocol — entering an
@@ -25,61 +25,18 @@
 //!   plus 1 µs per produced row — so plan baselines gate in CI
 //!   without wall-clock noise.
 //!
-//! The public result is a [`QueryProfile`]: the operator chain as a
-//! [`PlanNode`] tree (root `ProduceResults`, leaves the scans),
-//! convertible to `grm-obs` journal records via
-//! [`QueryProfile::plan_ops`]. Entry point:
-//! [`crate::execute_profiled`]. A `None` profiler costs the executor
-//! one `Option` check per site — the un-profiled path does zero
-//! accounting.
+//! The public result is a [`QueryProfile`]: the operator chain as
+//! `grm-obs` journal rows ([`PlanOpRecord`]), `ProduceResults` first
+//! and the scan last, built once when the query finishes. Entry
+//! point: [`crate::execute_profiled`]. A `None` profiler costs the
+//! executor one `Option` check per site — the un-profiled path does
+//! zero accounting.
 
 use std::cell::Cell;
 use std::time::Instant;
 
 use grm_obs::PlanOpRecord;
 use grm_pgraph::DbHits;
-
-/// One operator of an executed plan, with its recorded statistics.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PlanNode {
-    /// Operator name (`NodeByLabelScan`, `Expand`, `Filter`, …).
-    pub op: String,
-    /// The AST fragment the operator executes, rendered as Cypher.
-    pub detail: String,
-    /// Times the operator ran.
-    pub calls: u64,
-    /// Rows consumed from the child operator.
-    pub rows_in: u64,
-    /// Rows produced.
-    pub rows: u64,
-    /// Store accesses attributed to this operator.
-    pub db_hits: DbHits,
-    /// Real self-time, microseconds (exclusive of children).
-    pub self_us: u64,
-    /// Deterministic simulated self-cost, microseconds.
-    pub sim_us: u64,
-    /// Child operators (this executor produces a chain: ≤ 1 child).
-    pub children: Vec<PlanNode>,
-}
-
-impl PlanNode {
-    fn render(&self, depth: usize, out: &mut String) {
-        out.push_str(&format!(
-            "{:indent$}{:<20} {:<30} rows {:>7}  hits {:>8}  self {:>8.2}ms  sim {:>8.2}ms\n",
-            "",
-            self.op,
-            self.detail,
-            self.rows,
-            self.db_hits.total(),
-            self.self_us as f64 / 1_000.0,
-            self.sim_us as f64 / 1_000.0,
-            indent = depth * 2
-        ));
-        for child in &self.children {
-            child.render(depth + 1, out);
-        }
-    }
-}
 
 /// The full profile of one executed query.
 #[derive(Debug, Clone, PartialEq)]
@@ -92,53 +49,26 @@ pub struct QueryProfile {
     pub total_us: u64,
     /// Deterministic simulated cost, microseconds (sum over operators).
     pub sim_us: u64,
-    /// The operator tree, `ProduceResults` at the root.
-    pub root: PlanNode,
+    /// The operator chain as journal rows, `ProduceResults` first and
+    /// each operator's child after it; a row's `path` joins the
+    /// operator names from the root down to it.
+    pub ops: Vec<PlanOpRecord>,
 }
 
 impl QueryProfile {
     /// Total store accesses across all operators.
     pub fn db_hits(&self) -> DbHits {
-        fn sum(node: &PlanNode, acc: &mut DbHits) {
-            *acc += node.db_hits;
-            for c in &node.children {
-                sum(c, acc);
-            }
-        }
         let mut acc = DbHits::new();
-        sum(&self.root, &mut acc);
+        for op in &self.ops {
+            acc.nodes += op.db_nodes;
+            acc.edges += op.db_edges;
+            acc.props += op.db_props;
+        }
         acc
     }
 
-    /// Flattens the tree to journal operator records, each keyed by
-    /// its slash-joined root-to-operator path.
-    pub fn plan_ops(&self) -> Vec<PlanOpRecord> {
-        fn walk(node: &PlanNode, prefix: &str, out: &mut Vec<PlanOpRecord>) {
-            let path =
-                if prefix.is_empty() { node.op.clone() } else { format!("{prefix}/{}", node.op) };
-            out.push(PlanOpRecord {
-                path: path.clone(),
-                op: node.op.clone(),
-                detail: node.detail.clone(),
-                calls: node.calls,
-                rows_in: node.rows_in,
-                rows: node.rows,
-                db_nodes: node.db_hits.nodes,
-                db_edges: node.db_hits.edges,
-                db_props: node.db_hits.props,
-                self_us: node.self_us,
-                sim_us: node.sim_us,
-            });
-            for c in &node.children {
-                walk(c, &path, out);
-            }
-        }
-        let mut out = Vec::new();
-        walk(&self.root, "", &mut out);
-        out
-    }
-
-    /// Human-readable plan tree, `PROFILE`-style.
+    /// Human-readable operator chain, `PROFILE`-style, one indented
+    /// line per operator.
     pub fn render(&self) -> String {
         let mut out = format!(
             "{}\nrows {}  db-hits {}  real {:.2}ms  sim {:.2}ms\n",
@@ -148,7 +78,19 @@ impl QueryProfile {
             self.total_us as f64 / 1_000.0,
             self.sim_us as f64 / 1_000.0,
         );
-        self.root.render(0, &mut out);
+        for (depth, op) in self.ops.iter().enumerate() {
+            out.push_str(&format!(
+                "{:indent$}{:<20} {:<30} rows {:>7}  hits {:>8}  self {:>8.2}ms  sim {:>8.2}ms\n",
+                "",
+                op.op,
+                op.detail,
+                op.rows,
+                op.db_hits(),
+                op.self_us as f64 / 1_000.0,
+                op.sim_us as f64 / 1_000.0,
+                indent = depth * 2
+            ));
+        }
         out
     }
 }
@@ -265,15 +207,15 @@ impl<'p> Profiler<'p> {
     }
 
     /// Flushes the final time slice and freezes the tally into a
-    /// [`QueryProfile`]. The slots are in execution order, so folding
-    /// them in order builds the chain leaf-up; the last slot
-    /// (`ProduceResults`) becomes the root.
+    /// [`QueryProfile`]. The slots are in execution order, so walking
+    /// them backwards lists the chain root first: the last slot
+    /// (`ProduceResults`), then each operator's child.
     pub(crate) fn finish(self, src: &str) -> QueryProfile {
         self.switch(self.ops.len() - 1);
         let total_us = self.started.elapsed().as_micros() as u64;
-        let mut node: Option<PlanNode> = None;
+        let mut ops: Vec<PlanOpRecord> = Vec::with_capacity(self.ops.len());
         let mut sim_us = 0u64;
-        for (info, t) in self.ops.iter().zip(&self.tally) {
+        for (info, t) in self.ops.iter().zip(&self.tally).rev() {
             let hits = t.hits.get();
             let sim = hits.total() + t.rows.get();
             sim_us += sim;
@@ -281,24 +223,26 @@ impl<'p> Profiler<'p> {
                 Some((name, detail)) if t.calls.get() > 0 => (*name, detail),
                 _ => (info.name, &info.detail),
             };
-            let mut n = PlanNode {
-                op: op.to_string(),
+            let path = match ops.last() {
+                Some(parent) => format!("{}/{op}", parent.path),
+                None => op.to_owned(),
+            };
+            ops.push(PlanOpRecord {
+                path,
+                op: op.to_owned(),
                 detail: detail.clone(),
                 calls: t.calls.get(),
                 rows_in: t.rows_in.get(),
                 rows: t.rows.get(),
-                db_hits: hits,
+                db_nodes: hits.nodes,
+                db_edges: hits.edges,
+                db_props: hits.props,
                 self_us: t.self_ns.get() / 1_000,
                 sim_us: sim,
-                children: Vec::new(),
-            };
-            if let Some(child) = node.take() {
-                n.children.push(child);
-            }
-            node = Some(n);
+            });
         }
-        let root = node.expect("ProduceResults slot always exists");
-        QueryProfile { query: src.to_string(), rows: root.rows, total_us, sim_us, root }
+        let rows = ops.first().expect("ProduceResults slot always exists").rows;
+        QueryProfile { query: src.to_string(), rows, total_us, sim_us, ops }
     }
 }
 

@@ -218,7 +218,7 @@ proptest! {
             let plain = execute(&g, q).unwrap();
             let (rs, profile) = execute_profiled(&g, q).unwrap();
             prop_assert_eq!(&rs, &plain, "query: {}", q);
-            let ops = profile.plan_ops();
+            let ops = &profile.ops;
             let self_sum: u64 = ops.iter().map(|o| o.self_us).sum();
             prop_assert!(
                 self_sum <= profile.total_us,

@@ -21,8 +21,8 @@
 //!   fault/retry record and counter is re-emitted identically, so a
 //!   resumed run's journal is byte-identical to an uninterrupted one.
 
-use grm_obs::{Counter, Histo, RetryRecord, Scope};
-use grm_resil::{mix, record_unit_faults, Stage, UnitOutcome, UnitPlan};
+use grm_obs::{Counter, Histo, Scope};
+use grm_resil::{mix, record_unit, Stage, UnitOutcome, UnitPlan};
 use grm_rules::ConsistencyRule;
 
 use crate::model::{MiningResponse, SimLlm, Timed, TranslationResponse};
@@ -95,7 +95,6 @@ impl ResilientLlm {
         scope.add(Counter::RulesMined, response.rules.len() as u64);
         scope.add_sim_seconds(response.seconds);
         scope.observe(Histo::MineCallSeconds, response.seconds);
-        self.note_recovery(unit, scope);
         Ok(call)
     }
 
@@ -121,13 +120,13 @@ impl ResilientLlm {
         scope.add(Counter::CompletionTokens, response.completion_tokens as u64);
         scope.add_sim_seconds(response.seconds);
         scope.observe(Histo::TranslateCallSeconds, response.seconds);
-        self.note_recovery(unit, scope);
         Ok(call)
     }
 
     /// The shared retry envelope: skips breaker-open units, obtains
     /// the response (replayed, from the replica, or from a unit-seeded
-    /// model), records the unit's faults, and fails abandoned units.
+    /// model), journals the unit's outcome with
+    /// [`grm_resil::record_unit`], and fails abandoned units.
     fn call<T: Timed>(
         &self,
         unit: &UnitPlan,
@@ -137,6 +136,7 @@ impl ResilientLlm {
         live: impl FnOnce(&mut SimLlm) -> T,
     ) -> Result<ResilientCall<T>, CallSkip> {
         if unit.outcome == UnitOutcome::SkippedByBreaker {
+            record_unit(unit, 0.0, scope);
             return Err(CallSkip::BreakerOpen);
         }
         let response = match (replay, replica) {
@@ -147,36 +147,11 @@ impl ResilientLlm {
                 unit_model_seed(self.run_seed, unit.stage, unit.key),
             )),
         };
-        let fault_seconds = record_unit_faults(unit, response.seconds(), scope);
-        scope.add_sim_seconds(fault_seconds);
+        let fault_seconds = record_unit(unit, response.seconds(), scope);
         if unit.outcome == UnitOutcome::Abandoned {
-            scope.add(Counter::LlmCallsAbandoned, 1);
-            scope.retry(RetryRecord {
-                span: None,
-                stage: unit.stage.name().into(),
-                unit: unit.key,
-                attempts: unit.attempts() as u64,
-                recovered: false,
-            });
             return Err(CallSkip::Abandoned { attempts: unit.attempts(), fault_seconds });
         }
         Ok(ResilientCall { response, attempts: unit.attempts(), fault_seconds })
-    }
-
-    /// Emits the recovered-retry record and counter for a completed
-    /// unit that needed more than one attempt.
-    fn note_recovery(&self, unit: &UnitPlan, scope: &Scope) {
-        if unit.faults.is_empty() {
-            return;
-        }
-        scope.add(Counter::LlmCallsRetried, 1);
-        scope.retry(RetryRecord {
-            span: None,
-            stage: unit.stage.name().into(),
-            unit: unit.key,
-            attempts: unit.attempts() as u64,
-            recovered: true,
-        });
     }
 }
 
@@ -266,12 +241,13 @@ mod tests {
                 if attempts == p.chaos.max_retries + 1 && fault_seconds > 0.0
         ));
         assert_eq!(rec.total(Counter::LlmCallsAbandoned), 1);
+        assert_eq!(rec.total(Counter::WindowsDegraded), 1);
         assert_eq!(rec.total(Counter::PromptsIssued), 0);
         assert_eq!(rec.total(Counter::FaultsInjected), (p.chaos.max_retries + 1) as u64);
     }
 
     #[test]
-    fn breaker_skip_is_silent() {
+    fn breaker_skip_degrades_without_faults() {
         let llm = ResilientLlm::new(ModelKind::Llama3, 42);
         let p = plan(1.0);
         let sched = p.schedule(Stage::Mine, 8);
@@ -284,5 +260,9 @@ mod tests {
         let err = llm.mine(skipped, &prompt(), None, None, &rec.root_scope()).unwrap_err();
         assert_eq!(err, CallSkip::BreakerOpen);
         assert_eq!(rec.total(Counter::FaultsInjected), 0);
+        assert_eq!(rec.total(Counter::WindowsDegraded), 1);
+        let journal = rec.snapshot();
+        assert!(journal.retries.is_empty());
+        assert_eq!(journal.degraded[0].reason, "breaker_open");
     }
 }

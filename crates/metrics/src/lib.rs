@@ -23,7 +23,7 @@ pub use classify::{class_counter, classify, Assessment, ClassTally, QueryClass};
 pub use correct::{correct, repair_directions, repair_syntax, CorrectionOutcome};
 pub use drift::{drift, RuleDrift};
 pub use scores::{
-    aggregate, evaluate, evaluate_labeled, evaluate_resilient, evaluate_traced, record_batch_stats,
+    aggregate, evaluate, evaluate_labeled, evaluate_resilient, record_batch_stats,
     AggregateMetrics, RuleMetrics,
 };
 pub use violations::{find_violations, find_violations_traced, Violation};

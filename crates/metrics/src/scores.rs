@@ -6,7 +6,9 @@
 //! normalises by the body-match count. All three come from executing
 //! the rule's three metric queries on the graph.
 
-use grm_cypher::{execute, execute_profiled, BatchSession, BatchStats, CypherError, ResultSet};
+use grm_cypher::{
+    execute, execute_profiled, BatchSession, BatchStats, CypherError, QueryProfile, ResultSet,
+};
 use grm_obs::{Counter, Histo, PlanRecord, Scope};
 use grm_pgraph::PropertyGraph;
 use grm_rules::RuleQueries;
@@ -39,18 +41,7 @@ pub struct AggregateMetrics {
 
 /// Evaluates the three metric queries of a rule on `graph`.
 pub fn evaluate(graph: &PropertyGraph, queries: &RuleQueries) -> Result<RuleMetrics, CypherError> {
-    evaluate_traced(graph, queries, &Scope::disabled())
-}
-
-/// [`evaluate`] with counters on `scope`, under the generic plan
-/// scope `"rule"`. Prefer [`evaluate_labeled`] when a stable per-rule
-/// label is available.
-pub fn evaluate_traced(
-    graph: &PropertyGraph,
-    queries: &RuleQueries,
-    scope: &Scope,
-) -> Result<RuleMetrics, CypherError> {
-    evaluate_labeled(graph, queries, scope, "rule", None)
+    evaluate_labeled(graph, queries, &Scope::disabled(), "rule", None)
 }
 
 /// [`evaluate`] with full observability on `scope`: counters for the
@@ -106,12 +97,7 @@ pub fn evaluate_labeled(
                 }
             };
             match profile {
-                Some(profile) => {
-                    scope.add(Counter::CypherRowsMatched, rows as u64);
-                    scope.observe(Histo::CypherRowsPerQuery, rows as f64);
-                    scope.observe(Histo::CypherDbHitsPerQuery, profile.db_hits().total() as f64);
-                    plan.absorb(profile.plan_ops(), profile.rows, profile.total_us, profile.sim_us);
-                }
+                Some(profile) => book_profile(scope, plan, rows, profile),
                 None => scope.add(Counter::CypherQueriesMemoized, 1),
             }
             count
@@ -125,11 +111,26 @@ pub fn evaluate_labeled(
     // partial plans still explain where the time went.
     if let Some(plan) = plan {
         if plan.queries > 0 {
-            scope.plan(plan);
+            scope.record(plan);
         }
     }
     let (satisfied, body, head_total) = result?;
     Ok(metrics_from(satisfied, body, head_total))
+}
+
+/// Books one profiled query on `scope` — its result rows and db-hits
+/// — and moves its operator rows into `plan`. `rows` is the length of
+/// the query's result set.
+pub(crate) fn book_profile(
+    scope: &Scope,
+    plan: &mut PlanRecord,
+    rows: usize,
+    profile: QueryProfile,
+) {
+    scope.add(Counter::CypherRowsMatched, rows as u64);
+    scope.observe(Histo::CypherRowsPerQuery, rows as f64);
+    scope.observe(Histo::CypherDbHitsPerQuery, profile.db_hits().total() as f64);
+    plan.absorb(profile.ops, profile.rows, profile.total_us, profile.sim_us);
 }
 
 /// Folds a finished session's optimizer rewrite counters into
@@ -174,15 +175,13 @@ fn metrics_from(satisfied: i64, body: i64, head_total: i64) -> RuleMetrics {
     }
 }
 
-/// [`evaluate_labeled`] under a unit plan: records the unit's
-/// transient query faults before evaluating. A degraded unit
-/// (retries exhausted or breaker-open) records its faults, bumps
-/// `queries_degraded`, and returns `None` — the rule simply stays
-/// unscored, exactly like a rule too broken to query. A completed
-/// unit records any recovered retries and evaluates normally;
-/// evaluation errors also come back as `None`. Under a fault-free
-/// plan the gate records nothing, so this is the scorer of every
-/// pipeline run.
+/// [`evaluate_labeled`] under a unit plan: journals the unit's
+/// transient query faults, retry verdict and degradation with
+/// [`grm_resil::record_unit`] before evaluating. A degraded unit
+/// returns `None` — the rule simply stays unscored, exactly like a
+/// rule too broken to query; evaluation errors also come back as
+/// `None`. Under a fault-free plan nothing is journaled, so this is
+/// the scorer of every pipeline run.
 pub fn evaluate_resilient(
     graph: &PropertyGraph,
     queries: &RuleQueries,
@@ -191,49 +190,12 @@ pub fn evaluate_resilient(
     unit: &grm_resil::UnitPlan,
     session: Option<&mut BatchSession<'_>>,
 ) -> Option<RuleMetrics> {
-    if !chaos_gate(scope, label, unit) {
+    // Query faults cost a flat reconnect stall, never the call itself.
+    grm_resil::record_unit(unit, 0.0, scope);
+    if unit.is_degraded() {
         return None;
     }
     evaluate_labeled(graph, queries, scope, label, session).ok()
-}
-
-/// Records a chaos unit's faults, retries and degradation on `scope`.
-/// Returns `false` when the unit degraded — the rule stays unscored.
-fn chaos_gate(scope: &Scope, label: &str, unit: &grm_resil::UnitPlan) -> bool {
-    use grm_obs::{DegradedRecord, RetryRecord};
-    // Query faults cost a flat reconnect stall, never the call itself.
-    let fault_seconds = grm_resil::record_unit_faults(unit, 0.0, scope);
-    scope.add_sim_seconds(fault_seconds);
-    if unit.is_degraded() {
-        scope.add(Counter::QueriesDegraded, 1);
-        if unit.attempts() > 0 {
-            scope.retry(RetryRecord {
-                span: None,
-                stage: unit.stage.name().into(),
-                unit: unit.key,
-                attempts: unit.attempts() as u64,
-                recovered: false,
-            });
-        }
-        scope.degraded(DegradedRecord {
-            span: None,
-            stage: unit.stage.name().into(),
-            unit: label.to_owned(),
-            reason: if unit.attempts() == 0 { "breaker_open" } else { "retries_exhausted" }
-                .to_owned(),
-        });
-        return false;
-    }
-    if !unit.faults.is_empty() {
-        scope.retry(RetryRecord {
-            span: None,
-            stage: unit.stage.name().into(),
-            unit: unit.key,
-            attempts: unit.attempts() as u64,
-            recovered: true,
-        });
-    }
-    true
 }
 
 /// Aggregates per-rule metrics into a table cell.

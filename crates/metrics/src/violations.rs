@@ -8,9 +8,11 @@
 //! command) can print actionable findings.
 
 use grm_cypher::{execute, execute_profiled, CypherError};
-use grm_obs::{Counter, Histo, PlanRecord, Scope};
+use grm_obs::{Counter, PlanRecord, Scope};
 use grm_pgraph::{PropertyGraph, Value};
 use grm_rules::ConsistencyRule;
+
+use crate::scores::book_profile;
 
 /// One localized violation.
 #[derive(Debug, Clone, PartialEq, serde::Serialize)]
@@ -151,12 +153,9 @@ pub fn find_violations_traced(
         scope.add(Counter::CypherQueriesExecuted, 1);
         scope.add(Counter::CypherQueriesProfiled, 1);
         let (rs, profile) = execute_profiled(graph, &query)?;
-        scope.add(Counter::CypherRowsMatched, rs.len() as u64);
-        scope.observe(Histo::CypherRowsPerQuery, rs.len() as f64);
-        scope.observe(Histo::CypherDbHitsPerQuery, profile.db_hits().total() as f64);
         let mut plan = PlanRecord::new(label);
-        plan.absorb(profile.plan_ops(), profile.rows, profile.total_us, profile.sim_us);
-        scope.plan(plan);
+        book_profile(scope, &mut plan, rs.len(), profile);
+        scope.record(plan);
         rs
     } else {
         execute(graph, &query)?

@@ -1160,7 +1160,7 @@ mod tests {
                 120,
                 60,
             );
-            evaluate.scope().plan(plan);
+            evaluate.scope().record(plan);
         }
         evaluate.finish();
         root.finish();
@@ -1216,7 +1216,7 @@ mod tests {
         let rec = Recorder::new();
         let root = rec.root_scope().span("pipeline");
         let encode = root.scope().span("encode");
-        encode.scope().boundary(BoundaryRecord {
+        encode.scope().record(BoundaryRecord {
             span: None,
             node: "n14".into(),
             first_window: 0,
@@ -1226,7 +1226,7 @@ mod tests {
         let evaluate = root.scope().span("evaluate");
         let origin =
             |i: u64| OriginRef { id: format!("window-{i}"), start_token: i * 900, token_len: 1000 };
-        evaluate.scope().lineage(LineageRecord {
+        evaluate.scope().record(LineageRecord {
             index: 0,
             rule: "rule-0".into(),
             nl: "every Person has a name".into(),
@@ -1241,7 +1241,7 @@ mod tests {
             confidence_pct: Some(98.5),
             ..LineageRecord::default()
         });
-        evaluate.scope().lineage(LineageRecord {
+        evaluate.scope().record(LineageRecord {
             index: 1,
             rule: "rule-1".into(),
             nl: "every Team belongs to a Squad".into(),
@@ -1312,7 +1312,7 @@ mod tests {
             ChaosRecord, CheckpointRecord, DegradedRecord, FaultRecord, RetryRecord,
         };
         let rec = Recorder::new();
-        rec.set_chaos(ChaosRecord {
+        rec.root_scope().record(ChaosRecord {
             run_seed: 42,
             fault_seed: 7,
             fault_rate: 0.2,
@@ -1327,7 +1327,7 @@ mod tests {
         let root = rec.root_scope().span("pipeline");
         let mine = root.scope().span("mine");
         let scope = mine.scope();
-        scope.fault(FaultRecord {
+        scope.record(FaultRecord {
             span: None,
             stage: "mine".into(),
             unit: 1,
@@ -1337,7 +1337,7 @@ mod tests {
             backoff_seconds: 0.55,
         });
         scope.add(Counter::FaultsInjected, 1);
-        scope.retry(RetryRecord {
+        scope.record(RetryRecord {
             span: None,
             stage: "mine".into(),
             unit: 1,
@@ -1346,7 +1346,7 @@ mod tests {
         });
         scope.add(Counter::LlmCallsRetried, 1);
         for attempt in 0..2 {
-            scope.fault(FaultRecord {
+            scope.record(FaultRecord {
                 span: None,
                 stage: "mine".into(),
                 unit: 3,
@@ -1357,7 +1357,7 @@ mod tests {
             });
             scope.add(Counter::FaultsInjected, 1);
         }
-        scope.retry(RetryRecord {
+        scope.record(RetryRecord {
             span: None,
             stage: "mine".into(),
             unit: 3,
@@ -1365,7 +1365,7 @@ mod tests {
             recovered: false,
         });
         scope.add(Counter::LlmCallsAbandoned, 1);
-        scope.degraded(DegradedRecord {
+        scope.record(DegradedRecord {
             span: None,
             stage: "mine".into(),
             unit: "context-3".into(),
@@ -1373,7 +1373,7 @@ mod tests {
         });
         scope.add(Counter::WindowsDegraded, 1);
         for unit in [0u64, 1, 2] {
-            scope.checkpoint(CheckpointRecord {
+            scope.record(CheckpointRecord {
                 span: None,
                 stage: "mine".into(),
                 unit,
@@ -1382,7 +1382,7 @@ mod tests {
         }
         mine.finish();
         let evaluate = root.scope().span("evaluate");
-        evaluate.scope().degraded(DegradedRecord {
+        evaluate.scope().record(DegradedRecord {
             span: None,
             stage: "evaluate".into(),
             unit: "rule-0".into(),
@@ -1431,14 +1431,14 @@ mod tests {
         let rec = Recorder::new();
         let root = rec.root_scope().span("pipeline");
         let encode = root.scope().span("encode");
-        encode.scope().mem(MemRecord::footprint_of(
+        encode.scope().record(MemRecord::footprint_of(
             "graph",
             vec![
                 FootprintRow { name: "nodes".into(), count: 10, bytes: 640 * bytes_scale },
                 FootprintRow { name: "edges".into(), count: 4, bytes: 320 * bytes_scale },
             ],
         ));
-        encode.scope().mem(MemRecord::footprint_of(
+        encode.scope().record(MemRecord::footprint_of(
             "vecstore",
             vec![FootprintRow { name: "embeddings".into(), count: 3, bytes: 3072 }],
         ));

@@ -100,6 +100,38 @@ impl TelemetryEvent {
     /// A serve-layer job lifecycle transition (`name` = tenant,
     /// `detail` = `"<kind>: <transition>"`, `value` = job id).
     pub const JOB: &'static str = "job";
+
+    /// The event a recorded payload emits, as `(kind, name, detail,
+    /// value)` — DESIGN.md §14's table as code. Only payload records
+    /// reach the recorder's record path (see [`crate::Payload`]);
+    /// spans, counters, gauges and histograms emit from their own
+    /// calls.
+    pub(crate) fn of_record(record: &JournalRecord) -> (&'static str, String, String, f64) {
+        let (kind, name, detail, value): (_, &str, &str, f64) = match record {
+            JournalRecord::Plan(p) => {
+                (Self::PLAN, &p.scope, if p.slow { "slow" } else { "" }, p.db_hits() as f64)
+            }
+            JournalRecord::Lineage(l) => (Self::LINEAGE, &l.rule, "", l.frequency as f64),
+            JournalRecord::Boundary(b) => (Self::BOUNDARY, &b.node, "", 0.0),
+            JournalRecord::Chaos(c) => (Self::CHAOS, &c.model, &c.strategy, c.fault_rate),
+            JournalRecord::Fault(f) => (Self::FAULT, &f.stage, &f.kind, f.unit as f64),
+            JournalRecord::Retry(r) => {
+                let verdict = if r.recovered { "recovered" } else { "abandoned" };
+                (Self::RETRY, &r.stage, verdict, r.unit as f64)
+            }
+            JournalRecord::Degraded(d) => {
+                return (Self::DEGRADED, d.stage.clone(), format!("{}: {}", d.unit, d.reason), 0.0);
+            }
+            JournalRecord::Checkpoint(c) => (Self::CHECKPOINT, &c.stage, "", c.unit as f64),
+            JournalRecord::Mem(m) => (Self::MEM, &m.kind, &m.component, m.footprint_bytes() as f64),
+            JournalRecord::Meta { .. }
+            | JournalRecord::Span(_)
+            | JournalRecord::Histo(_)
+            | JournalRecord::Event(_)
+            | JournalRecord::Totals { .. } => unreachable!("not a recordable payload"),
+        };
+        (kind, name.to_owned(), detail.to_owned(), value)
+    }
 }
 
 /// A pluggable consumer of bus events.
@@ -624,30 +656,22 @@ pub fn check_exposition_against_events(
 /// against footprint records only — span/run allocation rows are
 /// derived at snapshot time and never cross the bus.
 pub fn parity_violations(counts: &BTreeMap<String, u64>, journal: &RunJournal) -> Vec<String> {
-    let count = |kind: &str| counts.get(kind).copied().unwrap_or(0);
-    let footprints = journal.mems.iter().filter(|m| m.kind == "footprint").count() as u64;
-    let pairs: [(&str, u64, u64); 10] = [
-        (TelemetryEvent::SPAN_OPEN, count(TelemetryEvent::SPAN_OPEN), journal.spans.len() as u64),
-        (TelemetryEvent::PLAN, count(TelemetryEvent::PLAN), journal.plans.len() as u64),
-        (TelemetryEvent::LINEAGE, count(TelemetryEvent::LINEAGE), journal.lineages.len() as u64),
-        (
-            TelemetryEvent::BOUNDARY,
-            count(TelemetryEvent::BOUNDARY),
-            journal.boundaries.len() as u64,
-        ),
-        (TelemetryEvent::CHAOS, count(TelemetryEvent::CHAOS), journal.chaos.is_some() as u64),
-        (TelemetryEvent::FAULT, count(TelemetryEvent::FAULT), journal.faults.len() as u64),
-        (TelemetryEvent::RETRY, count(TelemetryEvent::RETRY), journal.retries.len() as u64),
-        (TelemetryEvent::DEGRADED, count(TelemetryEvent::DEGRADED), journal.degraded.len() as u64),
-        (
-            TelemetryEvent::CHECKPOINT,
-            count(TelemetryEvent::CHECKPOINT),
-            journal.checkpoints.len() as u64,
-        ),
-        (TelemetryEvent::MEM, count(TelemetryEvent::MEM), footprints),
+    let footprints = journal.mems.iter().filter(|m| m.kind == "footprint").count();
+    let pairs = [
+        (TelemetryEvent::SPAN_OPEN, journal.spans.len()),
+        (TelemetryEvent::PLAN, journal.plans.len()),
+        (TelemetryEvent::LINEAGE, journal.lineages.len()),
+        (TelemetryEvent::BOUNDARY, journal.boundaries.len()),
+        (TelemetryEvent::CHAOS, journal.chaos.is_some() as usize),
+        (TelemetryEvent::FAULT, journal.faults.len()),
+        (TelemetryEvent::RETRY, journal.retries.len()),
+        (TelemetryEvent::DEGRADED, journal.degraded.len()),
+        (TelemetryEvent::CHECKPOINT, journal.checkpoints.len()),
+        (TelemetryEvent::MEM, footprints),
     ];
     pairs
-        .iter()
+        .into_iter()
+        .map(|(kind, records)| (kind, counts.get(kind).copied().unwrap_or(0), records as u64))
         .filter(|(_, events, records)| events != records)
         .map(|(kind, events, records)| {
             format!("kind {kind}: {events} bus events != {records} journal records")

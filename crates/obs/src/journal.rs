@@ -2,6 +2,7 @@
 //! histograms, written as JSON Lines (one record per line) so partial
 //! files stay parseable and `jq`/`grep` work line-wise.
 
+use std::cmp::Ordering;
 use std::collections::HashSet;
 
 use crate::bus::TelemetryEvent;
@@ -105,6 +106,74 @@ pub enum JournalRecord {
         counters: Vec<(String, u64)>,
         gauges: Vec<(String, f64)>,
     },
+}
+
+/// A record payload [`crate::Scope::record`] stores: one of the nine
+/// span-attached kinds (`Plan`, `Lineage`, `Boundary`, `Fault`,
+/// `Retry`, `Degraded`, `Checkpoint`, `Mem`) or the run-level `Chaos`
+/// identity. Sealed: `Meta`, `Span`, `Histo`, `Event` and `Totals`
+/// are the recorder's own and cannot be recorded.
+pub trait Payload: Into<JournalRecord> + sealed::Sealed {}
+
+mod sealed {
+    pub trait Sealed {}
+}
+
+macro_rules! payloads {
+    ($($kind:ident($ty:ty)),* $(,)?) => {$(
+        impl From<$ty> for JournalRecord {
+            fn from(record: $ty) -> JournalRecord {
+                JournalRecord::$kind(record)
+            }
+        }
+        impl sealed::Sealed for $ty {}
+        impl Payload for $ty {}
+    )*};
+}
+
+payloads!(
+    Plan(PlanRecord),
+    Lineage(LineageRecord),
+    Boundary(BoundaryRecord),
+    Chaos(ChaosRecord),
+    Fault(FaultRecord),
+    Retry(RetryRecord),
+    Degraded(DegradedRecord),
+    Checkpoint(CheckpointRecord),
+    Mem(MemRecord),
+);
+
+impl JournalRecord {
+    /// Attaches a payload record to `span` and puts its repeated
+    /// fields in journal order (plan operators, lineage origins), so
+    /// the stored record does not depend on the worker schedule.
+    /// Returns the span the record now carries: `None` for `Chaos`,
+    /// which belongs to the whole run.
+    pub(crate) fn stamp(&mut self, span: Option<u64>) -> Option<u64> {
+        match self {
+            JournalRecord::Plan(plan) => {
+                plan.span = span;
+                plan.sort_ops();
+            }
+            JournalRecord::Lineage(lineage) => {
+                lineage.span = span;
+                lineage.sort_origins();
+            }
+            JournalRecord::Boundary(b) => b.span = span,
+            JournalRecord::Fault(f) => f.span = span,
+            JournalRecord::Retry(r) => r.span = span,
+            JournalRecord::Degraded(d) => d.span = span,
+            JournalRecord::Checkpoint(c) => c.span = span,
+            JournalRecord::Mem(m) => m.span = span,
+            JournalRecord::Chaos(_)
+            | JournalRecord::Meta { .. }
+            | JournalRecord::Span(_)
+            | JournalRecord::Histo(_)
+            | JournalRecord::Event(_)
+            | JournalRecord::Totals { .. } => return None,
+        }
+        span
+    }
 }
 
 /// Variant keys a v8 reader knows; object lines keyed otherwise are
@@ -264,6 +333,32 @@ impl RunJournal {
         self.spans.iter().any(|s| s.sim_start_seconds > 0.0)
     }
 
+    /// Files one record under its kind's field: repeated kinds are
+    /// appended, `Chaos` and `Totals` replace, `Meta` carries nothing
+    /// to keep. Both the recorder and the parser fill a journal
+    /// through here.
+    pub(crate) fn push(&mut self, record: JournalRecord) {
+        match record {
+            JournalRecord::Meta { .. } => {}
+            JournalRecord::Span(span) => self.spans.push(span),
+            JournalRecord::Histo(histo) => self.histos.push(histo),
+            JournalRecord::Plan(plan) => self.plans.push(plan),
+            JournalRecord::Lineage(lineage) => self.lineages.push(lineage),
+            JournalRecord::Boundary(boundary) => self.boundaries.push(boundary),
+            JournalRecord::Chaos(chaos) => self.chaos = Some(chaos),
+            JournalRecord::Fault(fault) => self.faults.push(fault),
+            JournalRecord::Retry(retry) => self.retries.push(retry),
+            JournalRecord::Degraded(record) => self.degraded.push(record),
+            JournalRecord::Checkpoint(checkpoint) => self.checkpoints.push(checkpoint),
+            JournalRecord::Mem(mem) => self.mems.push(mem),
+            JournalRecord::Event(event) => self.events.push(event),
+            JournalRecord::Totals { counters, gauges } => {
+                self.totals = counters;
+                self.gauges = gauges;
+            }
+        }
+    }
+
     /// The checkpointed payload for `(stage, unit)`, when recorded.
     pub fn checkpoint(&self, stage: &str, unit: u64) -> Option<&CheckpointRecord> {
         self.checkpoints.iter().find(|c| c.stage == stage && c.unit == unit)
@@ -348,66 +443,50 @@ impl RunJournal {
         for span in &self.spans {
             push(&JournalRecord::Span(span.clone()));
         }
-        let mut histos = self.histos.clone();
-        histos.sort_by(|a, b| (a.span, &a.name).cmp(&(b.span, &b.name)));
-        for histo in histos {
+        for histo in sorted(&self.histos, |a, b| (a.span, &a.name).cmp(&(b.span, &b.name))) {
             push(&JournalRecord::Histo(histo));
         }
-        let mut plans = self.plans.clone();
-        plans.sort_by(|a, b| (a.span, &a.scope).cmp(&(b.span, &b.scope)));
-        for mut plan in plans {
+        for mut plan in sorted(&self.plans, |a, b| (a.span, &a.scope).cmp(&(b.span, &b.scope))) {
             plan.sort_ops();
             push(&JournalRecord::Plan(plan));
         }
-        let mut lineages = self.lineages.clone();
-        lineages.sort_by_key(|a| (a.span, a.index));
-        for mut lineage in lineages {
+        for mut lineage in sorted(&self.lineages, |a, b| (a.span, a.index).cmp(&(b.span, b.index)))
+        {
             lineage.sort_origins();
             push(&JournalRecord::Lineage(lineage));
         }
-        let mut boundaries = self.boundaries.clone();
-        boundaries.sort_by(|a, b| {
-            (a.span, a.first_window, a.last_window, &a.node).cmp(&(
-                b.span,
-                b.first_window,
-                b.last_window,
-                &b.node,
-            ))
-        });
-        for boundary in boundaries {
+        let window = |b: &BoundaryRecord| (b.span, b.first_window, b.last_window);
+        let by_window = |a: &BoundaryRecord, b: &BoundaryRecord| {
+            window(a).cmp(&window(b)).then_with(|| a.node.cmp(&b.node))
+        };
+        for boundary in sorted(&self.boundaries, by_window) {
             push(&JournalRecord::Boundary(boundary));
         }
-        let mut faults = self.faults.clone();
-        faults.sort_by(|a, b| (&a.stage, a.unit, a.attempt).cmp(&(&b.stage, b.unit, b.attempt)));
-        for fault in faults {
+        let key = |f: &FaultRecord| (f.unit, f.attempt);
+        for fault in sorted(&self.faults, |a, b| (&a.stage, key(a)).cmp(&(&b.stage, key(b)))) {
             push(&JournalRecord::Fault(fault));
         }
-        let mut retries = self.retries.clone();
-        retries.sort_by(|a, b| (&a.stage, a.unit).cmp(&(&b.stage, b.unit)));
-        for retry in retries {
+        for retry in sorted(&self.retries, |a, b| (&a.stage, a.unit).cmp(&(&b.stage, b.unit))) {
             push(&JournalRecord::Retry(retry));
         }
-        let mut degraded = self.degraded.clone();
-        degraded.sort_by(|a, b| (&a.stage, &a.unit).cmp(&(&b.stage, &b.unit)));
-        for record in degraded {
+        for record in sorted(&self.degraded, |a, b| (&a.stage, &a.unit).cmp(&(&b.stage, &b.unit))) {
             push(&JournalRecord::Degraded(record));
         }
         // Stage-then-unit order puts mine checkpoints before
         // translate checkpoints, so `--resume` replays the longest
         // prefix a truncated journal can still prove.
-        let mut checkpoints = self.checkpoints.clone();
-        checkpoints.sort_by(|a, b| (&a.stage, a.unit).cmp(&(&b.stage, b.unit)));
-        for checkpoint in checkpoints {
+        for checkpoint in
+            sorted(&self.checkpoints, |a, b| (&a.stage, a.unit).cmp(&(&b.stage, b.unit)))
+        {
             push(&JournalRecord::Checkpoint(checkpoint));
         }
-        let mut mems = self.mems.clone();
-        mems.sort_by(|a, b| (a.span, &a.kind, &a.component).cmp(&(b.span, &b.kind, &b.component)));
-        for mem in mems {
+        let by_key = |a: &MemRecord, b: &MemRecord| {
+            (a.span, &a.kind, &a.component).cmp(&(b.span, &b.kind, &b.component))
+        };
+        for mem in sorted(&self.mems, by_key) {
             push(&JournalRecord::Mem(mem));
         }
-        let mut events = self.events.clone();
-        events.sort_by_key(|e| e.seq);
-        for event in events {
+        for event in sorted(&self.events, |a, b| a.seq.cmp(&b.seq)) {
             push(&JournalRecord::Event(event));
         }
         push(&JournalRecord::Totals {
@@ -446,7 +525,7 @@ impl RunJournal {
         let mut span_ids = HashSet::new();
         for (pos, (lineno, line)) in lines.iter().enumerate() {
             let parsed = match serde_json::from_str::<JournalRecord>(line) {
-                Ok(record) => check_record(&record, &span_ids).map(|()| record),
+                Ok(record) => check_record(&record, &mut span_ids).map(|()| record),
                 Err(e) => match leading_object_key(line) {
                     // Future record variant: skip, but keep count so
                     // the loss is visible.
@@ -465,35 +544,15 @@ impl RunJournal {
                 }
                 Err(e) => return Err(format!("journal line {}: {e}", lineno + 1)),
             };
-            match record {
-                JournalRecord::Meta { version, .. } => {
-                    if version != JOURNAL_VERSION && !lossy {
-                        return Err(format!(
-                            "journal version {version} is not supported (this build reads \
-                             v{JOURNAL_VERSION}); regenerate the journal with this build"
-                        ));
-                    }
-                }
-                JournalRecord::Span(span) => {
-                    span_ids.insert(span.id);
-                    journal.spans.push(span);
-                }
-                JournalRecord::Histo(histo) => journal.histos.push(histo),
-                JournalRecord::Plan(plan) => journal.plans.push(plan),
-                JournalRecord::Lineage(lineage) => journal.lineages.push(lineage),
-                JournalRecord::Boundary(boundary) => journal.boundaries.push(boundary),
-                JournalRecord::Chaos(chaos) => journal.chaos = Some(chaos),
-                JournalRecord::Fault(fault) => journal.faults.push(fault),
-                JournalRecord::Retry(retry) => journal.retries.push(retry),
-                JournalRecord::Degraded(record) => journal.degraded.push(record),
-                JournalRecord::Checkpoint(checkpoint) => journal.checkpoints.push(checkpoint),
-                JournalRecord::Mem(mem) => journal.mems.push(mem),
-                JournalRecord::Event(event) => journal.events.push(event),
-                JournalRecord::Totals { counters, gauges } => {
-                    journal.totals = counters;
-                    journal.gauges = gauges;
+            if let JournalRecord::Meta { version, .. } = record {
+                if version != JOURNAL_VERSION && !lossy {
+                    return Err(format!(
+                        "journal version {version} is not supported (this build reads \
+                         v{JOURNAL_VERSION}); regenerate the journal with this build"
+                    ));
                 }
             }
+            journal.push(record);
         }
         Ok(journal)
     }
@@ -514,16 +573,14 @@ impl RunJournal {
         for (name, value) in sorted_by_name(&self.gauges) {
             out.push_str(&format!("  {name:<26} {value:.4}\n"));
         }
+        let digest = self.summary_json();
         if self.has_plans() {
-            let slow: Vec<&PlanRecord> = self.plans.iter().filter(|p| p.slow).collect();
+            let plans = &digest.plans;
             out.push_str(&format!(
                 "query plans: {} scopes profiled, {} queries, {} db-hits, {} slow\n",
-                self.plans.len(),
-                self.plans.iter().map(|p| p.queries).sum::<u64>(),
-                self.plans.iter().map(|p| p.db_hits()).sum::<u64>(),
-                slow.len()
+                plans.records, plans.queries, plans.db_hits, plans.slow
             ));
-            for plan in slow {
+            for plan in self.plans.iter().filter(|p| p.slow) {
                 out.push_str(&format!(
                     "  SLOW {:<20} {:>8} db-hits  {:>9.2}ms real\n",
                     plan.scope,
@@ -535,39 +592,21 @@ impl RunJournal {
         if self.has_lineage() {
             out.push_str(&format!(
                 "rule lineage: {} rules attributed, {} window-boundary breakages\n",
-                self.lineages.len(),
-                self.boundaries.len()
+                digest.lineage.rules, digest.lineage.boundaries
             ));
         }
         if self.has_faults() {
-            let recovered = self.retries.iter().filter(|r| r.recovered).count();
+            let r = &digest.resilience;
             out.push_str(&format!(
                 "faults: {} injected, {} units recovered by retry, {} degraded, {} checkpoints\n",
-                self.faults.len(),
-                recovered,
-                self.degraded.len(),
-                self.checkpoints.len()
+                r.faults, r.recovered, r.degraded, r.checkpoints
             ));
         }
         if self.has_mem() {
-            let footprint: u64 = self
-                .mems
-                .iter()
-                .filter(|m| m.kind == "footprint")
-                .map(|m| m.footprint_bytes())
-                .sum();
-            let peak = self
-                .mems
-                .iter()
-                .filter(|m| m.kind == "run")
-                .map(|m| m.peak_bytes)
-                .max()
-                .unwrap_or(0);
+            let mem = &digest.mem;
             out.push_str(&format!(
                 "memory: {} mem records, footprint {} bytes, run peak {} bytes\n",
-                self.mems.len(),
-                footprint,
-                peak
+                mem.records, mem.footprint_bytes, mem.peak_bytes
             ));
         }
         if self.has_events() {
@@ -579,25 +618,15 @@ impl RunJournal {
                 self.corrupt_lines, self.unknown_lines
             ));
         }
-        let mut run_wide: Vec<&HistoRecord> =
-            self.histos.iter().filter(|h| h.span.is_none()).collect();
-        run_wide.sort_by(|a, b| a.name.cmp(&b.name));
-        if !run_wide.is_empty() {
+        if !digest.histograms.is_empty() {
             out.push_str(&format!(
                 "histograms (run-wide):\n  {:<26} {:>7} {:>10} {:>10} {:>10} {:>10} {:>10}\n",
                 "name", "count", "mean", "p50", "p95", "p99", "max"
             ));
-            for h in run_wide {
-                let hist = &h.histogram;
+            for h in &digest.histograms {
                 out.push_str(&format!(
                     "  {:<26} {:>7} {:>10.4} {:>10.4} {:>10.4} {:>10.4} {:>10.4}\n",
-                    h.name,
-                    hist.count(),
-                    hist.mean(),
-                    hist.p50(),
-                    hist.p95(),
-                    hist.p99(),
-                    hist.max()
+                    h.name, h.count, h.mean, h.p50, h.p95, h.p99, h.max
                 ));
             }
         }
@@ -749,12 +778,17 @@ pub struct MemDigest {
     pub peak_bytes: u64,
 }
 
-/// A name-sorted copy of `(name, value)` pairs — serialisation order
-/// must not depend on insertion order.
-fn sorted_by_name<V: Clone>(pairs: &[(String, V)]) -> Vec<(String, V)> {
-    let mut sorted = pairs.to_vec();
-    sorted.sort_by(|(a, _), (b, _)| a.cmp(b));
+/// A copy of `items` in `order` — serialisation order must not depend
+/// on the order records were made in.
+fn sorted<T: Clone>(items: &[T], order: impl FnMut(&T, &T) -> Ordering) -> Vec<T> {
+    let mut sorted = items.to_vec();
+    sorted.sort_by(order);
     sorted
+}
+
+/// A name-sorted copy of `(name, value)` pairs.
+fn sorted_by_name<V: Clone>(pairs: &[(String, V)]) -> Vec<(String, V)> {
+    sorted(pairs, |(a, _), (b, _)| a.cmp(b))
 }
 
 /// The invariants a parsed record must hold beyond its shape, which
@@ -762,8 +796,9 @@ fn sorted_by_name<V: Clone>(pairs: &[(String, V)]) -> Vec<(String, V)> {
 /// (percentiles clamp into that range), and a span has a fresh id and
 /// a parent declared on an earlier line (span paths walk parents to
 /// the root and the span tree recurses into children, so a cycle would
-/// never end). `span_ids` holds the ids declared so far.
-fn check_record(record: &JournalRecord, span_ids: &HashSet<u64>) -> Result<(), String> {
+/// never end). `span_ids` holds the ids declared so far and gains the
+/// id of a span that passes.
+fn check_record(record: &JournalRecord, span_ids: &mut HashSet<u64>) -> Result<(), String> {
     match record {
         JournalRecord::Histo(h)
             if !h.histogram.is_empty() && h.histogram.min() > h.histogram.max() =>
@@ -783,7 +818,10 @@ fn check_record(record: &JournalRecord, span_ids: &HashSet<u64>) -> Result<(), S
                 "span {} names parent {parent}, which no earlier span declares",
                 span.id
             )),
-            _ => Ok(()),
+            _ => {
+                span_ids.insert(span.id);
+                Ok(())
+            }
         },
         _ => Ok(()),
     }

@@ -78,6 +78,11 @@
 //! assert_eq!(journal.spans[1].name, "encode");
 //! ```
 //!
+//! Every other journal record — a plan profile, lineage, boundary,
+//! chaos identity, fault, retry, degraded unit, checkpoint or
+//! footprint table — is stored with [`Scope::record`], which accepts
+//! exactly these [`Payload`] types and emits each one's bus event.
+//!
 //! Counters are recorded twice: on the innermost enclosing span and
 //! in the run-wide totals. That makes per-worker attribution testable
 //! — the sum of a counter over the `worker-*` spans must equal the
@@ -110,7 +115,7 @@ pub use counter::{Counter, Gauge, Histo};
 pub use histogram::{Histogram, BUCKET_COUNT};
 pub use journal::{
     HistoRecord, HistogramSummary, JournalRecord, JournalSummary, LineageDigest, MemDigest,
-    PlanDigest, ResilienceDigest, RunJournal, SpanRecord, StageTiming, JOURNAL_VERSION,
+    Payload, PlanDigest, ResilienceDigest, RunJournal, SpanRecord, StageTiming, JOURNAL_VERSION,
 };
 pub use lineage::{BoundaryRecord, LineageRecord, OriginRef};
 pub use mem::{AllocSnapshot, FootprintRow, MemRecord, TrackingAlloc};

@@ -4,7 +4,10 @@
 //! every operation on it is a no-op. [`Scope`] carries "where am I in
 //! the span tree" across function (and thread) boundaries — the
 //! parallel miner clones a scope into each worker thread and opens a
-//! per-worker child span there.
+//! per-worker child span there. Every journal payload (plan, lineage,
+//! boundary, chaos, fault, retry, degraded, checkpoint, footprint)
+//! goes through [`Scope::record`]: one path stamps, stores and emits
+//! it.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -14,11 +17,9 @@ use std::time::Instant;
 use crate::bus::{EventSink, TelemetryEvent};
 use crate::counter::{Counter, Gauge, Histo};
 use crate::histogram::Histogram;
-use crate::journal::{HistoRecord, RunJournal, SpanRecord};
-use crate::lineage::{BoundaryRecord, LineageRecord};
+use crate::journal::{HistoRecord, JournalRecord, Payload, RunJournal, SpanRecord};
 use crate::mem::{AllocSnapshot, MemRecord, TrackingAlloc};
 use crate::plan::{PlanRecord, SlowQueryPolicy};
-use crate::resilience::{ChaosRecord, CheckpointRecord, DegradedRecord, FaultRecord, RetryRecord};
 
 /// Allocator-counter growth between two snapshots. All-zero in
 /// binaries that never install [`TrackingAlloc`].
@@ -45,6 +46,20 @@ impl AllocDelta {
             && self.alloc_count == 0
             && self.dealloc_count == 0
             && self.peak_delta == 0
+    }
+
+    /// The delta as a `kind` (`span` or `run`) `Mem` record.
+    fn mem(&self, span: Option<u64>, kind: &str, peak_bytes: u64) -> MemRecord {
+        MemRecord {
+            span,
+            kind: kind.to_owned(),
+            alloc_bytes: self.alloc_bytes,
+            alloc_count: self.alloc_count,
+            dealloc_count: self.dealloc_count,
+            peak_delta: self.peak_delta,
+            peak_bytes,
+            ..MemRecord::default()
+        }
     }
 }
 
@@ -76,17 +91,11 @@ struct State {
     totals: BTreeMap<&'static str, u64>,
     gauges: BTreeMap<&'static str, f64>,
     histos: BTreeMap<&'static str, Histogram>,
-    plans: Vec<PlanRecord>,
-    lineages: Vec<LineageRecord>,
-    boundaries: Vec<BoundaryRecord>,
-    /// Footprint records stored through [`Scope::mem`]; span and run
-    /// allocation records are derived at snapshot time instead.
-    mems: Vec<MemRecord>,
-    chaos: Option<ChaosRecord>,
-    faults: Vec<FaultRecord>,
-    retries: Vec<RetryRecord>,
-    degraded: Vec<DegradedRecord>,
-    checkpoints: Vec<CheckpointRecord>,
+    /// The payload records stored through [`Scope::record`]. Its
+    /// spans, totals, gauges and histograms stay empty: those are
+    /// built at snapshot time, as are the span and run allocation
+    /// `Mem` records.
+    journal: RunJournal,
     slow_queries: SlowQueryPolicy,
 }
 
@@ -403,144 +412,38 @@ impl Recorder {
             None => Vec::new(),
             Some(inner) => {
                 let state = inner.state.lock().expect("obs state poisoned");
-                state.plans.iter().filter(|p| p.slow).cloned().collect()
+                state.journal.plans.iter().filter(|p| p.slow).cloned().collect()
             }
         }
     }
 
-    fn record_plan(&self, span: Option<usize>, mut plan: PlanRecord) {
-        if let Some(inner) = &self.inner {
-            plan.span = span.map(|id| id as u64);
-            plan.sort_ops();
-            let (scope, db_hits) = (plan.scope.clone(), plan.db_hits());
-            let slow = {
-                let mut state = inner.state.lock().expect("obs state poisoned");
-                let slow = state.slow_queries.is_slow(&plan);
-                if slow {
+    /// The one record path: stamps `span` on the payload (sorting its
+    /// repeated fields), flags a plan the slow-query policy catches,
+    /// stores the record and emits its bus event after the lock is
+    /// released; a flagged plan then bumps `cypher_slow_queries` on
+    /// the span and the totals.
+    fn record(&self, span: Option<usize>, mut record: JournalRecord) {
+        let Some(inner) = &self.inner else { return };
+        // `Chaos` carries no span, so neither does its event.
+        let event_span = record.stamp(span.map(|id| id as u64)).and(span);
+        let (event, slow) = {
+            let mut state = inner.state.lock().expect("obs state poisoned");
+            let slow = match &mut record {
+                JournalRecord::Plan(plan) if state.slow_queries.is_slow(plan) => {
                     plan.slow = true;
-                    *state.totals.entry(Counter::CypherSlowQueries.name()).or_insert(0) += 1;
-                    if let Some(id) = span {
-                        *state.spans[id]
-                            .counters
-                            .entry(Counter::CypherSlowQueries.name())
-                            .or_insert(0) += 1;
-                    }
+                    true
                 }
-                state.plans.push(plan);
-                slow
+                _ => false,
             };
-            let detail = if slow { "slow".to_owned() } else { String::new() };
-            inner.emit(TelemetryEvent::PLAN, span, scope, detail, db_hits as f64);
-            if slow {
-                inner.emit(
-                    TelemetryEvent::COUNTER,
-                    span,
-                    Counter::CypherSlowQueries.name().to_owned(),
-                    String::new(),
-                    1.0,
-                );
-            }
+            let event = inner.sinks_on().then(|| TelemetryEvent::of_record(&record));
+            state.journal.push(record);
+            (event, slow)
+        };
+        if let Some((kind, name, detail, value)) = event {
+            inner.emit(kind, event_span, name, detail, value);
         }
-    }
-
-    fn record_lineage(&self, span: Option<usize>, mut lineage: LineageRecord) {
-        if let Some(inner) = &self.inner {
-            lineage.span = span.map(|id| id as u64);
-            lineage.sort_origins();
-            let (rule, frequency) = (lineage.rule.clone(), lineage.frequency);
-            {
-                let mut state = inner.state.lock().expect("obs state poisoned");
-                state.lineages.push(lineage);
-            }
-            inner.emit(TelemetryEvent::LINEAGE, span, rule, String::new(), frequency as f64);
-        }
-    }
-
-    fn record_boundary(&self, span: Option<usize>, mut boundary: BoundaryRecord) {
-        if let Some(inner) = &self.inner {
-            boundary.span = span.map(|id| id as u64);
-            let node = boundary.node.clone();
-            {
-                let mut state = inner.state.lock().expect("obs state poisoned");
-                state.boundaries.push(boundary);
-            }
-            inner.emit(TelemetryEvent::BOUNDARY, span, node, String::new(), 0.0);
-        }
-    }
-
-    /// Sets the chaos-run identity line written with the journal.
-    pub fn set_chaos(&self, chaos: ChaosRecord) {
-        if let Some(inner) = &self.inner {
-            let (model, strategy, rate) =
-                (chaos.model.clone(), chaos.strategy.clone(), chaos.fault_rate);
-            {
-                let mut state = inner.state.lock().expect("obs state poisoned");
-                state.chaos = Some(chaos);
-            }
-            inner.emit(TelemetryEvent::CHAOS, None, model, strategy, rate);
-        }
-    }
-
-    fn record_fault(&self, span: Option<usize>, mut fault: FaultRecord) {
-        if let Some(inner) = &self.inner {
-            fault.span = span.map(|id| id as u64);
-            let (stage, kind, unit) = (fault.stage.clone(), fault.kind.clone(), fault.unit);
-            {
-                let mut state = inner.state.lock().expect("obs state poisoned");
-                state.faults.push(fault);
-            }
-            inner.emit(TelemetryEvent::FAULT, span, stage, kind, unit as f64);
-        }
-    }
-
-    fn record_retry(&self, span: Option<usize>, mut retry: RetryRecord) {
-        if let Some(inner) = &self.inner {
-            retry.span = span.map(|id| id as u64);
-            let (stage, unit) = (retry.stage.clone(), retry.unit);
-            let verdict = if retry.recovered { "recovered" } else { "abandoned" };
-            {
-                let mut state = inner.state.lock().expect("obs state poisoned");
-                state.retries.push(retry);
-            }
-            inner.emit(TelemetryEvent::RETRY, span, stage, verdict.to_owned(), unit as f64);
-        }
-    }
-
-    fn record_degraded(&self, span: Option<usize>, mut record: DegradedRecord) {
-        if let Some(inner) = &self.inner {
-            record.span = span.map(|id| id as u64);
-            let (stage, detail) =
-                (record.stage.clone(), format!("{}: {}", record.unit, record.reason));
-            {
-                let mut state = inner.state.lock().expect("obs state poisoned");
-                state.degraded.push(record);
-            }
-            inner.emit(TelemetryEvent::DEGRADED, span, stage, detail, 0.0);
-        }
-    }
-
-    fn record_checkpoint(&self, span: Option<usize>, mut checkpoint: CheckpointRecord) {
-        if let Some(inner) = &self.inner {
-            checkpoint.span = span.map(|id| id as u64);
-            let (stage, unit) = (checkpoint.stage.clone(), checkpoint.unit);
-            {
-                let mut state = inner.state.lock().expect("obs state poisoned");
-                state.checkpoints.push(checkpoint);
-            }
-            inner.emit(TelemetryEvent::CHECKPOINT, span, stage, String::new(), unit as f64);
-        }
-    }
-
-    fn record_mem(&self, span: Option<usize>, mut mem: MemRecord) {
-        if let Some(inner) = &self.inner {
-            mem.span = span.map(|id| id as u64);
-            let (kind, component, bytes) =
-                (mem.kind.clone(), mem.component.clone(), mem.footprint_bytes());
-            {
-                let mut state = inner.state.lock().expect("obs state poisoned");
-                state.mems.push(mem);
-            }
-            inner.emit(TelemetryEvent::MEM, span, kind, component, bytes as f64);
+        if slow {
+            self.add(span, Counter::CypherSlowQueries, 1);
         }
     }
 
@@ -608,11 +511,11 @@ impl Recorder {
                 });
             }
         }
-        let mut plans = state.plans.clone();
+        let mut journal = state.journal.clone();
         if inner.deterministic {
             // Wall-clock microseconds are the only schedule-dependent
             // plan fields; zero them so chaos journals byte-compare.
-            for plan in &mut plans {
+            for plan in &mut journal.plans {
                 plan.total_us = 0;
                 for op in &mut plan.ops {
                     op.self_us = 0;
@@ -625,37 +528,18 @@ impl Recorder {
         // and wherever the allocator is not installed they are all
         // zero and skipped, so library/unit-test journals are
         // unchanged.
-        let mut mems = state.mems.clone();
         if !inner.deterministic {
             let now = TrackingAlloc::snapshot();
             for (id, s) in state.spans.iter().enumerate() {
                 let delta =
                     s.alloc_delta.unwrap_or_else(|| AllocDelta::between(&s.alloc_at_open, &now));
-                if delta.is_zero() {
-                    continue;
+                if !delta.is_zero() {
+                    journal.mems.push(delta.mem(Some(id as u64), "span", 0));
                 }
-                mems.push(MemRecord {
-                    span: Some(id as u64),
-                    kind: "span".to_owned(),
-                    alloc_bytes: delta.alloc_bytes,
-                    alloc_count: delta.alloc_count,
-                    dealloc_count: delta.dealloc_count,
-                    peak_delta: delta.peak_delta,
-                    ..MemRecord::default()
-                });
             }
             let run = AllocDelta::between(&inner.alloc_at_start, &now);
             if !run.is_zero() {
-                mems.push(MemRecord {
-                    span: None,
-                    kind: "run".to_owned(),
-                    alloc_bytes: run.alloc_bytes,
-                    alloc_count: run.alloc_count,
-                    dealloc_count: run.dealloc_count,
-                    peak_delta: run.peak_delta,
-                    peak_bytes: now.peak_bytes,
-                    ..MemRecord::default()
-                });
+                journal.mems.push(run.mem(None, "run", now.peak_bytes));
             }
         }
         // Sink drops are journaled so a saturated bounded channel can
@@ -674,18 +558,7 @@ impl Recorder {
             totals,
             gauges: state.gauges.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
             histos,
-            plans,
-            lineages: state.lineages.clone(),
-            boundaries: state.boundaries.clone(),
-            chaos: state.chaos.clone(),
-            faults: state.faults.clone(),
-            retries: state.retries.clone(),
-            degraded: state.degraded.clone(),
-            checkpoints: state.checkpoints.clone(),
-            mems,
-            events: Vec::new(),
-            corrupt_lines: 0,
-            unknown_lines: 0,
+            ..journal
         }
     }
 }
@@ -746,53 +619,17 @@ impl Scope {
         self.rec.add_sim_seconds(self.parent, seconds);
     }
 
-    /// Stores a query-plan profile attached to this scope's span. The
-    /// recorder stamps the span id, sorts the operators, and applies
-    /// the slow-query policy (flagging the record and bumping
-    /// `cypher_slow_queries` when it breaches).
-    pub fn plan(&self, plan: PlanRecord) {
-        self.rec.record_plan(self.parent, plan);
-    }
-
-    /// Stores a rule-lineage record attached to this scope's span.
-    /// The recorder stamps the span id and sorts the origins so the
-    /// journal bytes stay schedule-independent.
-    pub fn lineage(&self, lineage: LineageRecord) {
-        self.rec.record_lineage(self.parent, lineage);
-    }
-
-    /// Stores a window-boundary breakage attached to this scope's
-    /// span.
-    pub fn boundary(&self, boundary: BoundaryRecord) {
-        self.rec.record_boundary(self.parent, boundary);
-    }
-
-    /// Stores an injected-fault record attached to this scope's span.
-    pub fn fault(&self, fault: FaultRecord) {
-        self.rec.record_fault(self.parent, fault);
-    }
-
-    /// Stores a retry-verdict record attached to this scope's span.
-    pub fn retry(&self, retry: RetryRecord) {
-        self.rec.record_retry(self.parent, retry);
-    }
-
-    /// Stores a degraded-unit record attached to this scope's span.
-    pub fn degraded(&self, record: DegradedRecord) {
-        self.rec.record_degraded(self.parent, record);
-    }
-
-    /// Stores a completed-unit checkpoint attached to this scope's
-    /// span, for `grm mine --resume` to replay.
-    pub fn checkpoint(&self, checkpoint: CheckpointRecord) {
-        self.rec.record_checkpoint(self.parent, checkpoint);
-    }
-
-    /// Stores a memory record attached to this scope's span —
-    /// typically a deterministic footprint table built with
-    /// [`MemRecord::footprint_of`]. The recorder stamps the span id.
-    pub fn mem(&self, mem: MemRecord) {
-        self.rec.record_mem(self.parent, mem);
+    /// Stores one journal record attached to this scope's span and
+    /// emits its bus event. The recorder stamps the span id, sorts a
+    /// plan's operators and a lineage record's origins so the journal
+    /// bytes stay schedule-independent, and applies the slow-query
+    /// policy to a plan (flagging the record and bumping
+    /// `cypher_slow_queries` when it breaches). A [`ChaosRecord`]
+    /// carries no span: record it once, from the root scope.
+    ///
+    /// [`ChaosRecord`]: crate::ChaosRecord
+    pub fn record(&self, payload: impl Payload) {
+        self.rec.record(self.parent, payload.into());
     }
 }
 

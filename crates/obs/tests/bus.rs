@@ -10,13 +10,21 @@ use grm_obs::{
     check_exposition_against_events, event_stream_sink, parity_violations, parse_exposition,
     BoundaryRecord, ChannelSink, ChaosRecord, CheckpointRecord, Counter, CountingSink,
     DegradedRecord, FaultRecord, FootprintRow, Gauge, Histo, LineageRecord, MemRecord, MetricsHub,
-    Recorder, RetryRecord, RunJournal, TelemetryEvent,
+    PlanOpRecord, PlanRecord, Recorder, RetryRecord, RunJournal, SlowQueryPolicy, TelemetryEvent,
 };
+
+/// A one-operator plan for `scope` costing `hits` db-hits.
+fn plan(scope: &str, hits: u64) -> PlanRecord {
+    let ops = vec![PlanOpRecord { db_nodes: hits, ..PlanOpRecord::default() }];
+    PlanRecord { ops, ..PlanRecord::new(scope) }
+}
 
 /// Drives one small synthetic run touching every journal-backed
 /// record kind, so parity can be asserted across the whole taxonomy.
+/// One of its two plans breaches the slow-query policy.
 fn drive(rec: &Recorder) -> RunJournal {
-    rec.set_chaos(ChaosRecord {
+    rec.set_slow_query_policy(SlowQueryPolicy { max_db_hits: Some(10), ..Default::default() });
+    rec.root_scope().record(ChaosRecord {
         model: "sim".into(),
         strategy: "swa".into(),
         fault_rate: 0.2,
@@ -29,41 +37,39 @@ fn drive(rec: &Recorder) -> RunJournal {
     scope.add(Counter::RulesMined, 9);
     scope.gauge(Gauge::RagCoverage, 0.8);
     scope.observe(Histo::MineCallSeconds, 1.5);
-    scope.fault(FaultRecord {
+    scope.record(FaultRecord {
         stage: "mine".into(),
         unit: 2,
         attempt: 1,
         ..FaultRecord::default()
     });
-    scope.retry(RetryRecord {
+    scope.record(RetryRecord {
         stage: "mine".into(),
         unit: 2,
         attempts: 2,
         recovered: true,
         ..RetryRecord::default()
     });
-    scope.degraded(DegradedRecord {
+    scope.record(DegradedRecord {
         stage: "mine".into(),
         unit: "window-7".into(),
         reason: "abandoned".into(),
         ..DegradedRecord::default()
     });
-    scope.checkpoint(CheckpointRecord {
+    scope.record(CheckpointRecord {
         stage: "mine".into(),
         unit: 2,
         payload: "rules".into(),
         ..CheckpointRecord::default()
     });
-    scope.lineage(LineageRecord {
-        rule: "rule-0".into(),
-        frequency: 3,
-        ..LineageRecord::default()
-    });
-    scope.boundary(BoundaryRecord { node: "Team_1".into(), ..BoundaryRecord::default() });
-    scope.mem(MemRecord::footprint_of(
+    scope.record(LineageRecord { rule: "rule-0".into(), frequency: 3, ..LineageRecord::default() });
+    scope.record(BoundaryRecord { node: "Team_1".into(), ..BoundaryRecord::default() });
+    scope.record(MemRecord::footprint_of(
         "graph",
         vec![FootprintRow { name: "nodes".into(), count: 10, bytes: 640 }],
     ));
+    scope.record(plan("rule-0", 7));
+    scope.record(plan("rule-1", 12));
     mine.finish();
     root.finish();
     rec.snapshot()
@@ -73,13 +79,49 @@ fn drive(rec: &Recorder) -> RunJournal {
 fn bus_emits_one_event_per_journal_record() {
     let rec = Recorder::deterministic();
     let counting = CountingSink::new();
+    let (chan, rx) = ChannelSink::bounded("probe", 4096);
     rec.attach_sink(counting.clone());
+    rec.attach_sink(chan);
     let journal = drive(&rec);
     let counts = counting.counts();
     let violations = parity_violations(&counts, &journal);
     assert!(violations.is_empty(), "{violations:?}");
+    // Every event's payload, in emission order; a span's real
+    // duration is the one value that varies from run to run.
+    let events: Vec<(String, Option<u64>, String, String, f64)> = rx
+        .try_iter()
+        .map(|e| {
+            let value = if e.kind == "span_close" { 0.0 } else { e.value };
+            (e.kind, e.span, e.name, e.detail, value)
+        })
+        .collect();
+    let expected = [
+        ("chaos", None, "sim", "swa", 0.2),
+        ("span_open", Some(0), "pipeline", "", 0.0),
+        ("span_open", Some(1), "mine", "0", 0.0),
+        ("counter", Some(1), "prompts_issued", "", 4.0),
+        ("counter", Some(1), "rules_mined", "", 9.0),
+        ("gauge", Some(1), "rag_coverage", "", 0.8),
+        ("histo", Some(1), "mine_call_seconds", "", 1.5),
+        ("fault", Some(1), "mine", "", 2.0),
+        ("retry", Some(1), "mine", "recovered", 2.0),
+        ("degraded", Some(1), "mine", "window-7: abandoned", 0.0),
+        ("checkpoint", Some(1), "mine", "", 2.0),
+        ("lineage", Some(1), "rule-0", "", 3.0),
+        ("boundary", Some(1), "Team_1", "", 0.0),
+        ("mem", Some(1), "footprint", "graph", 640.0),
+        ("plan", Some(1), "rule-0", "", 7.0),
+        ("plan", Some(1), "rule-1", "slow", 12.0),
+        ("counter", Some(1), "cypher_slow_queries", "", 1.0),
+        ("span_close", Some(1), "mine", "", 0.0),
+        ("span_close", Some(0), "pipeline", "", 0.0),
+    ]
+    .map(|(kind, span, name, detail, value)| {
+        (kind.to_owned(), span, name.to_owned(), detail.to_owned(), value)
+    });
+    assert_eq!(events, expected);
     // Spot-check the aggregate kinds parity does not cover.
-    assert_eq!(counts.get("counter"), Some(&2));
+    assert_eq!(counts.get("counter"), Some(&3));
     assert_eq!(counts.get("gauge"), Some(&1));
     assert_eq!(counts.get("histo"), Some(&1));
     assert_eq!(counts.get("span_close"), Some(&2));

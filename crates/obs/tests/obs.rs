@@ -267,11 +267,11 @@ fn journal_with_plans() -> RunJournal {
     let eval = root.scope().span("evaluate");
     // Deliberately unsorted op paths and reverse-ordered scopes: the
     // serialised form must not depend on either.
-    eval.scope().plan(plan_fixture(
+    eval.scope().record(plan_fixture(
         "rule-1",
         &[("Root/Scan", "NodeByLabelScan", 20), ("Root", "ProduceResults", 0)],
     ));
-    eval.scope().plan(plan_fixture(
+    eval.scope().record(plan_fixture(
         "rule-0",
         &[("Root", "ProduceResults", 0), ("Root/Scan", "NodeByLabelScan", 10)],
     ));
@@ -310,7 +310,7 @@ fn journal_with_lineage() -> RunJournal {
     let rec = Recorder::new();
     let root = rec.root_scope().span("pipeline");
     let encode = root.scope().span("encode");
-    encode.scope().boundary(BoundaryRecord {
+    encode.scope().record(BoundaryRecord {
         span: None,
         node: "n7".into(),
         first_window: 1,
@@ -322,7 +322,7 @@ fn journal_with_lineage() -> RunJournal {
         |i: u64| OriginRef { id: format!("window-{i}"), start_token: i * 800, token_len: 1000 };
     // Reverse index order and unsorted origins: the serialised form
     // must not depend on either.
-    eval.scope().lineage(LineageRecord {
+    eval.scope().record(LineageRecord {
         index: 1,
         rule: "rule-1".into(),
         nl: "every Squad has a coach".into(),
@@ -338,7 +338,7 @@ fn journal_with_lineage() -> RunJournal {
         confidence_pct: None,
         ..LineageRecord::default()
     });
-    eval.scope().lineage(LineageRecord {
+    eval.scope().record(LineageRecord {
         index: 0,
         rule: "rule-0".into(),
         nl: "every Person has a name".into(),
@@ -416,11 +416,11 @@ fn journal_with_mem() -> RunJournal {
     let encode = root.scope().span("encode");
     // Reverse component order: the serialised form must not depend on
     // recording order.
-    encode.scope().mem(MemRecord::footprint_of(
+    encode.scope().record(MemRecord::footprint_of(
         "vecstore",
         vec![FootprintRow { name: "embeddings".into(), count: 3, bytes: 3072 }],
     ));
-    encode.scope().mem(MemRecord::footprint_of(
+    encode.scope().record(MemRecord::footprint_of(
         "graph",
         vec![
             FootprintRow { name: "nodes".into(), count: 10, bytes: 640 },
@@ -533,8 +533,8 @@ fn slow_query_policy_flags_records_and_counts() {
     rec.set_slow_query_policy(SlowQueryPolicy { max_db_hits: Some(40), ..Default::default() });
     let root = rec.root_scope().span("pipeline");
     let eval = root.scope().span("evaluate");
-    eval.scope().plan(plan_fixture("rule-cheap", &[("Root", "ProduceResults", 5)]));
-    eval.scope().plan(plan_fixture("rule-dear", &[("Root/Scan", "NodeByLabelScan", 50)]));
+    eval.scope().record(plan_fixture("rule-cheap", &[("Root", "ProduceResults", 5)]));
+    eval.scope().record(plan_fixture("rule-dear", &[("Root/Scan", "NodeByLabelScan", 50)]));
     eval.finish();
     root.finish();
 
@@ -584,9 +584,9 @@ fn disabled_recorder_is_a_no_op() {
     span.scope().add(Counter::RulesMined, 3);
     span.scope().gauge(Gauge::RagCoverage, 1.0);
     span.scope().add_sim_seconds(5.0);
-    span.scope().plan(PlanRecord::new("rule-0"));
-    span.scope().lineage(LineageRecord::default());
-    span.scope().boundary(BoundaryRecord::default());
+    span.scope().record(PlanRecord::new("rule-0"));
+    span.scope().record(LineageRecord::default());
+    span.scope().record(BoundaryRecord::default());
     span.finish();
     assert_eq!(rec.total(Counter::RulesMined), 0);
     let journal = rec.snapshot();
@@ -713,19 +713,27 @@ fn lossy_reader_skips_unknown_kinds_between_mem_and_totals() {
 /// degraded unit and checkpoint, and one histogram.
 fn journal_with_chaos() -> RunJournal {
     let rec = Recorder::new();
-    rec.set_chaos(ChaosRecord { fault_seed: 7, fault_rate: 0.2, ..ChaosRecord::default() });
+    rec.root_scope().record(ChaosRecord {
+        fault_seed: 7,
+        fault_rate: 0.2,
+        ..ChaosRecord::default()
+    });
     let root = rec.root_scope().span("pipeline");
     let mine = root.scope().span("mine");
     let scope = mine.scope();
     scope.observe(Histo::MineCallSeconds, 1.5);
-    scope.fault(FaultRecord { stage: "mine".into(), kind: "timeout".into(), ..Default::default() });
-    scope.retry(RetryRecord { stage: "mine".into(), attempts: 2, ..Default::default() });
-    scope.degraded(DegradedRecord {
+    scope.record(FaultRecord {
+        stage: "mine".into(),
+        kind: "timeout".into(),
+        ..Default::default()
+    });
+    scope.record(RetryRecord { stage: "mine".into(), attempts: 2, ..Default::default() });
+    scope.record(DegradedRecord {
         stage: "mine".into(),
         unit: "context-0".into(),
         ..Default::default()
     });
-    scope.checkpoint(CheckpointRecord {
+    scope.record(CheckpointRecord {
         stage: "mine".into(),
         payload: "{}".into(),
         ..Default::default()

@@ -124,7 +124,7 @@ impl PropertyGraph {
         labels.sort();
         labels.dedup();
         for l in &labels {
-            self.node_label_index.entry(l.clone()).or_default().push(id);
+            index_label(&mut self.node_label_index, l, id);
         }
         self.nodes.push(Node { id, labels, props });
         self.out_adj.push(Vec::new());
@@ -150,7 +150,7 @@ impl PropertyGraph {
         );
         let id = EdgeId(self.edges.len() as u32);
         let label = label.into();
-        self.edge_label_index.entry(label.clone()).or_default().push(id);
+        index_label(&mut self.edge_label_index, &label, id);
         self.out_adj[src.0 as usize].push(id);
         self.in_adj[dst.0 as usize].push(id);
         self.edges.push(Edge { id, src, dst, label, props });
@@ -187,11 +187,6 @@ impl PropertyGraph {
     /// `grm-datasets` to drop or corrupt properties).
     pub fn node_mut(&mut self, id: NodeId) -> &mut Node {
         &mut self.nodes[id.0 as usize]
-    }
-
-    /// Mutable edge access.
-    pub fn edge_mut(&mut self, id: EdgeId) -> &mut Edge {
-        &mut self.edges[id.0 as usize]
     }
 
     /// All nodes in insertion order.
@@ -349,6 +344,16 @@ impl PropertyGraph {
                 },
             ],
         }
+    }
+}
+
+/// Appends `id` to `label`'s index entry, copying the label only when
+/// the entry is new. A new entry's `Vec` still grows from empty, so
+/// the deterministic footprint tables keep their capacities.
+fn index_label<T>(index: &mut HashMap<String, Vec<T>>, label: &str, id: T) {
+    match index.get_mut(label) {
+        Some(ids) => ids.push(id),
+        None => index.entry(label.to_owned()).or_default().push(id),
     }
 }
 

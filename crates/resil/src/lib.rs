@@ -19,7 +19,7 @@
 //! again as a pure function of the plan so the result is independent
 //! of worker scheduling.
 
-use grm_obs::{Counter, FaultRecord, Scope};
+use grm_obs::{Counter, DegradedRecord, FaultRecord, RetryRecord, Scope};
 
 /// splitmix64-style mixing step: deterministic, well-distributed, and
 /// stable across platforms — the basis for every fault decision.
@@ -449,17 +449,22 @@ impl FaultPlan {
     }
 }
 
-/// Emits one `Fault` journal record per faulted attempt of `unit`
-/// and bumps `faults_injected`, returning the unit's total simulated
-/// fault cost (per-fault cost plus backoff). `call_seconds` is what
-/// the discarded call itself would have cost, charged for `Garbled`.
-pub fn record_unit_faults(unit: &UnitPlan, call_seconds: f64, scope: &Scope) -> f64 {
+/// Journals one unit's chaos outcome on `scope`, the same way for
+/// every stage (the outcome table in DESIGN.md §10): a `Fault` record
+/// and `faults_injected` per faulted attempt, the retry verdict of a
+/// faulted unit, and a `Degraded` record for an abandoned or
+/// breaker-skipped one. Returns the fault seconds (per-fault cost plus
+/// backoff) and charges them to the scope's span. `call_seconds` is
+/// what the discarded call itself would have cost, charged for
+/// `Garbled`.
+pub fn record_unit(unit: &UnitPlan, call_seconds: f64, scope: &Scope) -> f64 {
+    let stage = unit.stage.name();
     let mut total = 0.0;
     for fault in &unit.faults {
         let cost = fault.kind.cost_seconds(unit.stage, call_seconds);
-        scope.fault(FaultRecord {
+        scope.record(FaultRecord {
             span: None,
-            stage: unit.stage.name().into(),
+            stage: stage.into(),
             unit: unit.key,
             attempt: fault.attempt as u64,
             kind: fault.kind.name().into(),
@@ -469,6 +474,45 @@ pub fn record_unit_faults(unit: &UnitPlan, call_seconds: f64, scope: &Scope) -> 
         scope.add(Counter::FaultsInjected, 1);
         total += cost + fault.backoff_seconds;
     }
+    scope.add_sim_seconds(total);
+    let llm = unit.stage != Stage::Evaluate;
+    let retry = |recovered: bool, counter: Counter| {
+        if llm {
+            scope.add(counter, 1);
+        }
+        scope.record(RetryRecord {
+            span: None,
+            stage: stage.into(),
+            unit: unit.key,
+            attempts: unit.attempts() as u64,
+            recovered,
+        });
+    };
+    let reason = match unit.outcome {
+        UnitOutcome::Completed { .. } => {
+            if !unit.faults.is_empty() {
+                retry(true, Counter::LlmCallsRetried);
+            }
+            return total;
+        }
+        UnitOutcome::Abandoned => {
+            retry(false, Counter::LlmCallsAbandoned);
+            "retries_exhausted"
+        }
+        UnitOutcome::SkippedByBreaker => "breaker_open",
+    };
+    let (counter, label) = match unit.stage {
+        Stage::Mine => (Counter::WindowsDegraded, "context"),
+        Stage::Translate => (Counter::RulesDegraded, "rule"),
+        Stage::Evaluate => (Counter::QueriesDegraded, "rule"),
+    };
+    scope.add(counter, 1);
+    scope.record(DegradedRecord {
+        span: None,
+        stage: stage.into(),
+        unit: format!("{label}-{}", unit.key),
+        reason: reason.into(),
+    });
     total
 }
 
@@ -610,6 +654,84 @@ mod tests {
         assert_eq!(FaultKind::RateLimit.cost_seconds(Stage::Translate, 9.9), 5.0);
         assert_eq!(FaultKind::Garbled.cost_seconds(Stage::Mine, 9.9), 9.9);
         assert_eq!(FaultKind::QueryTransient.cost_seconds(Stage::Evaluate, 9.9), 0.05);
+    }
+
+    /// One hand-built unit per cell of the outcome table (DESIGN.md
+    /// §10): the records and counter totals `record_unit` journals,
+    /// and the fault seconds it returns and charges to the span.
+    #[test]
+    fn record_unit_journals_every_outcome_of_every_stage() {
+        use grm_obs::Recorder;
+        for stage in [Stage::Mine, Stage::Translate, Stage::Evaluate] {
+            let s = stage.name();
+            let (label, degraded) = match stage {
+                Stage::Mine => ("context-5", "windows_degraded"),
+                Stage::Translate => ("rule-5", "rules_degraded"),
+                Stage::Evaluate => ("rule-5", "queries_degraded"),
+            };
+            let llm =
+                |c: &str| if stage == Stage::Evaluate { String::new() } else { format!("{c}=1") };
+            let cells = [
+                (UnitOutcome::Completed { attempts: 1 }, 0, vec![]),
+                (
+                    UnitOutcome::Completed { attempts: 2 },
+                    1,
+                    vec![
+                        format!("fault {s} 5#0"),
+                        format!("retry {s} 5 x2 recovered=true"),
+                        "faults_injected=1".into(),
+                        llm("llm_calls_retried"),
+                    ],
+                ),
+                (
+                    UnitOutcome::Abandoned,
+                    2,
+                    vec![
+                        format!("fault {s} 5#0"),
+                        format!("fault {s} 5#1"),
+                        format!("retry {s} 5 x2 recovered=false"),
+                        format!("degraded {s} {label} retries_exhausted"),
+                        "faults_injected=2".into(),
+                        llm("llm_calls_abandoned"),
+                        format!("{degraded}=1"),
+                    ],
+                ),
+                (
+                    UnitOutcome::SkippedByBreaker,
+                    0,
+                    vec![format!("degraded {s} {label} breaker_open"), format!("{degraded}=1")],
+                ),
+            ];
+            for (outcome, faults, mut expected) in cells {
+                let kind = FaultKind::Garbled;
+                let faults =
+                    (0..faults).map(|attempt| AttemptFault { attempt, kind, backoff_seconds: 0.5 });
+                let unit = UnitPlan { stage, key: 5, faults: faults.collect(), outcome };
+                let rec = Recorder::new();
+                let seconds = record_unit(&unit, 3.0, &rec.root_scope().span(s).scope());
+                let j = rec.snapshot();
+                let got: Vec<String> = (j.faults.iter())
+                    .map(|f| format!("fault {} {}#{}", f.stage, f.unit, f.attempt))
+                    .chain(j.retries.iter().map(|r| {
+                        format!(
+                            "retry {} {} x{} recovered={}",
+                            r.stage, r.unit, r.attempts, r.recovered
+                        )
+                    }))
+                    .chain(
+                        j.degraded
+                            .iter()
+                            .map(|d| format!("degraded {} {} {}", d.stage, d.unit, d.reason)),
+                    )
+                    .chain(j.totals.iter().map(|(k, v)| format!("{k}={v}")))
+                    .collect();
+                expected.retain(|e| !e.is_empty());
+                assert_eq!(got, expected, "{s} {outcome:?}");
+                // A garbled attempt costs the 3 s call, plus its backoff.
+                assert_eq!(seconds, 3.5 * unit.faults.len() as f64, "{s} {outcome:?}");
+                assert_eq!(j.spans[0].sim_seconds, seconds, "{s} {outcome:?}");
+            }
+        }
     }
 
     proptest! {

@@ -52,7 +52,7 @@ pub fn chunk_traced(encoded: &Tokenized, config: WindowConfig, scope: &Scope) ->
         inner.observe(Histo::WindowTokens, w.token_len as f64);
     }
     for b in &ws.breakages {
-        inner.boundary(BoundaryRecord {
+        inner.record(BoundaryRecord {
             span: None,
             node: b.node.clone(),
             first_window: b.first_window as u64,

@@ -5,7 +5,7 @@
 //! (Figure 3), plus the seed that makes the run reproducible.
 
 use grm_llm::{ModelKind, PromptStyle};
-use grm_textenc::{EncoderKind, SummaryConfig, WindowConfig};
+use grm_textenc::{SummaryConfig, WindowConfig};
 use grm_vecstore::RagConfig;
 
 /// How the encoded graph reaches the model's context.
@@ -58,11 +58,6 @@ pub struct PipelineConfig {
     pub strategy: ContextStrategy,
     /// Zero- or few-shot prompting.
     pub prompting: PromptStyle,
-    /// Graph-to-text encoder (the paper uses the incident encoder).
-    /// Note: the simulated models read their prompt through the
-    /// incident-format fragment decoder, so `Adjacency` is only
-    /// useful for encoding-cost experiments, not end-to-end mining.
-    pub encoder: EncoderKind,
     /// Seed for the whole run (model randomness + rule selection).
     pub seed: u64,
     /// Cap on the final merged rule set; `None` derives a
@@ -73,14 +68,7 @@ pub struct PipelineConfig {
 impl PipelineConfig {
     /// A configuration with the paper's defaults.
     pub fn new(model: ModelKind, strategy: ContextStrategy, prompting: PromptStyle) -> Self {
-        PipelineConfig {
-            model,
-            strategy,
-            prompting,
-            encoder: EncoderKind::Incident,
-            seed: 42,
-            rule_budget: None,
-        }
+        PipelineConfig { model, strategy, prompting, seed: 42, rule_budget: None }
     }
 
     /// All eight (model × strategy × prompting) combinations — the
@@ -96,7 +84,6 @@ impl PipelineConfig {
                         model,
                         strategy,
                         prompting,
-                        encoder: EncoderKind::Incident,
                         seed,
                         rule_budget: None,
                     });

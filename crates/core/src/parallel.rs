@@ -21,10 +21,9 @@ use grm_llm::{
     GeneratedRule, MiningPrompt, MiningResponse, ModelKind, PromptStyle, ResilientLlm, SimLlm,
 };
 use grm_obs::Scope;
-use grm_resil::{ChaosConfig, FaultPlan, Stage, StageSchedule};
+use grm_resil::{ChaosConfig, Stage, StageSchedule};
 
 use crate::config::PipelineConfig;
-use crate::pipeline::settle;
 
 /// Outcome of mining a set of contexts with a worker fleet.
 #[derive(Debug, Clone)]
@@ -52,7 +51,7 @@ pub fn mine_parallel(
     target_rules: Option<usize>,
     workers: usize,
 ) -> ParallelMining {
-    let schedule = FaultPlan::new(ChaosConfig::default()).schedule(Stage::Mine, contexts.len());
+    let schedule = ChaosConfig::default().schedule(Stage::Mine, contexts.len());
     let job = MineJob {
         contexts,
         style,
@@ -103,14 +102,20 @@ impl MineJob<'_> {
     ) -> Lane {
         let mut lane = Lane::default();
         for (done, ci) in units.enumerate() {
-            let mut prompt = MiningPrompt::new(self.style, self.contexts[ci].clone());
-            prompt.target_rules = self.target_rules;
             let replay = self.checkpoints.get(&(ci as u64)).cloned();
             let unit = &self.schedule.units[ci];
-            let call = self.llm.mine(unit, &prompt, replay, replica.as_deref_mut(), scope);
-            if let Some(response) =
-                settle(call, Stage::Mine, ci, self.chaos, &mut lane.seconds, scope)
-            {
+            let (response, seconds) = unit.run(scope, self.chaos, || {
+                let response = self.llm.respond(unit, replay, replica.as_deref_mut(), |model| {
+                    let mut prompt = MiningPrompt::new(self.style, self.contexts[ci].clone());
+                    prompt.target_rules = self.target_rules;
+                    model.mine(&prompt)
+                });
+                let seconds = response.seconds;
+                (response, seconds)
+            });
+            lane.seconds += seconds;
+            if let Some(response) = response {
+                response.record(scope);
                 // Stamp the context index after mining: the model
                 // never sees it, so lineage cannot perturb its RNG.
                 lane.rules.extend(response.rules.into_iter().map(|mut r| {

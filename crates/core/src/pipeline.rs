@@ -14,17 +14,16 @@
 use std::collections::HashMap;
 
 use grm_cypher::BatchSession;
-use grm_llm::{CallSkip, ResilientCall, ResilientLlm, SimLlm, Timed, TranslationResponse};
+use grm_llm::{ResilientLlm, SimLlm, TranslationResponse};
 use grm_metrics::{
-    aggregate, class_counter, classify, correct, evaluate_resilient, record_batch_stats,
-    ClassTally, QueryClass, RuleMetrics,
+    aggregate, class_counter, classify, correct, evaluate_labeled, record_batch_stats, ClassTally,
+    QueryClass, RuleMetrics,
 };
 use grm_obs::{
-    ChaosRecord, CheckpointRecord, Counter, FootprintRow, Histo, LineageRecord, MemRecord,
-    OriginRef, Recorder, Scope,
+    ChaosRecord, Counter, FootprintRow, Histo, LineageRecord, MemRecord, OriginRef, Recorder, Scope,
 };
 use grm_pgraph::{GraphSchema, PropertyGraph};
-use grm_resil::{FaultPlan, Stage};
+use grm_resil::Stage;
 use grm_rules::RuleQueries;
 use grm_textenc::{chunk_traced, encode_summary_traced, encode_traced, token_count};
 use grm_vecstore::Retriever;
@@ -90,7 +89,7 @@ impl MiningPipeline {
         }
         match &cfg.strategy {
             ContextStrategy::SlidingWindow(wc) => {
-                let encoded = encode_traced(graph, cfg.encoder, scope);
+                let encoded = encode_traced(graph, scope);
                 let ws = chunk_traced(&encoded, *wc, scope);
                 let origins = ws
                     .windows
@@ -112,7 +111,7 @@ impl MiningPipeline {
                 }
             }
             ContextStrategy::Rag(rc) => {
-                let encoded = encode_traced(graph, cfg.encoder, scope);
+                let encoded = encode_traced(graph, scope);
                 let retriever = Retriever::ingest_traced(&encoded, *rc, scope);
                 if scope.is_enabled() {
                     let fp = retriever.footprint();
@@ -228,7 +227,6 @@ impl MiningPipeline {
         let cfg = &self.config;
         let chaos = opts.chaos.fault_rate > 0.0;
         let serial = opts.workers <= 1;
-        let plan = FaultPlan::new(opts.chaos);
         let llm = ResilientLlm::new(cfg.model, cfg.seed);
         let empty = ResumeState::default();
         let resume = opts.resume.as_ref().filter(|_| chaos).unwrap_or(&empty);
@@ -262,7 +260,7 @@ impl MiningPipeline {
         let budget = cfg.rule_budget.unwrap_or_else(|| self.derive_budget(&mut rng));
         let mine_span = root_scope.span("mine");
         let mine_scope = mine_span.scope();
-        let schedule = plan.schedule(Stage::Mine, contexts.texts.len());
+        let schedule = opts.chaos.schedule(Stage::Mine, contexts.texts.len());
         if schedule.breaker_trips > 0 {
             mine_scope.add(Counter::BreakerTrips, schedule.breaker_trips);
         }
@@ -317,7 +315,7 @@ impl MiningPipeline {
         // degraded translation drops the rule.
         let translate_span = root_scope.span_at("translate", mining_seconds);
         let translate_scope = translate_span.scope();
-        let t_sched = plan.schedule(Stage::Translate, selected.len());
+        let t_sched = opts.chaos.schedule(Stage::Translate, selected.len());
         if t_sched.breaker_trips > 0 {
             translate_scope.add(Counter::BreakerTrips, t_sched.breaker_trips);
         }
@@ -327,15 +325,19 @@ impl MiningPipeline {
             .enumerate()
             .map(|(i, m)| {
                 let replay = resume.translated.get(&(i as u64)).cloned();
-                let call = llm.translate(
-                    &t_sched.units[i],
-                    &m.rule.rule,
-                    &schema_summary,
-                    replay,
-                    model.as_mut(),
-                    &translate_scope,
-                );
-                settle(call, Stage::Translate, i, chaos, &mut translation_seconds, &translate_scope)
+                let unit = &t_sched.units[i];
+                let (response, seconds) = unit.run(&translate_scope, chaos, || {
+                    let response = llm.respond(unit, replay, model.as_mut(), |model| {
+                        model.translate_rule(&m.rule.rule, &schema_summary)
+                    });
+                    let seconds = response.seconds;
+                    (response, seconds)
+                });
+                translation_seconds += seconds;
+                if let Some(response) = &response {
+                    response.record(&translate_scope);
+                }
+                response
             })
             .collect();
         translate_span.finish();
@@ -356,7 +358,7 @@ impl MiningPipeline {
         let mut outcomes = Vec::with_capacity(selected.len());
         for (i, (m, resp)) in selected.into_iter().zip(translations).enumerate() {
             let Some(resp) = resp else { continue };
-            let unit = plan.unit(Stage::Evaluate, i as u64);
+            let unit = opts.chaos.unit(Stage::Evaluate, i as u64);
             outcomes.push(self.assess_rule(
                 i,
                 m,
@@ -366,14 +368,15 @@ impl MiningPipeline {
                 &evaluate_scope,
                 &mut correctness,
                 |queries, label| {
-                    evaluate_resilient(
-                        graph,
-                        queries,
-                        &evaluate_scope,
-                        label,
-                        &unit,
-                        Some(&mut session),
-                    )
+                    // Evaluation costs no simulated seconds; only its
+                    // transient query faults do.
+                    let (metrics, _) = unit.run(&evaluate_scope, false, || {
+                        let session = Some(&mut session);
+                        let scored =
+                            evaluate_labeled(graph, queries, &evaluate_scope, label, session);
+                        (scored.ok(), 0.0)
+                    });
+                    metrics.flatten()
                 },
             ));
         }
@@ -395,7 +398,7 @@ impl MiningPipeline {
             translation_seconds,
             aggregate: aggregate(&scored),
             correctness,
-            stage_timings: recorder.snapshot().stage_timings(),
+            stage_timings: recorder.stage_timings(),
             resilience: chaos.then(|| ResilienceSummary {
                 fault_seed: opts.chaos.fault_seed,
                 fault_rate: opts.chaos.fault_rate,
@@ -515,40 +518,6 @@ struct MergedRule {
     rule: grm_llm::GeneratedRule,
     frequency: usize,
     origins: Vec<usize>,
-}
-
-/// Settles one LLM call of `stage`: adds its simulated cost (call
-/// plus faults) to `seconds` and checkpoints a completed unit when
-/// `chaos` is on; [`ResilientLlm`] has already journaled the unit's
-/// faults, retries and degradation. Returns the response of a
-/// completed unit.
-pub(crate) fn settle<T: Timed + serde::Serialize>(
-    call: Result<ResilientCall<T>, CallSkip>,
-    stage: Stage,
-    key: usize,
-    chaos: bool,
-    seconds: &mut f64,
-    scope: &Scope,
-) -> Option<T> {
-    match call {
-        Ok(call) => {
-            *seconds += call.response.seconds() + call.fault_seconds;
-            if chaos {
-                scope.record(CheckpointRecord {
-                    span: None,
-                    stage: stage.name().to_owned(),
-                    unit: key as u64,
-                    payload: serde_json::to_string(&call.response).unwrap_or_default(),
-                });
-            }
-            Some(call.response)
-        }
-        Err(CallSkip::Abandoned { fault_seconds, .. }) => {
-            *seconds += fault_seconds;
-            None
-        }
-        Err(CallSkip::BreakerOpen) => None,
-    }
 }
 
 /// Deduplicates mined rules, ranking by how many prompts produced
@@ -681,6 +650,21 @@ mod tests {
         };
         let report = MiningPipeline::new(cfg).run(&g);
         assert!(report.rule_count() <= 3);
+    }
+
+    #[test]
+    fn report_stage_rows_match_the_journal() {
+        // The report reads its rows under the recorder's lock, without
+        // a journal snapshot; they must be the journal's own rows, in
+        // wall-clock and in deterministic mode alike.
+        let g = small_graph();
+        let pipe = MiningPipeline::new(sw_config(ModelKind::Llama3, PromptStyle::ZeroShot));
+        for rec in [Recorder::new(), Recorder::deterministic()] {
+            let report = pipe.run_traced(&g, &rec);
+            let stages: Vec<&str> = report.stage_timings.iter().map(|t| t.stage.as_str()).collect();
+            assert_eq!(stages, ["encode", "chunk", "mine", "merge", "translate", "evaluate"]);
+            assert_eq!(report.stage_timings, rec.snapshot().stage_timings());
+        }
     }
 
     fn chaos(rate: f64) -> RunOptions {

@@ -1,13 +1,14 @@
-//! Fallible, retryable LLM calls — [`SimLlm`] wrapped behind the
-//! chaos plan from `grm-resil`.
+//! LLM calls as chaos units — [`SimLlm`] behind the fault plan of
+//! `grm-resil`.
 //!
-//! [`ResilientLlm`] issues every LLM call of a pipeline run: each
-//! call site supplies its precomputed [`UnitPlan`] and gets a
-//! `Result` back — `Ok` with the response and the unit's retry cost,
-//! or `Err` when the plan abandoned the unit or the stage breaker
-//! skipped it. Under a fault-free plan every unit completes on its
-//! first attempt and no fault record is written, so the same path
-//! serves plain runs. Three properties make runs replayable:
+//! Every LLM call of a pipeline run is one unit that
+//! [`UnitPlan::run`] runs, prices, journals and checkpoints;
+//! [`ResilientLlm::respond`] is the call it runs, and a completed
+//! unit's response books its tokens and seconds with
+//! [`MiningResponse::record`] or [`TranslationResponse::record`].
+//! Under a fault-free plan every unit completes on its first attempt
+//! and no fault record is written, so the same path serves plain runs.
+//! Three properties make runs replayable:
 //!
 //! * **replica streams** — a caller passing a `replica` model draws
 //!   the response from that model's running stream: the fault-free
@@ -22,47 +23,19 @@
 //!   resumed run's journal is byte-identical to an uninterrupted one.
 
 use grm_obs::{Counter, Histo, Scope};
-use grm_resil::{mix, record_unit, Stage, UnitOutcome, UnitPlan};
-use grm_rules::ConsistencyRule;
+use grm_resil::{mix, Stage, UnitPlan};
 
-use crate::model::{MiningResponse, SimLlm, Timed, TranslationResponse};
+use crate::model::{MiningResponse, SimLlm, TranslationResponse};
 use crate::persona::ModelKind;
-use crate::prompt::MiningPrompt;
 
 /// The deterministic seed of one unit's model stream.
 pub fn unit_model_seed(run_seed: u64, stage: Stage, key: u64) -> u64 {
     mix(mix(run_seed, stage.tag()), key)
 }
 
-/// A completed fallible call: the response plus what it cost to get.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ResilientCall<T> {
-    /// The stage response, live or replayed.
-    pub response: T,
-    /// Attempts made, including the successful one.
-    pub attempts: u32,
-    /// Simulated seconds lost to faults and backoff before success.
-    pub fault_seconds: f64,
-}
-
-/// Why a fallible call produced no response.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum CallSkip {
-    /// The stage circuit breaker was open; no attempt was made.
-    BreakerOpen,
-    /// Every attempt faulted; the unit's work is lost.
-    Abandoned {
-        /// Attempts made before giving up.
-        attempts: u32,
-        /// Simulated seconds burned on the failed attempts.
-        fault_seconds: f64,
-    },
-}
-
-/// A [`SimLlm`] factory that runs units under a fault plan. Holds no
-/// model state itself — a unit without a caller-supplied replica gets
-/// a fresh, unit-seeded model, which is what makes retries and resume
-/// converge.
+/// A [`SimLlm`] factory for chaos units. Holds no model state itself —
+/// a unit without a caller-supplied replica gets a fresh, unit-seeded
+/// model, which is what makes retries and resume converge.
 #[derive(Debug, Clone, Copy)]
 pub struct ResilientLlm {
     kind: ModelKind,
@@ -74,84 +47,50 @@ impl ResilientLlm {
         ResilientLlm { kind, run_seed }
     }
 
-    /// Mines one context under the unit's fault plan. `replay` is the
-    /// checkpointed response of a resumed run, substituted for the
-    /// live model call; `replica` is the model whose stream a live
-    /// call draws from (a unit-seeded model when `None`). Records
-    /// and counters are emitted either way.
-    pub fn mine(
-        &self,
-        unit: &UnitPlan,
-        prompt: &MiningPrompt,
-        replay: Option<MiningResponse>,
-        replica: Option<&mut SimLlm>,
-        scope: &Scope,
-    ) -> Result<ResilientCall<MiningResponse>, CallSkip> {
-        let call = self.call(unit, replay, replica, scope, |model| model.mine(prompt))?;
-        let response = &call.response;
-        scope.add(Counter::PromptsIssued, 1);
-        scope.add(Counter::PromptTokens, response.prompt_tokens as u64);
-        scope.add(Counter::CompletionTokens, response.completion_tokens as u64);
-        scope.add(Counter::RulesMined, response.rules.len() as u64);
-        scope.add_sim_seconds(response.seconds);
-        scope.observe(Histo::MineCallSeconds, response.seconds);
-        Ok(call)
-    }
-
-    /// Translates one rule under the unit's fault plan; same replay,
-    /// replica and record semantics as [`ResilientLlm::mine`].
-    /// `prompts_issued` stays a mining-only counter so it matches
-    /// the report's prompt count.
-    pub fn translate(
-        &self,
-        unit: &UnitPlan,
-        rule: &ConsistencyRule,
-        schema_summary: &str,
-        replay: Option<TranslationResponse>,
-        replica: Option<&mut SimLlm>,
-        scope: &Scope,
-    ) -> Result<ResilientCall<TranslationResponse>, CallSkip> {
-        let call = self.call(unit, replay, replica, scope, |model| {
-            model.translate_rule(rule, schema_summary)
-        })?;
-        let response = &call.response;
-        scope.add(Counter::RulesTranslated, 1);
-        scope.add(Counter::PromptTokens, response.prompt_tokens as u64);
-        scope.add(Counter::CompletionTokens, response.completion_tokens as u64);
-        scope.add_sim_seconds(response.seconds);
-        scope.observe(Histo::TranslateCallSeconds, response.seconds);
-        Ok(call)
-    }
-
-    /// The shared retry envelope: skips breaker-open units, obtains
-    /// the response (replayed, from the replica, or from a unit-seeded
-    /// model), journals the unit's outcome with
-    /// [`grm_resil::record_unit`], and fails abandoned units.
-    fn call<T: Timed>(
+    /// The response of `unit`'s call: the checkpointed `replay` of a
+    /// resumed run, else `ask` on the `replica` whose stream the call
+    /// draws from, else `ask` on a model seeded for the unit.
+    pub fn respond<T>(
         &self,
         unit: &UnitPlan,
         replay: Option<T>,
         replica: Option<&mut SimLlm>,
-        scope: &Scope,
-        live: impl FnOnce(&mut SimLlm) -> T,
-    ) -> Result<ResilientCall<T>, CallSkip> {
-        if unit.outcome == UnitOutcome::SkippedByBreaker {
-            record_unit(unit, 0.0, scope);
-            return Err(CallSkip::BreakerOpen);
-        }
-        let response = match (replay, replica) {
+        ask: impl FnOnce(&mut SimLlm) -> T,
+    ) -> T {
+        match (replay, replica) {
             (Some(response), _) => response,
-            (None, Some(model)) => live(model),
-            (None, None) => live(&mut SimLlm::new(
+            (None, Some(model)) => ask(model),
+            (None, None) => ask(&mut SimLlm::new(
                 self.kind,
                 unit_model_seed(self.run_seed, unit.stage, unit.key),
             )),
-        };
-        let fault_seconds = record_unit(unit, response.seconds(), scope);
-        if unit.outcome == UnitOutcome::Abandoned {
-            return Err(CallSkip::Abandoned { attempts: unit.attempts(), fault_seconds });
         }
-        Ok(ResilientCall { response, attempts: unit.attempts(), fault_seconds })
+    }
+}
+
+impl MiningResponse {
+    /// Books a completed mining unit on `scope`: its prompt, tokens,
+    /// rules and simulated seconds.
+    pub fn record(&self, scope: &Scope) {
+        scope.add(Counter::PromptsIssued, 1);
+        scope.add(Counter::PromptTokens, self.prompt_tokens as u64);
+        scope.add(Counter::CompletionTokens, self.completion_tokens as u64);
+        scope.add(Counter::RulesMined, self.rules.len() as u64);
+        scope.add_sim_seconds(self.seconds);
+        scope.observe(Histo::MineCallSeconds, self.seconds);
+    }
+}
+
+impl TranslationResponse {
+    /// Books a completed translation unit on `scope`. `prompts_issued`
+    /// stays a mining-only counter so it matches the report's prompt
+    /// count.
+    pub fn record(&self, scope: &Scope) {
+        scope.add(Counter::RulesTranslated, 1);
+        scope.add(Counter::PromptTokens, self.prompt_tokens as u64);
+        scope.add(Counter::CompletionTokens, self.completion_tokens as u64);
+        scope.add_sim_seconds(self.seconds);
+        scope.observe(Histo::TranslateCallSeconds, self.seconds);
     }
 }
 
@@ -159,7 +98,9 @@ impl ResilientLlm {
 mod tests {
     use super::*;
     use grm_obs::Recorder;
-    use grm_resil::{ChaosConfig, FaultPlan};
+    use grm_resil::{ChaosConfig, UnitOutcome};
+
+    use crate::prompt::MiningPrompt;
 
     fn prompt() -> MiningPrompt {
         use crate::prompt::PromptStyle;
@@ -169,23 +110,44 @@ mod tests {
         )
     }
 
-    fn plan(rate: f64) -> FaultPlan {
-        FaultPlan::new(ChaosConfig { fault_rate: rate, ..ChaosConfig::default() })
+    fn plan(rate: f64) -> ChaosConfig {
+        ChaosConfig { fault_rate: rate, ..ChaosConfig::default() }
+    }
+
+    /// One mining unit the way the pipeline's mining lane runs it,
+    /// checkpointing as a chaos run does.
+    fn mine(
+        llm: &ResilientLlm,
+        unit: &UnitPlan,
+        replay: Option<MiningResponse>,
+        replica: Option<&mut SimLlm>,
+        scope: &Scope,
+    ) -> (Option<MiningResponse>, f64) {
+        let (response, seconds) = unit.run(scope, true, || {
+            let response = llm.respond(unit, replay, replica, |model| model.mine(&prompt()));
+            let seconds = response.seconds;
+            (response, seconds)
+        });
+        if let Some(response) = &response {
+            response.record(scope);
+        }
+        (response, seconds)
     }
 
     #[test]
     fn clean_unit_matches_direct_model_call() {
         let llm = ResilientLlm::new(ModelKind::Llama3, 42);
-        let p = plan(0.0);
-        let unit = p.unit(Stage::Mine, 3);
+        let unit = plan(0.0).unit(Stage::Mine, 3);
         let rec = Recorder::new();
-        let scope = rec.root_scope();
-        let call = llm.mine(&unit, &prompt(), None, None, &scope).unwrap();
-        assert_eq!(call.attempts, 1);
-        assert_eq!(call.fault_seconds, 0.0);
+        let (response, seconds) = mine(&llm, &unit, None, None, &rec.root_scope());
+        let response = response.expect("a clean unit completes");
         let mut direct = SimLlm::new(ModelKind::Llama3, unit_model_seed(42, Stage::Mine, 3));
-        let expected = direct.mine(&prompt());
-        assert_eq!(call.response, expected);
+        assert_eq!(response, direct.mine(&prompt()));
+        // One attempt, nothing lost to faults: only the call's seconds.
+        assert_eq!(seconds, response.seconds);
+        let journal = rec.snapshot();
+        assert!(journal.retries.is_empty());
+        assert_eq!(journal.checkpoints.len(), 1);
         assert_eq!(rec.total(Counter::PromptsIssued), 1);
         assert_eq!(rec.total(Counter::FaultsInjected), 0);
     }
@@ -202,9 +164,10 @@ mod tests {
         let scope = Scope::disabled();
         for key in 0..2 {
             let unit = p.unit(Stage::Mine, key);
-            let call = llm.mine(&unit, &prompt(), None, Some(&mut replica), &scope).unwrap();
-            assert_eq!(call.response, direct.mine(&prompt()));
-            assert_eq!(call.fault_seconds, 0.0);
+            let (response, seconds) = mine(&llm, &unit, None, Some(&mut replica), &scope);
+            let response = response.expect("a clean unit completes");
+            assert_eq!(response, direct.mine(&prompt()));
+            assert_eq!(seconds, response.seconds);
         }
     }
 
@@ -215,17 +178,17 @@ mod tests {
         // Find a unit that completes after at least one fault.
         let unit = (0..200)
             .map(|k| p.unit(Stage::Mine, k))
-            .find(|u| !u.faults.is_empty() && !u.is_degraded())
+            .find(|u| !u.faults.is_empty() && matches!(u.outcome, UnitOutcome::Completed { .. }))
             .expect("some unit retries and recovers at rate 0.4");
         let live_rec = Recorder::new();
-        let live = llm.mine(&unit, &prompt(), None, None, &live_rec.root_scope()).unwrap();
+        let live = mine(&llm, &unit, None, None, &live_rec.root_scope());
         let replay_rec = Recorder::new();
-        let replayed = llm
-            .mine(&unit, &prompt(), Some(live.response.clone()), None, &replay_rec.root_scope())
-            .unwrap();
+        let replayed = mine(&llm, &unit, live.0.clone(), None, &replay_rec.root_scope());
         assert_eq!(replayed, live);
+        assert!(live.1 > live.0.as_ref().unwrap().seconds, "fault seconds are added");
         assert_eq!(live_rec.snapshot().to_jsonl(), replay_rec.snapshot().to_jsonl());
         assert_eq!(live_rec.total(Counter::LlmCallsRetried), 1);
+        assert_eq!(live_rec.snapshot().retries[0].attempts, unit.attempts() as u64);
     }
 
     #[test]
@@ -234,31 +197,32 @@ mod tests {
         let p = plan(1.0);
         let unit = p.unit(Stage::Mine, 0);
         let rec = Recorder::new();
-        let err = llm.mine(&unit, &prompt(), None, None, &rec.root_scope()).unwrap_err();
-        assert!(matches!(
-            err,
-            CallSkip::Abandoned { attempts, fault_seconds }
-                if attempts == p.chaos.max_retries + 1 && fault_seconds > 0.0
-        ));
+        let (response, seconds) = mine(&llm, &unit, None, None, &rec.root_scope());
+        assert_eq!(response, None);
+        assert!(seconds > 0.0, "the failed attempts cost time");
+        let journal = rec.snapshot();
+        assert_eq!(journal.retries.len(), 1);
+        assert_eq!(journal.retries[0].attempts, (p.max_retries + 1) as u64);
+        assert!(!journal.retries[0].recovered);
+        assert!(journal.checkpoints.is_empty());
         assert_eq!(rec.total(Counter::LlmCallsAbandoned), 1);
         assert_eq!(rec.total(Counter::WindowsDegraded), 1);
         assert_eq!(rec.total(Counter::PromptsIssued), 0);
-        assert_eq!(rec.total(Counter::FaultsInjected), (p.chaos.max_retries + 1) as u64);
+        assert_eq!(rec.total(Counter::FaultsInjected), (p.max_retries + 1) as u64);
     }
 
     #[test]
     fn breaker_skip_degrades_without_faults() {
         let llm = ResilientLlm::new(ModelKind::Llama3, 42);
-        let p = plan(1.0);
-        let sched = p.schedule(Stage::Mine, 8);
+        let sched = plan(1.0).schedule(Stage::Mine, 8);
         let skipped = sched
             .units
             .iter()
             .find(|u| u.outcome == UnitOutcome::SkippedByBreaker)
             .expect("breaker opens at rate 1.0");
         let rec = Recorder::new();
-        let err = llm.mine(skipped, &prompt(), None, None, &rec.root_scope()).unwrap_err();
-        assert_eq!(err, CallSkip::BreakerOpen);
+        let (response, seconds) = mine(&llm, skipped, None, None, &rec.root_scope());
+        assert_eq!((response, seconds), (None, 0.0));
         assert_eq!(rec.total(Counter::FaultsInjected), 0);
         assert_eq!(rec.total(Counter::WindowsDegraded), 1);
         let journal = rec.snapshot();

@@ -28,9 +28,9 @@ pub mod timing;
 pub mod translate;
 
 pub use explain::explain_rule;
-pub use fallible::{unit_model_seed, CallSkip, ResilientCall, ResilientLlm};
+pub use fallible::{unit_model_seed, ResilientLlm};
 pub use generator::{generate_rules, GeneratedRule};
-pub use model::{MiningResponse, SimLlm, Timed, TranslationResponse};
+pub use model::{MiningResponse, SimLlm, TranslationResponse};
 pub use persona::{persona, ModelKind, Persona};
 pub use prompt::{MiningPrompt, PromptStyle, TranslationPrompt, FEW_SHOT_EXAMPLES};
 pub use timing::{invocation_seconds, Stopwatch, CALL_OVERHEAD_SECS};

@@ -31,24 +31,6 @@ pub struct TranslationResponse {
     pub seconds: f64,
 }
 
-/// A model response that carries its simulated call time.
-pub trait Timed {
-    /// Simulated wall-clock seconds of the call.
-    fn seconds(&self) -> f64;
-}
-
-impl Timed for MiningResponse {
-    fn seconds(&self) -> f64 {
-        self.seconds
-    }
-}
-
-impl Timed for TranslationResponse {
-    fn seconds(&self) -> f64 {
-        self.seconds
-    }
-}
-
 /// A simulated LLM with a fixed persona and seeded randomness.
 ///
 /// The same `(kind, seed)` pair reproduces the same behaviour — the

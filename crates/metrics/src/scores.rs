@@ -175,29 +175,6 @@ fn metrics_from(satisfied: i64, body: i64, head_total: i64) -> RuleMetrics {
     }
 }
 
-/// [`evaluate_labeled`] under a unit plan: journals the unit's
-/// transient query faults, retry verdict and degradation with
-/// [`grm_resil::record_unit`] before evaluating. A degraded unit
-/// returns `None` — the rule simply stays unscored, exactly like a
-/// rule too broken to query; evaluation errors also come back as
-/// `None`. Under a fault-free plan nothing is journaled, so this is
-/// the scorer of every pipeline run.
-pub fn evaluate_resilient(
-    graph: &PropertyGraph,
-    queries: &RuleQueries,
-    scope: &Scope,
-    label: &str,
-    unit: &grm_resil::UnitPlan,
-    session: Option<&mut BatchSession<'_>>,
-) -> Option<RuleMetrics> {
-    // Query faults cost a flat reconnect stall, never the call itself.
-    grm_resil::record_unit(unit, 0.0, scope);
-    if unit.is_degraded() {
-        return None;
-    }
-    evaluate_labeled(graph, queries, scope, label, session).ok()
-}
-
 /// Aggregates per-rule metrics into a table cell.
 pub fn aggregate(per_rule: &[RuleMetrics]) -> AggregateMetrics {
     if per_rule.is_empty() {

@@ -403,6 +403,10 @@ fn read_request_head(stream: &mut TcpStream, cap: usize) -> Vec<u8> {
     head
 }
 
+/// Content type of the Prometheus text exposition (format 0.0.4);
+/// Prometheus rejects a scrape labelled otherwise.
+pub const EXPOSITION_CONTENT_TYPE: &str = "text/plain; version=0.0.4";
+
 /// Builds the full HTTP response for one metrics request, from the
 /// raw request head bytes. Pure — unit-testable without a socket:
 /// `GET /metrics` (query string allowed) returns 200 with
@@ -412,7 +416,7 @@ fn read_request_head(stream: &mut TcpStream, cap: usize) -> Vec<u8> {
 pub fn metrics_http_response(head: &[u8], exposition: &str) -> String {
     let respond = |status: &str, extra: &str, body: &str| {
         format!(
-            "HTTP/1.1 {status}\r\nContent-Type: text/plain; version=0.0.4\r\n{extra}Content-Length: {}\r\nConnection: close\r\n\r\n{}",
+            "HTTP/1.1 {status}\r\nContent-Type: {EXPOSITION_CONTENT_TYPE}\r\n{extra}Content-Length: {}\r\nConnection: close\r\n\r\n{}",
             body.len(),
             body
         )

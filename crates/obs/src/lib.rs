@@ -110,6 +110,7 @@ pub use bus::{
     check_exposition_against_events, event_stream_sink, metrics_http_response, parity_violations,
     parse_exposition, prometheus_exposition, ChannelSink, CountingSink, EventSink,
     EventStreamHandle, ExpositionSample, MetricsHub, MetricsServerHandle, TelemetryEvent,
+    EXPOSITION_CONTENT_TYPE,
 };
 pub use counter::{Counter, Gauge, Histo};
 pub use histogram::{Histogram, BUCKET_COUNT};

@@ -17,7 +17,7 @@ use std::time::Instant;
 use crate::bus::{EventSink, TelemetryEvent};
 use crate::counter::{Counter, Gauge, Histo};
 use crate::histogram::Histogram;
-use crate::journal::{HistoRecord, JournalRecord, Payload, RunJournal, SpanRecord};
+use crate::journal::{HistoRecord, JournalRecord, Payload, RunJournal, SpanRecord, StageTiming};
 use crate::mem::{AllocSnapshot, MemRecord, TrackingAlloc};
 use crate::plan::{PlanRecord, SlowQueryPolicy};
 
@@ -147,6 +147,16 @@ impl Inner {
 
     fn sinks_on(&self) -> bool {
         self.has_sinks.load(Ordering::Relaxed)
+    }
+
+    /// A span's real milliseconds as journaled: elapsed so far while
+    /// it is open, 0 in deterministic mode.
+    fn real_ms(&self, span: &SpanData) -> f64 {
+        if self.deterministic {
+            0.0
+        } else {
+            span.real_secs.unwrap_or_else(|| span.start.elapsed().as_secs_f64()) * 1e3
+        }
     }
 
     /// Builds and offers one event to every sink. Always called
@@ -447,6 +457,26 @@ impl Recorder {
         }
     }
 
+    /// The per-stage rows of [`RunJournal::stage_timings`], read under
+    /// the lock without snapshotting the journal's records.
+    pub fn stage_timings(&self) -> Vec<StageTiming> {
+        let Some(inner) = &self.inner else {
+            return Vec::new();
+        };
+        let state = inner.state.lock().expect("obs state poisoned");
+        let Some(root) = state.spans.iter().position(|s| s.parent.is_none()) else {
+            return Vec::new();
+        };
+        (state.spans.iter())
+            .filter(|s| s.parent == Some(root))
+            .map(|s| StageTiming {
+                stage: s.name.clone(),
+                sim_seconds: s.sim_seconds,
+                real_ms: inner.real_ms(s),
+            })
+            .collect()
+    }
+
     /// Freezes the current state into a serialisable journal. Spans
     /// still open are reported with their elapsed-so-far duration.
     pub fn snapshot(&self) -> RunJournal {
@@ -467,11 +497,7 @@ impl Recorder {
                 } else {
                     s.start.duration_since(inner.started).as_secs_f64() * 1e3
                 },
-                real_ms: if inner.deterministic {
-                    0.0
-                } else {
-                    s.real_secs.unwrap_or_else(|| s.start.elapsed().as_secs_f64()) * 1e3
-                },
+                real_ms: inner.real_ms(s),
                 // Deliberately NOT zeroed in deterministic mode: the
                 // offset is a pure function of the seeded sim timings,
                 // so byte-identity comparisons still hold.

@@ -106,6 +106,15 @@ pub struct CheckpointRecord {
     pub payload: String,
 }
 
+impl CheckpointRecord {
+    /// The checkpoint of completed unit `unit` of `stage`, carrying
+    /// `response` serialized to JSON.
+    pub fn of(stage: &str, unit: u64, response: &impl serde::Serialize) -> CheckpointRecord {
+        let payload = serde_json::to_string(response).unwrap_or_default();
+        CheckpointRecord { span: None, stage: stage.to_owned(), unit, payload }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -6,20 +6,21 @@
 //! rule; every one of those can time out, rate-limit, or return
 //! garbage. This crate decides — purely as a function of a fault
 //! seed — which calls fail, with what transient error, and how the
-//! retry policy spaces the attempts, so a chaos run is as replayable
+//! retry backoff spaces the attempts, so a chaos run is as replayable
 //! byte-for-byte as the seeded `SimLlm` success path.
 //!
-//! The core object is a [`FaultPlan`]: given a `(stage, unit key)`
+//! A [`ChaosConfig`] is the fault oracle: given a `(stage, unit key)`
 //! pair it rolls each attempt independently through a splitmix64-style
 //! hash of `(fault_seed, stage, key, attempt)` and produces a
 //! [`UnitPlan`] — the full fault/backoff history of that unit plus its
-//! terminal [`UnitOutcome`]. [`FaultPlan::schedule`] folds a stage's
+//! terminal [`UnitOutcome`]. [`ChaosConfig::schedule`] folds a stage's
 //! unit plans through a circuit breaker (trips after N consecutive
 //! abandonments, skips a cooldown's worth of units, then half-opens),
 //! again as a pure function of the plan so the result is independent
-//! of worker scheduling.
+//! of worker scheduling. [`UnitPlan::run`] then runs, prices, journals
+//! and checkpoints one unit, the same way for every stage.
 
-use grm_obs::{Counter, DegradedRecord, FaultRecord, RetryRecord, Scope};
+use grm_obs::{CheckpointRecord, Counter, DegradedRecord, FaultRecord, RetryRecord, Scope};
 
 /// splitmix64-style mixing step: deterministic, well-distributed, and
 /// stable across platforms — the basis for every fault decision.
@@ -139,24 +140,93 @@ impl Default for ChaosConfig {
     }
 }
 
-/// Exponential backoff envelope with deterministic jitter.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct RetryPolicy {
-    /// Delay before the first retry.
-    pub base_seconds: f64,
-    /// Growth factor per further retry.
-    pub multiplier: f64,
-    /// Ceiling on any single delay, pre-jitter.
-    pub max_seconds: f64,
-    /// Jitter amplitude as a fraction of the delay; the realised
-    /// jitter is keyed on `(fault_seed, stage, key)` only, so delays
-    /// stay monotone in the attempt number.
-    pub jitter: f64,
-}
+/// Simulated delay before the first retry.
+const BACKOFF_BASE_SECONDS: f64 = 0.5;
+/// Growth factor of the delay per further retry.
+const BACKOFF_MULTIPLIER: f64 = 2.0;
+/// Ceiling on any single delay, before jitter.
+const BACKOFF_MAX_SECONDS: f64 = 30.0;
+/// Jitter amplitude as a fraction of the delay; the realised jitter is
+/// keyed on `(fault_seed, stage, key)` only, so delays stay monotone
+/// in the attempt number.
+const BACKOFF_JITTER: f64 = 0.25;
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy { base_seconds: 0.5, multiplier: 2.0, max_seconds: 30.0, jitter: 0.25 }
+impl ChaosConfig {
+    /// Rolls one attempt: `Some(kind)` when the attempt faults.
+    /// Evaluate units only ever see `QueryTransient`; LLM stages draw
+    /// uniformly from the three call-level kinds.
+    pub fn roll(&self, stage: Stage, key: u64, attempt: u32) -> Option<FaultKind> {
+        let h = mix(mix(mix(self.fault_seed, stage.tag()), key), attempt as u64);
+        if unit_fraction(h) >= self.fault_rate {
+            return None;
+        }
+        Some(match stage {
+            Stage::Evaluate => FaultKind::QueryTransient,
+            _ => [FaultKind::Timeout, FaultKind::RateLimit, FaultKind::Garbled]
+                [(mix(h, 1) % 3) as usize],
+        })
+    }
+
+    /// Exponential backoff before the attempt after `attempt`, with
+    /// deterministic jitter. Jitter is keyed on the unit, not the
+    /// attempt, so the sequence is monotone non-decreasing in
+    /// `attempt` for any fixed unit.
+    pub fn backoff_seconds(&self, stage: Stage, key: u64, attempt: u32) -> f64 {
+        let raw = BACKOFF_BASE_SECONDS * BACKOFF_MULTIPLIER.powi(attempt as i32);
+        let capped = raw.min(BACKOFF_MAX_SECONDS);
+        let jh = mix(mix(self.fault_seed ^ 0x6a17, stage.tag()), key);
+        capped * (1.0 + BACKOFF_JITTER * unit_fraction(jh))
+    }
+
+    /// Runs the retry loop for one unit (breaker not applied).
+    pub fn unit(&self, stage: Stage, key: u64) -> UnitPlan {
+        let mut faults = Vec::new();
+        for attempt in 0..=self.max_retries {
+            match self.roll(stage, key, attempt) {
+                None => {
+                    return UnitPlan {
+                        stage,
+                        key,
+                        faults,
+                        outcome: UnitOutcome::Completed { attempts: attempt + 1 },
+                    };
+                }
+                Some(kind) => {
+                    let last = attempt == self.max_retries;
+                    let backoff_seconds =
+                        if last { 0.0 } else { self.backoff_seconds(stage, key, attempt) };
+                    faults.push(AttemptFault { attempt, kind, backoff_seconds });
+                }
+            }
+        }
+        UnitPlan { stage, key, faults, outcome: UnitOutcome::Abandoned }
+    }
+
+    /// Plans a whole stage of `n` units (keys `0..n`) and applies the
+    /// circuit breaker: after `breaker_threshold` consecutive
+    /// abandonments the breaker opens and the next
+    /// `2 * breaker_threshold` units are skipped unattempted, then it
+    /// half-opens and the next unit is tried normally. The fold runs
+    /// in key order, so the result is a pure function of the plan —
+    /// independent of worker scheduling.
+    pub fn schedule(&self, stage: Stage, n: usize) -> StageSchedule {
+        let mut units = Vec::with_capacity(n);
+        let mut breaker = Breaker::new(self.breaker_threshold);
+        for key in 0..n as u64 {
+            if !breaker.admit() {
+                units.push(UnitPlan {
+                    stage,
+                    key,
+                    faults: Vec::new(),
+                    outcome: UnitOutcome::SkippedByBreaker,
+                });
+                continue;
+            }
+            let plan = self.unit(stage, key);
+            breaker.record(matches!(plan.outcome, UnitOutcome::Completed { .. }));
+            units.push(plan);
+        }
+        StageSchedule { units, breaker_trips: breaker.trips() }
     }
 }
 
@@ -203,11 +273,6 @@ pub struct UnitPlan {
 }
 
 impl UnitPlan {
-    /// True when the unit produced no result (abandoned or skipped).
-    pub fn is_degraded(&self) -> bool {
-        !matches!(self.outcome, UnitOutcome::Completed { .. })
-    }
-
     /// Attempts actually made: 0 for breaker skips.
     pub fn attempts(&self) -> u32 {
         match self.outcome {
@@ -217,13 +282,106 @@ impl UnitPlan {
         }
     }
 
-    /// Total backoff seconds charged across the unit's retries.
-    pub fn backoff_seconds(&self) -> f64 {
-        self.faults.iter().map(|f| f.backoff_seconds).sum()
+    /// Runs the unit — the one place that decides what a unit of any
+    /// stage does. `call` returns the unit's response and its
+    /// simulated seconds; it runs for a completed unit, and for an
+    /// abandoned one only when a `Garbled` attempt must be priced at
+    /// the call's cost. The unit's faults, retry verdict and
+    /// degradation are journaled on `scope` (the outcome table in
+    /// DESIGN.md §10) and their seconds charged to its span; with
+    /// `checkpoint`, a completed unit's response is journaled as a
+    /// `Checkpoint` record for `--resume`. Returns the response of a
+    /// completed unit and the unit's simulated seconds: the call's
+    /// plus every fault's cost and backoff.
+    pub fn run<T: serde::Serialize>(
+        &self,
+        scope: &Scope,
+        checkpoint: bool,
+        call: impl FnOnce() -> (T, f64),
+    ) -> (Option<T>, f64) {
+        let completed = matches!(self.outcome, UnitOutcome::Completed { .. });
+        let priced = self.faults.iter().any(|f| f.kind == FaultKind::Garbled);
+        let response = (completed || priced).then(call);
+        let fault_seconds = self.journal(response.as_ref().map_or(0.0, |r| r.1), scope);
+        match response.filter(|_| completed) {
+            Some((value, seconds)) => {
+                if checkpoint {
+                    scope.record(CheckpointRecord::of(self.stage.name(), self.key, &value));
+                }
+                (Some(value), seconds + fault_seconds)
+            }
+            None => (None, fault_seconds),
+        }
+    }
+
+    /// Journals the unit's chaos outcome on `scope`: a `Fault` record
+    /// and `faults_injected` per faulted attempt, the retry verdict of
+    /// a faulted unit, and a `Degraded` record for an abandoned or
+    /// breaker-skipped one. Returns the fault seconds (per-fault cost
+    /// plus backoff) and charges them to the scope's span.
+    /// `call_seconds` is what the discarded call itself cost, charged
+    /// for `Garbled`.
+    fn journal(&self, call_seconds: f64, scope: &Scope) -> f64 {
+        let stage = self.stage.name();
+        let mut total = 0.0;
+        for fault in &self.faults {
+            let cost = fault.kind.cost_seconds(self.stage, call_seconds);
+            scope.record(FaultRecord {
+                span: None,
+                stage: stage.into(),
+                unit: self.key,
+                attempt: fault.attempt as u64,
+                kind: fault.kind.name().into(),
+                cost_seconds: cost,
+                backoff_seconds: fault.backoff_seconds,
+            });
+            scope.add(Counter::FaultsInjected, 1);
+            total += cost + fault.backoff_seconds;
+        }
+        scope.add_sim_seconds(total);
+        let llm = self.stage != Stage::Evaluate;
+        let retry = |recovered: bool, counter: Counter| {
+            if llm {
+                scope.add(counter, 1);
+            }
+            scope.record(RetryRecord {
+                span: None,
+                stage: stage.into(),
+                unit: self.key,
+                attempts: self.attempts() as u64,
+                recovered,
+            });
+        };
+        let reason = match self.outcome {
+            UnitOutcome::Completed { .. } => {
+                if !self.faults.is_empty() {
+                    retry(true, Counter::LlmCallsRetried);
+                }
+                return total;
+            }
+            UnitOutcome::Abandoned => {
+                retry(false, Counter::LlmCallsAbandoned);
+                "retries_exhausted"
+            }
+            UnitOutcome::SkippedByBreaker => "breaker_open",
+        };
+        let (counter, label) = match self.stage {
+            Stage::Mine => (Counter::WindowsDegraded, "context"),
+            Stage::Translate => (Counter::RulesDegraded, "rule"),
+            Stage::Evaluate => (Counter::QueriesDegraded, "rule"),
+        };
+        scope.add(counter, 1);
+        scope.record(DegradedRecord {
+            span: None,
+            stage: stage.into(),
+            unit: format!("{label}-{}", self.key),
+            reason: reason.into(),
+        });
+        total
     }
 }
 
-/// The circuit-breaker state machine behind [`FaultPlan::schedule`],
+/// The circuit-breaker state machine behind [`ChaosConfig::schedule`],
 /// exposed standalone so the serve layer's per-tenant governors run
 /// the exact same trip/cooldown/half-open schedule as the stage
 /// folds: after `threshold` consecutive failures the breaker opens
@@ -315,11 +473,6 @@ impl DeadlineBudget {
         self.spent_seconds
     }
 
-    /// The whole budget.
-    pub fn total_seconds(&self) -> f64 {
-        self.total_seconds
-    }
-
     /// Effective deadline for one call at `stage`: the stage's own
     /// deadline clamped to what remains of the job budget.
     pub fn stage_deadline_seconds(&self, stage: Stage) -> f64 {
@@ -349,180 +502,13 @@ pub struct StageSchedule {
     pub breaker_trips: u64,
 }
 
-impl StageSchedule {
-    /// Plan for a given unit key, if scheduled.
-    pub fn unit(&self, key: u64) -> Option<&UnitPlan> {
-        self.units.iter().find(|u| u.key == key)
-    }
-}
-
-/// Deterministic fault oracle: rolls faults and backoff for any
-/// `(stage, key, attempt)` triple from the chaos config alone.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultPlan {
-    /// Fault probabilities and retry/breaker limits.
-    pub chaos: ChaosConfig,
-    /// Backoff envelope.
-    pub retry: RetryPolicy,
-}
-
-impl FaultPlan {
-    /// Builds a plan with the default retry policy.
-    pub fn new(chaos: ChaosConfig) -> Self {
-        FaultPlan { chaos, retry: RetryPolicy::default() }
-    }
-
-    /// Rolls one attempt: `Some(kind)` when the attempt faults.
-    /// Evaluate units only ever see `QueryTransient`; LLM stages draw
-    /// uniformly from the three call-level kinds.
-    pub fn roll(&self, stage: Stage, key: u64, attempt: u32) -> Option<FaultKind> {
-        let h = mix(mix(mix(self.chaos.fault_seed, stage.tag()), key), attempt as u64);
-        if unit_fraction(h) >= self.chaos.fault_rate {
-            return None;
-        }
-        Some(match stage {
-            Stage::Evaluate => FaultKind::QueryTransient,
-            _ => [FaultKind::Timeout, FaultKind::RateLimit, FaultKind::Garbled]
-                [(mix(h, 1) % 3) as usize],
-        })
-    }
-
-    /// Backoff before the attempt after `attempt`. Jitter is keyed on
-    /// the unit, not the attempt, so the sequence is monotone
-    /// non-decreasing in `attempt` for any fixed unit.
-    pub fn backoff_seconds(&self, stage: Stage, key: u64, attempt: u32) -> f64 {
-        let raw = self.retry.base_seconds * self.retry.multiplier.powi(attempt as i32);
-        let capped = raw.min(self.retry.max_seconds);
-        let jh = mix(mix(self.chaos.fault_seed ^ 0x6a17, stage.tag()), key);
-        capped * (1.0 + self.retry.jitter * unit_fraction(jh))
-    }
-
-    /// Runs the retry loop for one unit (breaker not applied).
-    pub fn unit(&self, stage: Stage, key: u64) -> UnitPlan {
-        let mut faults = Vec::new();
-        for attempt in 0..=self.chaos.max_retries {
-            match self.roll(stage, key, attempt) {
-                None => {
-                    return UnitPlan {
-                        stage,
-                        key,
-                        faults,
-                        outcome: UnitOutcome::Completed { attempts: attempt + 1 },
-                    };
-                }
-                Some(kind) => {
-                    let last = attempt == self.chaos.max_retries;
-                    let backoff_seconds =
-                        if last { 0.0 } else { self.backoff_seconds(stage, key, attempt) };
-                    faults.push(AttemptFault { attempt, kind, backoff_seconds });
-                }
-            }
-        }
-        UnitPlan { stage, key, faults, outcome: UnitOutcome::Abandoned }
-    }
-
-    /// Plans a whole stage of `n` units (keys `0..n`) and applies the
-    /// circuit breaker: after `breaker_threshold` consecutive
-    /// abandonments the breaker opens and the next
-    /// `2 * breaker_threshold` units are skipped unattempted, then it
-    /// half-opens and the next unit is tried normally. The fold runs
-    /// in key order, so the result is a pure function of the plan —
-    /// independent of worker scheduling.
-    pub fn schedule(&self, stage: Stage, n: usize) -> StageSchedule {
-        let mut units = Vec::with_capacity(n);
-        let mut breaker = Breaker::new(self.chaos.breaker_threshold);
-        for key in 0..n as u64 {
-            if !breaker.admit() {
-                units.push(UnitPlan {
-                    stage,
-                    key,
-                    faults: Vec::new(),
-                    outcome: UnitOutcome::SkippedByBreaker,
-                });
-                continue;
-            }
-            let plan = self.unit(stage, key);
-            breaker.record(matches!(plan.outcome, UnitOutcome::Completed { .. }));
-            units.push(plan);
-        }
-        StageSchedule { units, breaker_trips: breaker.trips() }
-    }
-}
-
-/// Journals one unit's chaos outcome on `scope`, the same way for
-/// every stage (the outcome table in DESIGN.md §10): a `Fault` record
-/// and `faults_injected` per faulted attempt, the retry verdict of a
-/// faulted unit, and a `Degraded` record for an abandoned or
-/// breaker-skipped one. Returns the fault seconds (per-fault cost plus
-/// backoff) and charges them to the scope's span. `call_seconds` is
-/// what the discarded call itself would have cost, charged for
-/// `Garbled`.
-pub fn record_unit(unit: &UnitPlan, call_seconds: f64, scope: &Scope) -> f64 {
-    let stage = unit.stage.name();
-    let mut total = 0.0;
-    for fault in &unit.faults {
-        let cost = fault.kind.cost_seconds(unit.stage, call_seconds);
-        scope.record(FaultRecord {
-            span: None,
-            stage: stage.into(),
-            unit: unit.key,
-            attempt: fault.attempt as u64,
-            kind: fault.kind.name().into(),
-            cost_seconds: cost,
-            backoff_seconds: fault.backoff_seconds,
-        });
-        scope.add(Counter::FaultsInjected, 1);
-        total += cost + fault.backoff_seconds;
-    }
-    scope.add_sim_seconds(total);
-    let llm = unit.stage != Stage::Evaluate;
-    let retry = |recovered: bool, counter: Counter| {
-        if llm {
-            scope.add(counter, 1);
-        }
-        scope.record(RetryRecord {
-            span: None,
-            stage: stage.into(),
-            unit: unit.key,
-            attempts: unit.attempts() as u64,
-            recovered,
-        });
-    };
-    let reason = match unit.outcome {
-        UnitOutcome::Completed { .. } => {
-            if !unit.faults.is_empty() {
-                retry(true, Counter::LlmCallsRetried);
-            }
-            return total;
-        }
-        UnitOutcome::Abandoned => {
-            retry(false, Counter::LlmCallsAbandoned);
-            "retries_exhausted"
-        }
-        UnitOutcome::SkippedByBreaker => "breaker_open",
-    };
-    let (counter, label) = match unit.stage {
-        Stage::Mine => (Counter::WindowsDegraded, "context"),
-        Stage::Translate => (Counter::RulesDegraded, "rule"),
-        Stage::Evaluate => (Counter::QueriesDegraded, "rule"),
-    };
-    scope.add(counter, 1);
-    scope.record(DegradedRecord {
-        span: None,
-        stage: stage.into(),
-        unit: format!("{label}-{}", unit.key),
-        reason: reason.into(),
-    });
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn plan(rate: f64) -> FaultPlan {
-        FaultPlan::new(ChaosConfig { fault_rate: rate, ..ChaosConfig::default() })
+    fn plan(rate: f64) -> ChaosConfig {
+        ChaosConfig { fault_rate: rate, ..ChaosConfig::default() }
     }
 
     #[test]
@@ -540,10 +526,9 @@ mod tests {
         let p = plan(1.0);
         let u = p.unit(Stage::Translate, 3);
         assert_eq!(u.outcome, UnitOutcome::Abandoned);
-        assert_eq!(u.faults.len(), (p.chaos.max_retries + 1) as usize);
+        assert_eq!(u.faults.len(), (p.max_retries + 1) as usize);
         // No backoff after the final attempt — nothing follows it.
         assert_eq!(u.faults.last().unwrap().backoff_seconds, 0.0);
-        assert!(u.is_degraded());
     }
 
     #[test]
@@ -574,7 +559,7 @@ mod tests {
         let n = 20;
         let sched = p.schedule(Stage::Mine, n);
         assert_eq!(sched.units.len(), n);
-        let threshold = p.chaos.breaker_threshold as usize;
+        let threshold = p.breaker_threshold as usize;
         let cooldown = threshold * 2;
         for (i, u) in sched.units.iter().enumerate().take(threshold + cooldown) {
             if i < threshold {
@@ -593,7 +578,7 @@ mod tests {
         // and reproduce its skip pattern and trip count.
         let p = plan(0.6);
         let sched = p.schedule(Stage::Mine, 64);
-        let mut b = Breaker::new(p.chaos.breaker_threshold);
+        let mut b = Breaker::new(p.breaker_threshold);
         for u in &sched.units {
             if !b.admit() {
                 assert_eq!(u.outcome, UnitOutcome::SkippedByBreaker, "unit {}", u.key);
@@ -657,11 +642,15 @@ mod tests {
     }
 
     /// One hand-built unit per cell of the outcome table (DESIGN.md
-    /// §10): the records and counter totals `record_unit` journals,
-    /// and the fault seconds it returns and charges to the span.
+    /// §10), run with checkpointing on: how often `call` ran, the
+    /// records and counter totals the unit journals, the seconds `run`
+    /// returns and the fault seconds it charges to the span. `call`
+    /// runs for a completed unit, and for an abandoned one only to
+    /// price a `Garbled` attempt.
     #[test]
-    fn record_unit_journals_every_outcome_of_every_stage() {
+    fn unit_run_journals_every_outcome_of_every_stage() {
         use grm_obs::Recorder;
+        use FaultKind::{Garbled, RateLimit};
         for stage in [Stage::Mine, Stage::Translate, Stage::Evaluate] {
             let s = stage.name();
             let (label, degraded) = match stage {
@@ -671,47 +660,62 @@ mod tests {
             };
             let llm =
                 |c: &str| if stage == Stage::Evaluate { String::new() } else { format!("{c}=1") };
+            let abandoned = |kind: &str| {
+                vec![
+                    format!("fault {s} 5#0 {kind}"),
+                    format!("fault {s} 5#1 {kind}"),
+                    format!("retry {s} 5 x2 recovered=false"),
+                    format!("degraded {s} {label} retries_exhausted"),
+                    "faults_injected=2".into(),
+                    llm("llm_calls_abandoned"),
+                    format!("{degraded}=1"),
+                ]
+            };
+            // (outcome, fault kind, faults, calls, expected records)
             let cells = [
-                (UnitOutcome::Completed { attempts: 1 }, 0, vec![]),
+                (
+                    UnitOutcome::Completed { attempts: 1 },
+                    Garbled,
+                    0,
+                    1,
+                    vec![format!("checkpoint {s} 5 7")],
+                ),
                 (
                     UnitOutcome::Completed { attempts: 2 },
+                    Garbled,
+                    1,
                     1,
                     vec![
-                        format!("fault {s} 5#0"),
+                        format!("fault {s} 5#0 garbled"),
                         format!("retry {s} 5 x2 recovered=true"),
+                        format!("checkpoint {s} 5 7"),
                         "faults_injected=1".into(),
                         llm("llm_calls_retried"),
                     ],
                 ),
-                (
-                    UnitOutcome::Abandoned,
-                    2,
-                    vec![
-                        format!("fault {s} 5#0"),
-                        format!("fault {s} 5#1"),
-                        format!("retry {s} 5 x2 recovered=false"),
-                        format!("degraded {s} {label} retries_exhausted"),
-                        "faults_injected=2".into(),
-                        llm("llm_calls_abandoned"),
-                        format!("{degraded}=1"),
-                    ],
-                ),
+                (UnitOutcome::Abandoned, Garbled, 2, 1, abandoned("garbled")),
+                (UnitOutcome::Abandoned, RateLimit, 2, 0, abandoned("rate_limit")),
                 (
                     UnitOutcome::SkippedByBreaker,
+                    Garbled,
+                    0,
                     0,
                     vec![format!("degraded {s} {label} breaker_open"), format!("{degraded}=1")],
                 ),
             ];
-            for (outcome, faults, mut expected) in cells {
-                let kind = FaultKind::Garbled;
+            for (outcome, kind, faults, calls, mut expected) in cells {
                 let faults =
                     (0..faults).map(|attempt| AttemptFault { attempt, kind, backoff_seconds: 0.5 });
                 let unit = UnitPlan { stage, key: 5, faults: faults.collect(), outcome };
                 let rec = Recorder::new();
-                let seconds = record_unit(&unit, 3.0, &rec.root_scope().span(s).scope());
+                let mut ran = 0;
+                let (response, seconds) = unit.run(&rec.root_scope().span(s).scope(), true, || {
+                    ran += 1;
+                    (7u64, 3.0)
+                });
                 let j = rec.snapshot();
                 let got: Vec<String> = (j.faults.iter())
-                    .map(|f| format!("fault {} {}#{}", f.stage, f.unit, f.attempt))
+                    .map(|f| format!("fault {} {}#{} {}", f.stage, f.unit, f.attempt, f.kind))
                     .chain(j.retries.iter().map(|r| {
                         format!(
                             "retry {} {} x{} recovered={}",
@@ -723,13 +727,25 @@ mod tests {
                             .iter()
                             .map(|d| format!("degraded {} {} {}", d.stage, d.unit, d.reason)),
                     )
+                    .chain(
+                        (j.checkpoints.iter())
+                            .map(|c| format!("checkpoint {} {} {}", c.stage, c.unit, c.payload)),
+                    )
                     .chain(j.totals.iter().map(|(k, v)| format!("{k}={v}")))
                     .collect();
                 expected.retain(|e| !e.is_empty());
-                assert_eq!(got, expected, "{s} {outcome:?}");
-                // A garbled attempt costs the 3 s call, plus its backoff.
-                assert_eq!(seconds, 3.5 * unit.faults.len() as f64, "{s} {outcome:?}");
-                assert_eq!(j.spans[0].sim_seconds, seconds, "{s} {outcome:?}");
+                assert_eq!(got, expected, "{s} {outcome:?} {kind:?}");
+                assert_eq!(ran, calls, "{s} {outcome:?} {kind:?}");
+                // Each fault costs its kind's price (a garbled one the
+                // 3 s call) plus its backoff; a completed unit's
+                // seconds add the call's own.
+                let completed = matches!(outcome, UnitOutcome::Completed { .. });
+                assert_eq!(response, completed.then_some(7));
+                let fault_seconds =
+                    (kind.cost_seconds(stage, 3.0) + 0.5) * unit.faults.len() as f64;
+                let call_seconds = if completed { 3.0 } else { 0.0 };
+                assert_eq!(seconds, call_seconds + fault_seconds, "{s} {outcome:?} {kind:?}");
+                assert_eq!(j.spans[0].sim_seconds, fault_seconds, "{s} {outcome:?} {kind:?}");
             }
         }
     }
@@ -744,11 +760,7 @@ mod tests {
             stage_ix in 0usize..3,
         ) {
             let stage = [Stage::Mine, Stage::Translate, Stage::Evaluate][stage_ix];
-            let p = FaultPlan::new(ChaosConfig {
-                fault_seed: seed,
-                fault_rate: 0.5,
-                ..ChaosConfig::default()
-            });
+            let p = ChaosConfig { fault_seed: seed, fault_rate: 0.5, ..ChaosConfig::default() };
             let q = p;
             let mut prev = 0.0f64;
             for attempt in 0..12u32 {
@@ -757,7 +769,7 @@ mod tests {
                 prop_assert_eq!(d, q.backoff_seconds(stage, key, attempt));
                 prop_assert!(d >= 0.0);
                 prop_assert!(
-                    d <= p.retry.max_seconds * (1.0 + p.retry.jitter),
+                    d <= BACKOFF_MAX_SECONDS * (1.0 + BACKOFF_JITTER),
                     "delay {} above jittered cap", d
                 );
                 prev = d;
@@ -772,11 +784,7 @@ mod tests {
             rate in 0.0f64..1.0,
             key in 0u64..10_000,
         ) {
-            let p = FaultPlan::new(ChaosConfig {
-                fault_seed: seed,
-                fault_rate: rate,
-                ..ChaosConfig::default()
-            });
+            let p = ChaosConfig { fault_seed: seed, fault_rate: rate, ..ChaosConfig::default() };
             let u = p.unit(Stage::Mine, key);
             for (i, f) in u.faults.iter().enumerate() {
                 prop_assert_eq!(f.attempt, i as u32);
@@ -784,10 +792,10 @@ mod tests {
             match u.outcome {
                 UnitOutcome::Completed { attempts } => {
                     prop_assert_eq!(attempts as usize, u.faults.len() + 1);
-                    prop_assert!(attempts <= p.chaos.max_retries + 1);
+                    prop_assert!(attempts <= p.max_retries + 1);
                 }
                 UnitOutcome::Abandoned => {
-                    prop_assert_eq!(u.faults.len(), (p.chaos.max_retries + 1) as usize);
+                    prop_assert_eq!(u.faults.len(), (p.max_retries + 1) as usize);
                     prop_assert_eq!(u.faults.last().unwrap().backoff_seconds, 0.0);
                 }
                 UnitOutcome::SkippedByBreaker => prop_assert!(false, "unit() never skips"),

@@ -24,6 +24,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use grm_obs::EXPOSITION_CONTENT_TYPE;
+
 use crate::job::JobSpec;
 use crate::service::Service;
 
@@ -114,10 +116,13 @@ fn status_text(status: u16) -> &'static str {
     }
 }
 
-fn respond(stream: &mut TcpStream, status: u16, body: &str) {
+/// Content type of every body but the `/metrics` exposition.
+const JSON: &str = "application/json";
+
+fn respond(stream: &mut TcpStream, status: u16, content_type: &str, body: &str) {
     let _ = write!(
         stream,
-        "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{}",
+        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{}",
         status_text(status),
         body.len(),
         body
@@ -198,11 +203,14 @@ pub fn serve_http(service: Arc<Service>, listener: TcpListener) -> std::io::Resu
                     let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
                     match read_request(&mut stream) {
                         Err((status, message)) => {
-                            respond(&mut stream, status, &error_body("bad_request", &message))
+                            respond(&mut stream, status, JSON, &error_body("bad_request", &message))
                         }
                         Ok(request) => {
                             let (status, body, drain) = route(&service, &request);
-                            respond(&mut stream, status, &body);
+                            let exposition = status == 200 && request.path == "/metrics";
+                            let content_type =
+                                if exposition { EXPOSITION_CONTENT_TYPE } else { JSON };
+                            respond(&mut stream, status, content_type, &body);
                             if drain {
                                 // Drain after answering so the client
                                 // is not held for the whole drain.

@@ -36,7 +36,7 @@ use grm_llm::{ModelKind, PromptStyle};
 use grm_metrics::evaluate_labeled;
 use grm_obs::{explain_rule, EventSink, MetricsHub, Recorder, RunJournal, Scope, TelemetryEvent};
 use grm_pgraph::PropertyGraph;
-use grm_resil::{mix, Breaker, ChaosConfig, DeadlineBudget, FaultPlan, Stage};
+use grm_resil::{mix, Breaker, ChaosConfig, DeadlineBudget, Stage};
 use grm_rules::{reference_queries, ConsistencyRule};
 
 use crate::job::{
@@ -704,7 +704,6 @@ impl Service {
 
     fn run_check(&self, id: u64, spec: &JobSpec) -> JobOutcome {
         let chaos = self.job_chaos(id);
-        let plan = (chaos.fault_rate > 0.0).then(|| FaultPlan::new(chaos));
         let mut budget = spec.deadline_seconds.map(DeadlineBudget::new);
         let scope = Scope::disabled();
         let total = self.rules.len();
@@ -728,22 +727,16 @@ impl Service {
                 }
                 budget.charge(CHECK_RULE_SIM_SECONDS);
             }
-            if let Some(plan) = &plan {
-                if plan.unit(Stage::Evaluate, i as u64).is_degraded() {
-                    degraded += 1;
-                    continue;
-                }
-            }
-            match evaluate_labeled(
-                &self.graph,
-                &reference_queries(rule),
-                &scope,
-                "serve-check",
-                None,
-            ) {
-                Ok(m) if m.coverage_pct >= 100.0 && m.confidence_pct >= 100.0 => held += 1,
-                Ok(_) => {}
-                Err(_) => errors += 1,
+            let unit = chaos.unit(Stage::Evaluate, i as u64);
+            let (scored, _) = unit.run(&scope, false, || {
+                let queries = reference_queries(rule);
+                (evaluate_labeled(&self.graph, &queries, &scope, "serve-check", None).ok(), 0.0)
+            });
+            match scored {
+                None => degraded += 1,
+                Some(Some(m)) if m.coverage_pct >= 100.0 && m.confidence_pct >= 100.0 => held += 1,
+                Some(Some(_)) => {}
+                Some(None) => errors += 1,
             }
         }
         if total > 0 && degraded == total {

@@ -352,6 +352,40 @@ fn http_server_end_to_end_with_worker_and_drain() {
     assert_eq!(stats.completed, 1);
 }
 
+/// Prometheus rejects a scrape whose content type is not an exposition
+/// format, so `/metrics` must say it is text format 0.0.4 while the
+/// JSON routes keep saying JSON.
+#[test]
+fn metrics_route_answers_with_the_exposition_content_type() {
+    use std::io::{Read, Write};
+    let (graph, rules) = small_dataset();
+    let hub = grm_obs::MetricsHub::new(None, 1, Arc::new(AtomicU64::new(0)));
+    let config = det_config(fresh_spool("prom"));
+    let service = Service::open(graph, rules, config, Some(Arc::new(hub))).unwrap();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let server = {
+        let service = Arc::clone(&service);
+        std::thread::spawn(move || serve_http(service, listener))
+    };
+    let head = |path: &str| {
+        let mut stream = std::net::TcpStream::connect(&addr).unwrap();
+        write!(stream, "GET {path} HTTP/1.1\r\nHost: {addr}\r\n\r\n").unwrap();
+        let mut response = String::new();
+        stream.read_to_string(&mut response).unwrap();
+        response.split_once("\r\n\r\n").unwrap().0.to_owned()
+    };
+    let metrics = head("/metrics");
+    assert!(metrics.starts_with("HTTP/1.1 200 OK\r\n"), "{metrics}");
+    assert!(metrics.contains("\r\nContent-Type: text/plain; version=0.0.4\r\n"), "{metrics}");
+    let stats = head("/stats");
+    assert!(stats.starts_with("HTTP/1.1 200 OK\r\n"), "{stats}");
+    assert!(stats.contains("\r\nContent-Type: application/json\r\n"), "{stats}");
+    let (status, body) = http_request(&addr, "POST", "/shutdown", "").unwrap();
+    assert_eq!(status, 202, "{body}");
+    server.join().unwrap().unwrap();
+}
+
 #[test]
 fn baseline_harness_is_deterministic_and_shows_every_gate() {
     let root = fresh_spool("harness");

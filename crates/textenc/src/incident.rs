@@ -16,23 +16,6 @@ use std::fmt::Write as _;
 
 use grm_pgraph::{Node, PropertyGraph, PropertyMap};
 
-/// Which textual encoding to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EncoderKind {
-    /// One line per node, one line per outgoing edge (paper default).
-    Incident,
-    /// One line per node with an inline neighbour list (compact).
-    Adjacency,
-}
-
-/// Encodes `g` with the chosen encoder.
-pub fn encode(g: &PropertyGraph, kind: EncoderKind) -> String {
-    match kind {
-        EncoderKind::Incident => encode_incident(g),
-        EncoderKind::Adjacency => encode_adjacency(g),
-    }
-}
-
 fn write_props(out: &mut String, props: &PropertyMap) {
     out.push('{');
     for (i, (k, v)) in props.iter().enumerate() {
@@ -139,13 +122,6 @@ mod tests {
             g.add_edge(hub, n, "LINKS_TO", Default::default());
         }
         assert!(encode_adjacency(&g).len() < encode_incident(&g).len());
-    }
-
-    #[test]
-    fn encode_dispatches_on_kind() {
-        let g = tiny();
-        assert_eq!(encode(&g, EncoderKind::Incident), encode_incident(&g));
-        assert_eq!(encode(&g, EncoderKind::Adjacency), encode_adjacency(&g));
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub mod trace;
 pub mod window;
 
 pub use decode::{FragmentEdge, FragmentNode, GraphFragment};
-pub use incident::{encode, encode_adjacency, encode_incident, EncoderKind};
+pub use incident::{encode_adjacency, encode_incident};
 pub use summary::{encode_summary, SummaryConfig};
 pub use tokenizer::{token_count, tokenize, Tokenized, MAX_PIECE};
 pub use trace::{chunk_traced, encode_summary_traced, encode_traced};

@@ -1,4 +1,4 @@
-//! Instrumented entry points: same behaviour as [`crate::encode`] /
+//! Instrumented entry points: same behaviour as [`crate::encode_incident`] /
 //! [`Tokenized::chunk`] / [`crate::encode_summary`], recording a stage
 //! span and encoder counters on the given [`grm_obs::Scope`]. The
 //! untraced functions stay the zero-overhead default.
@@ -6,18 +6,18 @@
 use grm_obs::{BoundaryRecord, Counter, Histo, Scope};
 use grm_pgraph::PropertyGraph;
 
-use crate::incident::{encode, EncoderKind};
+use crate::incident::encode_incident;
 use crate::summary::{encode_summary, SummaryConfig};
 use crate::tokenizer::{token_count, Tokenized};
 use crate::window::{WindowConfig, WindowSet};
 
-/// [`crate::encode`] under an `encode` span, counting nodes, edges
+/// [`crate::encode_incident`] under an `encode` span, counting nodes, edges
 /// and emitted tokens. The text comes back with the bounds of the
 /// token scan that counted it, which chunking and RAG ingestion cut
 /// from.
-pub fn encode_traced(g: &PropertyGraph, kind: EncoderKind, scope: &Scope) -> Tokenized {
+pub fn encode_traced(g: &PropertyGraph, scope: &Scope) -> Tokenized {
     let span = scope.span("encode");
-    let encoded = Tokenized::new(encode(g, kind));
+    let encoded = Tokenized::new(encode_incident(g));
     let inner = span.scope();
     inner.add(Counter::NodesEncoded, g.node_count() as u64);
     inner.add(Counter::EdgesEncoded, g.edge_count() as u64);
@@ -88,8 +88,8 @@ mod tests {
         let g = graph();
         let rec = Recorder::new();
         let scope = rec.root_scope();
-        let encoded = encode_traced(&g, EncoderKind::Incident, &scope);
-        assert_eq!(encoded.text(), encode(&g, EncoderKind::Incident));
+        let encoded = encode_traced(&g, &scope);
+        assert_eq!(encoded.text(), encode_incident(&g));
         let ws = chunk_traced(&encoded, WindowConfig::new(200, 20), &scope);
         assert_eq!(ws.len(), chunk(encoded.text(), WindowConfig::new(200, 20)).len());
 
@@ -105,7 +105,7 @@ mod tests {
         let g = graph();
         let rec = Recorder::new();
         let scope = rec.root_scope();
-        let encoded = encode_traced(&g, EncoderKind::Incident, &scope);
+        let encoded = encode_traced(&g, &scope);
         // Zero overlap on small windows guarantees some breakage.
         let ws = chunk_traced(&encoded, WindowConfig::new(60, 0), &scope);
         assert!(ws.broken_patterns > 0);

@@ -58,34 +58,44 @@ proptest! {
     /// Satellite (c): resuming from a journal truncated at an
     /// arbitrary byte offset converges on the same final journal —
     /// whatever survives truncation only lets the resumed run skip
-    /// work, never changes its outcome.
+    /// work, never changes its outcome. Each cut is tried under the
+    /// default retry envelope and under a harsh plan (rate 0.7, one
+    /// retry, breaker threshold 2), so truncated resumes also cover
+    /// abandoned and breaker-skipped units.
     #[test]
     fn resume_after_truncation_converges(cut in 0.05f64..0.95) {
-        let chaos = ChaosConfig { fault_rate: 0.3, ..Default::default() };
-        let (full, _) = chaos_journal(42, chaos, None);
-        let (partial, status) = chaos_journal(42, chaos, Some(2));
-        prop_assert!(matches!(status, RunStatus::Killed { .. }));
+        let harsh = ChaosConfig {
+            fault_rate: 0.7,
+            max_retries: 1,
+            breaker_threshold: 2,
+            ..Default::default()
+        };
+        for chaos in [ChaosConfig { fault_rate: 0.3, ..Default::default() }, harsh] {
+            let (full, _) = chaos_journal(42, chaos, None);
+            let (partial, status) = chaos_journal(42, chaos, Some(2));
+            prop_assert!(matches!(status, RunStatus::Killed { .. }));
 
-        // Truncate mid-file at a char boundary (the journal is ASCII).
-        let mut cut_at = (partial.len() as f64 * cut) as usize;
-        while !partial.is_char_boundary(cut_at) {
-            cut_at -= 1;
-        }
-        let truncated = &partial[..cut_at];
-        let journal = RunJournal::from_jsonl_lossy(truncated).unwrap();
+            // Truncate mid-file at a char boundary (the journal is ASCII).
+            let mut cut_at = (partial.len() as f64 * cut) as usize;
+            while !partial.is_char_boundary(cut_at) {
+                cut_at -= 1;
+            }
+            let truncated = &partial[..cut_at];
+            let journal = RunJournal::from_jsonl_lossy(truncated).unwrap();
 
-        match ResumeState::from_journal(&journal) {
-            // The cut destroyed the Chaos record itself: nothing to
-            // resume from, which the API reports as an error.
-            Err(e) => prop_assert!(e.contains("no Chaos record"), "unexpected error: {e}"),
-            Ok((record, state)) => {
-                prop_assert_eq!(record.run_seed, 42);
-                let g = small_graph();
-                let recorder = Recorder::deterministic();
-                let opts = RunOptions { chaos, resume: Some(state), ..RunOptions::default() };
-                let status = MiningPipeline::new(config(42)).run_with(&g, &recorder, &opts);
-                prop_assert!(matches!(status, RunStatus::Complete(_)));
-                prop_assert_eq!(recorder.snapshot().to_jsonl(), full.clone());
+            match ResumeState::from_journal(&journal) {
+                // The cut destroyed the Chaos record itself: nothing to
+                // resume from, which the API reports as an error.
+                Err(e) => prop_assert!(e.contains("no Chaos record"), "unexpected error: {e}"),
+                Ok((record, state)) => {
+                    prop_assert_eq!(record.run_seed, 42);
+                    let g = small_graph();
+                    let recorder = Recorder::deterministic();
+                    let opts = RunOptions { chaos, resume: Some(state), ..RunOptions::default() };
+                    let status = MiningPipeline::new(config(42)).run_with(&g, &recorder, &opts);
+                    prop_assert!(matches!(status, RunStatus::Complete(_)));
+                    prop_assert_eq!(recorder.snapshot().to_jsonl(), full.clone());
+                }
             }
         }
     }

@@ -79,7 +79,8 @@ pub(crate) struct MineJob<'a> {
 }
 
 /// One lane's mined rules and simulated busy time. `killed` holds the
-/// units completed when the kill point stopped the lane early.
+/// units completed (degraded ones not counted) when the kill point
+/// stopped the lane early.
 #[derive(Debug, Default)]
 pub(crate) struct Lane {
     pub rules: Vec<GeneratedRule>,
@@ -91,8 +92,9 @@ impl MineJob<'_> {
     /// The mining unit loop: mines the contexts `units` names, in
     /// order, recording onto `scope`. Live calls draw from `replica`
     /// when given (one model stream per replica), else from per-unit
-    /// seeds. With `kill_after = Some(k)` the lane stops once `k`
-    /// units are done, leaving their checkpoints behind for resume.
+    /// seeds. With `kill_after = Some(k)` the lane stops once it has
+    /// passed `k` units, leaving the checkpoints of the completed ones
+    /// behind for resume.
     pub fn lane(
         &self,
         units: impl Iterator<Item = usize>,
@@ -101,6 +103,7 @@ impl MineJob<'_> {
         kill_after: Option<usize>,
     ) -> Lane {
         let mut lane = Lane::default();
+        let mut completed = 0;
         for (done, ci) in units.enumerate() {
             let replay = self.checkpoints.get(&(ci as u64)).cloned();
             let unit = &self.schedule.units[ci];
@@ -115,6 +118,7 @@ impl MineJob<'_> {
             });
             lane.seconds += seconds;
             if let Some(response) = response {
+                completed += 1;
                 response.record(scope);
                 // Stamp the context index after mining: the model
                 // never sees it, so lineage cannot perturb its RNG.
@@ -124,7 +128,7 @@ impl MineJob<'_> {
                 }));
             }
             if kill_after.is_some_and(|k| done + 1 >= k && done + 1 < self.contexts.len()) {
-                lane.killed = Some(done + 1);
+                lane.killed = Some(completed);
                 break;
             }
         }

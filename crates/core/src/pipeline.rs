@@ -371,9 +371,8 @@ impl MiningPipeline {
                     // Evaluation costs no simulated seconds; only its
                     // transient query faults do.
                     let (metrics, _) = unit.run(&evaluate_scope, false, || {
-                        let session = Some(&mut session);
                         let scored =
-                            evaluate_labeled(graph, queries, &evaluate_scope, label, session);
+                            evaluate_labeled(queries, &evaluate_scope, label, &mut session);
                         (scored.ok(), 0.0)
                     });
                     metrics.flatten()

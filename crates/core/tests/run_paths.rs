@@ -153,3 +153,25 @@ fn killed_and_resumed_runs_keep_their_journals() {
     // The uninterrupted serial rate-0.3 SWA journal.
     assert_eq!(journal_hash(&resumed), 0x954412ab6b319562);
 }
+
+/// A killed run reports the units it completed, which are the units a
+/// resume replays: under the harsh plan some units before the kill
+/// point degrade and leave no checkpoint (kill point 2 reports 1).
+#[test]
+fn killed_runs_count_only_checkpointed_units() {
+    let g = small_graph();
+    for kill_after in 1..=4 {
+        let rec = Recorder::deterministic();
+        let opts = RunOptions {
+            chaos: chaos("harsh"),
+            kill_after: Some(kill_after),
+            ..Default::default()
+        };
+        let status = pipeline("swa").run_with(&g, &rec, &opts);
+        let RunStatus::Killed { completed_units, .. } = status else {
+            panic!("kill point {kill_after} did not kill the run");
+        };
+        let (_, state) = ResumeState::from_journal(&rec.snapshot()).expect("resumable");
+        assert_eq!(completed_units, state.units(), "kill point {kill_after}");
+    }
+}

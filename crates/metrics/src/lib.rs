@@ -22,6 +22,8 @@ pub mod violations;
 pub use classify::{class_counter, classify, Assessment, ClassTally, QueryClass};
 pub use correct::{correct, repair_directions, repair_syntax, CorrectionOutcome};
 pub use drift::{drift, RuleDrift};
+/// The scoring session [`evaluate_labeled`] takes.
+pub use grm_cypher::BatchSession;
 pub use scores::{
     aggregate, evaluate, evaluate_labeled, record_batch_stats, AggregateMetrics, RuleMetrics,
 };

@@ -6,9 +6,7 @@
 //! normalises by the body-match count. All three come from executing
 //! the rule's three metric queries on the graph.
 
-use grm_cypher::{
-    execute, execute_profiled, BatchSession, BatchStats, CypherError, QueryProfile, ResultSet,
-};
+use grm_cypher::{BatchSession, BatchStats, CypherError, QueryProfile, ResultSet};
 use grm_obs::{Counter, Histo, PlanRecord, Scope};
 use grm_pgraph::PropertyGraph;
 use grm_rules::RuleQueries;
@@ -39,65 +37,45 @@ pub struct AggregateMetrics {
     pub confidence_pct: f64,
 }
 
-/// Evaluates the three metric queries of a rule on `graph`.
+/// Evaluates the three metric queries of a rule on `graph`, through a
+/// one-shot [`BatchSession`].
 pub fn evaluate(graph: &PropertyGraph, queries: &RuleQueries) -> Result<RuleMetrics, CypherError> {
-    evaluate_labeled(graph, queries, &Scope::disabled(), "rule", None)
+    evaluate_labeled(queries, &Scope::disabled(), "rule", &mut BatchSession::new(graph))
 }
 
-/// [`evaluate`] with full observability on `scope`: counters for the
-/// support evaluation and its three Cypher queries, and — because
-/// tracing is on — every query runs under `PROFILE`. The three plans
-/// are folded into one [`PlanRecord`] labelled `label` and attached
-/// to the scope's span, where the recorder's slow-query policy can
-/// flag it. On a disabled scope nothing is profiled: the engine does
-/// zero db-hit accounting.
+/// Scores one rule through `session`, with full observability on
+/// `scope`: counters for the support evaluation and its three Cypher
+/// queries, and — because tracing is on — every query that runs does
+/// so under `PROFILE`. The executed queries' plans are folded into one
+/// [`PlanRecord`] labelled `label` and attached to the scope's span,
+/// where the recorder's slow-query policy can flag it. On a disabled
+/// scope nothing is profiled: the engine does zero db-hit accounting.
 ///
-/// With a shared [`BatchSession`] (over `graph`) repeated counts —
-/// the head-total query recurs verbatim across rules sharing a head —
-/// come from the session's result memo at zero db-hits. A memoized
-/// answer bumps `cypher_queries_memoized` and attaches no plan —
-/// nothing ran. An executed query accounts exactly like the naive
-/// (`None`) path, so a session whose memo never hits journals the
-/// same per-rule plan shape.
+/// Repeated counts — the head-total query recurs verbatim across
+/// rules sharing a head — come from the session's result memo at zero
+/// db-hits. A memoized answer bumps `cypher_queries_memoized` and
+/// attaches no plan — nothing ran.
 pub fn evaluate_labeled(
-    graph: &PropertyGraph,
     queries: &RuleQueries,
     scope: &Scope,
     label: &str,
-    mut session: Option<&mut BatchSession<'_>>,
+    session: &mut BatchSession<'_>,
 ) -> Result<RuleMetrics, CypherError> {
     scope.add(Counter::SupportEvaluations, 1);
     let mut plan = scope.is_enabled().then(|| PlanRecord::new(label));
     let result = {
         let mut count = |query: &str| -> Result<i64, CypherError> {
             let Some(plan) = plan.as_mut() else {
-                return match session.as_deref_mut() {
-                    Some(session) => single_count(&*session.execute(query)?, query),
-                    None => single_count(&execute(graph, query)?, query),
-                };
+                return single_count(&*session.execute(query)?, query);
             };
-            let executed = || {
-                scope.add(Counter::CypherQueriesExecuted, 1);
-                scope.add(Counter::CypherQueriesProfiled, 1);
-            };
-            let (count, rows, profile) = match session.as_deref_mut() {
-                Some(session) => {
-                    let (rs, profile) = session.execute_profiled(query)?;
-                    if profile.is_some() {
-                        executed();
-                    }
-                    (single_count(&rs, query), rs.len(), profile)
-                }
-                // The naive path counts a query before it runs, so a
-                // query that fails to execute still shows as executed.
-                None => {
-                    executed();
-                    let (rs, profile) = execute_profiled(graph, query)?;
-                    (single_count(&rs, query), rs.len(), Some(profile))
-                }
-            };
+            let (rs, profile) = session.execute_profiled(query)?;
+            let count = single_count(&rs, query);
             match profile {
-                Some(profile) => book_profile(scope, plan, rows, profile),
+                Some(profile) => {
+                    scope.add(Counter::CypherQueriesExecuted, 1);
+                    scope.add(Counter::CypherQueriesProfiled, 1);
+                    book_profile(scope, plan, rs.len(), profile);
+                }
                 None => scope.add(Counter::CypherQueriesMemoized, 1),
             }
             count
@@ -192,6 +170,7 @@ pub fn aggregate(per_rule: &[RuleMetrics]) -> AggregateMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use grm_cypher::execute;
     use grm_pgraph::{props, Value};
     use grm_rules::{reference_queries, ConsistencyRule};
 
@@ -276,13 +255,16 @@ mod tests {
             ConsistencyRule::UniqueProperty { label: "User".into(), key: "id".into() },
             ConsistencyRule::MandatoryProperty { label: "User".into(), key: "id".into() },
         ];
+        // The reference counts with the plain executor: no optimizer,
+        // no memo.
+        let count = |query: &str| single_count(&execute(&g, query).unwrap(), query).unwrap();
         let mut session = BatchSession::new(&g);
         for rule in &rules {
             let q = reference_queries(rule);
-            let naive = evaluate(&g, &q).unwrap();
-            let batched =
-                evaluate_labeled(&g, &q, &Scope::disabled(), "rule", Some(&mut session)).unwrap();
+            let naive = metrics_from(count(&q.satisfied), count(&q.body), count(&q.head_total));
+            let batched = evaluate_labeled(&q, &Scope::disabled(), "rule", &mut session).unwrap();
             assert_eq!(naive, batched, "divergence on {rule:?}");
+            assert_eq!(evaluate(&g, &q).unwrap(), naive, "one-shot divergence on {rule:?}");
         }
         // All three rules share the `MATCH (n:User)` head-total (and
         // the two mandatory-property rules share a body query), so

@@ -21,10 +21,9 @@
 
 use std::collections::BTreeMap;
 use std::fs;
-use std::io::{self, BufWriter, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::{self, BufWriter, Write};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -287,10 +286,10 @@ struct MetricsState {
 }
 
 /// An [`EventSink`] that folds counter/gauge events into a live
-/// metrics table and exports it in Prometheus text exposition format
-/// — atomically to a file on an event-count cadence
-/// (`--metrics-out`), and over HTTP via a std [`TcpListener`]
-/// (`--metrics-listen`).
+/// metrics table and exports it in Prometheus text exposition format:
+/// atomically to a file on an event-count cadence (`--metrics-out`),
+/// and as the text grm-serve's HTTP front end answers `GET /metrics`
+/// with (`grm serve`, `grm mine --metrics-listen`).
 ///
 /// The lock here is a plain blocking `Mutex` on purpose: the update
 /// is a tiny map insert, and a `try_lock`-and-drop design would make
@@ -340,108 +339,11 @@ impl MetricsHub {
         fs::write(&tmp, text)?;
         fs::rename(&tmp, path)
     }
-
-    /// Serves the exposition over HTTP on `addr` from a background
-    /// thread, for Prometheus scrapers. Only `GET /metrics` answers
-    /// with the snapshot; other methods get 405, other paths 404, and
-    /// a request line that is missing or longer than the read cap gets
-    /// 400 — malformed clients cannot wedge the listener or coax a
-    /// snapshot out of an arbitrary path. Stop it with the returned
-    /// handle.
-    pub fn serve(self: &Arc<Self>, addr: &str) -> io::Result<MetricsServerHandle> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let local = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let hub = Arc::clone(self);
-        let stop_flag = Arc::clone(&stop);
-        let thread = std::thread::spawn(move || {
-            while !stop_flag.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((mut stream, _)) => {
-                        let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
-                        let head = read_request_head(&mut stream, METRICS_HEAD_CAP);
-                        let response = metrics_http_response(&head, &hub.exposition());
-                        let _ = stream.write_all(response.as_bytes());
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(50));
-                    }
-                    Err(_) => std::thread::sleep(Duration::from_millis(50)),
-                }
-            }
-        });
-        Ok(MetricsServerHandle { addr: local.to_string(), stop, thread: Some(thread) })
-    }
-}
-
-/// Read cap for an incoming metrics request head: a scrape request
-/// line fits in a fraction of this; anything longer is rejected as
-/// malformed instead of being buffered without bound.
-const METRICS_HEAD_CAP: usize = 4096;
-
-/// Reads an incoming request from `stream` until the first newline
-/// (the request line is all the responder needs), EOF, a read error,
-/// or the `cap` byte ceiling — whichever comes first. Never buffers
-/// more than `cap` bytes no matter what the client sends.
-fn read_request_head(stream: &mut TcpStream, cap: usize) -> Vec<u8> {
-    let mut head = Vec::new();
-    let mut buf = [0u8; 512];
-    while head.len() < cap {
-        match stream.read(&mut buf) {
-            Ok(0) => break,
-            Ok(n) => {
-                head.extend_from_slice(&buf[..n]);
-                if head.contains(&b'\n') {
-                    break;
-                }
-            }
-            Err(_) => break,
-        }
-    }
-    head.truncate(cap);
-    head
 }
 
 /// Content type of the Prometheus text exposition (format 0.0.4);
 /// Prometheus rejects a scrape labelled otherwise.
 pub const EXPOSITION_CONTENT_TYPE: &str = "text/plain; version=0.0.4";
-
-/// Builds the full HTTP response for one metrics request, from the
-/// raw request head bytes. Pure — unit-testable without a socket:
-/// `GET /metrics` (query string allowed) returns 200 with
-/// `exposition` as the body, any other method 405, any other path
-/// 404, and a head whose request line never terminated (torn, empty,
-/// or over the read cap) 400.
-pub fn metrics_http_response(head: &[u8], exposition: &str) -> String {
-    let respond = |status: &str, extra: &str, body: &str| {
-        format!(
-            "HTTP/1.1 {status}\r\nContent-Type: {EXPOSITION_CONTENT_TYPE}\r\n{extra}Content-Length: {}\r\nConnection: close\r\n\r\n{}",
-            body.len(),
-            body
-        )
-    };
-    let text = String::from_utf8_lossy(head);
-    let Some(line) = text.split('\n').next().filter(|_| text.contains('\n')) else {
-        return respond("400 Bad Request", "", "malformed request line\n");
-    };
-    let mut parts = line.trim_end_matches('\r').split(' ');
-    let (Some(method), Some(target), Some(version)) = (parts.next(), parts.next(), parts.next())
-    else {
-        return respond("400 Bad Request", "", "malformed request line\n");
-    };
-    if method.is_empty() || !version.starts_with("HTTP/") || parts.next().is_some() {
-        return respond("400 Bad Request", "", "malformed request line\n");
-    }
-    if method != "GET" {
-        return respond("405 Method Not Allowed", "Allow: GET\r\n", "only GET is supported\n");
-    }
-    let path = target.split('?').next().unwrap_or(target);
-    if path != "/metrics" {
-        return respond("404 Not Found", "", "metrics live at /metrics\n");
-    }
-    respond("200 OK", "", exposition)
-}
 
 impl EventSink for MetricsHub {
     fn offer(&self, event: &TelemetryEvent) -> bool {
@@ -473,24 +375,6 @@ impl EventSink for MetricsHub {
 
     fn flush(&self) {
         let _ = self.write_snapshot();
-    }
-}
-
-/// Handle to a running [`MetricsHub::serve`] listener thread.
-pub struct MetricsServerHandle {
-    /// The bound address (useful when `addr` asked for port 0).
-    pub addr: String,
-    stop: Arc<AtomicBool>,
-    thread: Option<JoinHandle<()>>,
-}
-
-impl MetricsServerHandle {
-    /// Stops the listener and joins its thread.
-    pub fn stop(mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
     }
 }
 
@@ -747,84 +631,5 @@ mod tests {
             value: 11.0,
         }];
         assert_eq!(check_exposition_against_events(&bad, &events).len(), 1);
-    }
-
-    #[test]
-    fn metrics_http_response_routes_by_method_and_path() {
-        let body = "grm_x_total 1\n";
-        let ok = metrics_http_response(b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n", body);
-        assert!(ok.starts_with("HTTP/1.1 200 OK\r\n"), "{ok}");
-        assert!(ok.ends_with(body));
-        // A query string still resolves to /metrics.
-        let ok = metrics_http_response(b"GET /metrics?debug=1 HTTP/1.1\r\n\r\n", body);
-        assert!(ok.starts_with("HTTP/1.1 200 OK\r\n"), "{ok}");
-        let nf = metrics_http_response(b"GET /other HTTP/1.1\r\n\r\n", body);
-        assert!(nf.starts_with("HTTP/1.1 404 Not Found\r\n"), "{nf}");
-        assert!(!nf.contains("grm_x_total"), "404 must not leak the snapshot");
-        let mna = metrics_http_response(b"POST /metrics HTTP/1.1\r\n\r\n", body);
-        assert!(mna.starts_with("HTTP/1.1 405 Method Not Allowed\r\n"), "{mna}");
-        assert!(mna.contains("Allow: GET\r\n"));
-    }
-
-    #[test]
-    fn metrics_http_response_rejects_malformed_heads() {
-        let body = "grm_x_total 1\n";
-        // Empty request, no newline (torn/over-cap line), too few
-        // tokens, trailing garbage, non-HTTP version: all 400.
-        for head in [
-            &b""[..],
-            b"GET /metrics HTTP/1.1", // request line never terminated
-            b"GET\r\n",
-            b"GET /metrics\r\n",
-            b"GET /metrics HTTP/1.1 extra\r\n",
-            b"GET /metrics SPDY/3\r\n",
-        ] {
-            let resp = metrics_http_response(head, body);
-            assert!(resp.starts_with("HTTP/1.1 400 Bad Request\r\n"), "{head:?} -> {resp}");
-        }
-    }
-
-    #[test]
-    fn metrics_server_end_to_end_routing() {
-        use std::net::TcpStream;
-
-        let hub = Arc::new(MetricsHub::new(None, 1, Arc::new(AtomicU64::new(0))));
-        hub.offer(&TelemetryEvent {
-            seq: 0,
-            kind: TelemetryEvent::COUNTER.into(),
-            span: None,
-            name: "rules_mined".into(),
-            detail: String::new(),
-            value: 3.0,
-        });
-        let server = hub.serve("127.0.0.1:0").expect("bind");
-        let request = |req: &str| {
-            let mut stream = TcpStream::connect(&server.addr).expect("connect");
-            stream.write_all(req.as_bytes()).expect("send");
-            // Tolerate a post-response reset: the server closes after
-            // answering, possibly with unread request bytes pending.
-            let mut resp = String::new();
-            let mut buf = [0u8; 1024];
-            loop {
-                match stream.read(&mut buf) {
-                    Ok(0) | Err(_) => break,
-                    Ok(n) => resp.push_str(&String::from_utf8_lossy(&buf[..n])),
-                }
-            }
-            resp
-        };
-        let ok = request("GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n");
-        assert!(ok.starts_with("HTTP/1.1 200 OK\r\n"), "{ok}");
-        assert!(ok.contains("grm_rules_mined_total 3"), "{ok}");
-        let nf = request("GET /wrong HTTP/1.1\r\n\r\n");
-        assert!(nf.starts_with("HTTP/1.1 404 Not Found\r\n"), "{nf}");
-        let mna = request("DELETE /metrics HTTP/1.1\r\n\r\n");
-        assert!(mna.starts_with("HTTP/1.1 405 Method Not Allowed\r\n"), "{mna}");
-        // A request line exceeding the read cap is answered 400, not
-        // buffered until the client gives up.
-        let huge = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(2 * METRICS_HEAD_CAP));
-        let bad = request(&huge);
-        assert!(bad.starts_with("HTTP/1.1 400 Bad Request\r\n"), "{bad}");
-        server.stop();
     }
 }

@@ -40,7 +40,8 @@
 //!   emitted to bounded, non-blocking, drop-counting sinks the moment
 //!   it happens, the substrate behind `grm mine --progress`,
 //!   `--events`, `--metrics-out`/`--metrics-listen` (Prometheus text
-//!   exposition) and `grm trace tail`;
+//!   exposition, which grm-serve's HTTP front end serves; this crate
+//!   opens no socket) and `grm trace tail`;
 //! * **a JSONL run journal** ([`RunJournal`]) serialising the span
 //!   tree (with v7 `sim_start_seconds` offsets placing every span on
 //!   the simulated axis), counter totals, histograms, plan profiles,
@@ -107,10 +108,9 @@ pub use analytics::{
     PlanReport, PlanScopeAgg, StageDiffRow, TraceDiff,
 };
 pub use bus::{
-    check_exposition_against_events, event_stream_sink, metrics_http_response, parity_violations,
-    parse_exposition, prometheus_exposition, ChannelSink, CountingSink, EventSink,
-    EventStreamHandle, ExpositionSample, MetricsHub, MetricsServerHandle, TelemetryEvent,
-    EXPOSITION_CONTENT_TYPE,
+    check_exposition_against_events, event_stream_sink, parity_violations, parse_exposition,
+    prometheus_exposition, ChannelSink, CountingSink, EventSink, EventStreamHandle,
+    ExpositionSample, MetricsHub, TelemetryEvent, EXPOSITION_CONTENT_TYPE,
 };
 pub use counter::{Counter, Gauge, Histo};
 pub use histogram::{Histogram, BUCKET_COUNT};

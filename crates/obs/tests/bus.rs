@@ -253,26 +253,6 @@ fn metrics_hub_writes_atomic_snapshots_on_cadence() {
 }
 
 #[test]
-fn metrics_listener_serves_exposition_over_http() {
-    use std::io::{Read, Write};
-    let hub = Arc::new(MetricsHub::new(None, 64, Arc::new(AtomicU64::new(0))));
-    let rec = Recorder::deterministic();
-    rec.attach_sink(hub.clone());
-    drive(&rec);
-    rec.finish_sinks();
-    let server = hub.serve("127.0.0.1:0").expect("listener binds");
-    let mut stream = std::net::TcpStream::connect(&server.addr).expect("connects");
-    stream.write_all(b"GET /metrics HTTP/1.1\r\nHost: localhost\r\n\r\n").unwrap();
-    let mut response = String::new();
-    stream.read_to_string(&mut response).unwrap();
-    server.stop();
-    assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
-    let body = response.split("\r\n\r\n").nth(1).expect("has a body");
-    let samples = parse_exposition(body).expect("served exposition well-formed");
-    assert!(samples.iter().any(|s| s.name == "grm_prompts_issued_total" && s.value == 4.0));
-}
-
-#[test]
 fn parity_gate_catches_a_missing_kind() {
     let rec = Recorder::deterministic();
     let counting = CountingSink::new();

@@ -32,7 +32,7 @@ mod job;
 mod service;
 
 pub use harness::baseline_harness;
-pub use http::{http_request, route, serve_http, Request};
+pub use http::{http_request, route, serve_http, serve_metrics, Request};
 pub use job::{
     replay_wal, state, JobRecord, JobSpec, JobStatus, TokenBucket, WalReplay, WAL_ACCEPTED,
     WAL_DRAINED,

@@ -4,7 +4,8 @@
 //!
 //! Design rules, in admission order:
 //!
-//! 1. a draining server accepts nothing (503);
+//! 1. a draining server accepts nothing (503), and a spec that fails
+//!    validation is refused (400);
 //! 2. a tenant whose jobs repeatedly fail is circuit-broken — the
 //!    shared [`grm_resil::Breaker`] trips after `breaker_threshold`
 //!    consecutive failures, refuses the next `2·threshold`
@@ -13,7 +14,7 @@
 //! 4. the job queue is a hard bound — when full the submission is
 //!    shed (429 `queue_full`), never buffered without limit.
 //!
-//! Only after all four gates does the job get an id, and the id is
+//! Only after every gate does the job get an id, and the id is
 //! acknowledged only after its `accepted` record is flushed to the
 //! WAL — an accepted job survives `kill -9` by construction. Restart
 //! replays the WAL, re-queues every job without a terminal record,
@@ -33,7 +34,7 @@ use grm_core::{
     ContextStrategy, MiningPipeline, PipelineConfig, ResumeState, RunOptions, RunStatus,
 };
 use grm_llm::{ModelKind, PromptStyle};
-use grm_metrics::evaluate_labeled;
+use grm_metrics::{evaluate_labeled, BatchSession};
 use grm_obs::{explain_rule, EventSink, MetricsHub, Recorder, RunJournal, Scope, TelemetryEvent};
 use grm_pgraph::PropertyGraph;
 use grm_resil::{mix, Breaker, ChaosConfig, DeadlineBudget, Stage};
@@ -378,8 +379,8 @@ impl Service {
         }
     }
 
-    /// Admission control: runs the four gates in order (drain, tenant
-    /// breaker, tenant rate limit, queue bound) and either persists +
+    /// Admission control: runs the five gates in order (drain, spec
+    /// validation, tenant breaker, rate limit, queue bound) and persists +
     /// enqueues the job, returning its id, or rejects. The id is
     /// returned only after the `accepted` WAL record is flushed.
     pub fn submit(&self, spec: JobSpec) -> Result<u64, Rejection> {
@@ -708,6 +709,9 @@ impl Service {
         let scope = Scope::disabled();
         let total = self.rules.len();
         let (mut held, mut degraded, mut errors) = (0usize, 0usize, 0usize);
+        // One session per job: rules sharing a head or body query
+        // reuse its count.
+        let mut session = BatchSession::new(&self.graph);
         for (i, rule) in self.rules.iter().enumerate() {
             if let Some(budget) = budget.as_mut() {
                 // Deadline propagation: the per-rule allowance is the
@@ -730,7 +734,7 @@ impl Service {
             let unit = chaos.unit(Stage::Evaluate, i as u64);
             let (scored, _) = unit.run(&scope, false, || {
                 let queries = reference_queries(rule);
-                (evaluate_labeled(&self.graph, &queries, &scope, "serve-check", None).ok(), 0.0)
+                (evaluate_labeled(&queries, &scope, "serve-check", &mut session).ok(), 0.0)
             });
             match scored {
                 None => degraded += 1,

@@ -4,14 +4,15 @@
 
 use std::net::TcpListener;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use grm_datasets::{generate, DatasetId, GenConfig};
+use grm_obs::{parse_exposition, MetricsHub};
 use grm_rules::ConsistencyRule;
 use grm_serve::{
-    baseline_harness, http_request, route, serve_http, state, JobSpec, Rejection, Request,
-    ServeConfig, Service,
+    baseline_harness, http_request, route, serve_http, serve_metrics, state, JobSpec, Rejection,
+    Request, ServeConfig, Service,
 };
 
 static SPOOL_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -289,8 +290,6 @@ fn routes_cover_the_job_lifecycle() {
     assert!(body.contains("\"reason\":\"invalid\""), "{body}");
     let (status, _, _) = route(&service, &request("GET", "/nope", ""));
     assert_eq!(status, 404);
-    let (status, _, _) = route(&service, &request("DELETE", "/jobs/1", ""));
-    assert_eq!(status, 405);
     let (status, _, drain) = route(&service, &request("POST", "/shutdown", ""));
     assert_eq!((status, drain), (202, true));
     service.drain();
@@ -313,7 +312,8 @@ fn http_server_end_to_end_with_worker_and_drain() {
         spool: fresh_spool("http"),
         ..ServeConfig::default()
     };
-    let service = Service::open(graph, rules, config, None).unwrap();
+    let hub = MetricsHub::new(None, 1, Arc::new(AtomicU64::new(0)));
+    let service = Service::open(graph, rules, config, Some(Arc::new(hub))).unwrap();
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
     let worker = {
@@ -341,8 +341,20 @@ fn http_server_end_to_end_with_worker_and_drain() {
         assert!(std::time::Instant::now() < deadline, "job never settled");
         std::thread::sleep(std::time::Duration::from_millis(50));
     }
-    let (status, body) = http_request(&addr, "GET", "/nope", "").unwrap();
-    assert_eq!(status, 404, "{body}");
+    // Prometheus rejects a scrape whose content type is not an
+    // exposition format, so `/metrics` says text format 0.0.4 while
+    // the JSON routes say JSON; a 405 names the allowed methods (RFC
+    // 9110 §15.5.6); a request line without a method is malformed.
+    check_heads(
+        &addr,
+        &[
+            ("GET /metrics", "200 OK", EXPOSITION),
+            ("GET /stats", "200 OK", JSON),
+            ("GET /nope", "404 Not Found", JSON),
+            ("DELETE /jobs/1", "405 Method Not Allowed", "Allow: GET, POST"),
+            (" /metrics", "400 Bad Request", JSON),
+        ],
+    );
     let (status, body) = http_request(&addr, "POST", "/shutdown", "").unwrap();
     assert_eq!(status, 202, "{body}");
     server.join().unwrap().unwrap();
@@ -352,37 +364,67 @@ fn http_server_end_to_end_with_worker_and_drain() {
     assert_eq!(stats.completed, 1);
 }
 
-/// Prometheus rejects a scrape whose content type is not an exposition
-/// format, so `/metrics` must say it is text format 0.0.4 while the
-/// JSON routes keep saying JSON.
-#[test]
-fn metrics_route_answers_with_the_exposition_content_type() {
+/// Sends each `(request line without its version, status, header)`
+/// row to `addr` as raw bytes, checks that the response has that
+/// status, carries that header and carries `Allow` only on a 405, and
+/// returns the response bodies. A server that stops reading at its
+/// head cap resets the connection after answering, so a reset ends a
+/// response like a close does.
+fn check_heads(addr: &str, rows: &[(&str, &str, &str)]) -> Vec<String> {
     use std::io::{Read, Write};
-    let (graph, rules) = small_dataset();
-    let hub = grm_obs::MetricsHub::new(None, 1, Arc::new(AtomicU64::new(0)));
-    let config = det_config(fresh_spool("prom"));
-    let service = Service::open(graph, rules, config, Some(Arc::new(hub))).unwrap();
+    let mut bodies = Vec::new();
+    for (request, status, header) in rows {
+        let mut stream = std::net::TcpStream::connect(addr).unwrap();
+        stream.write_all(format!("{request} HTTP/1.1\r\nHost: h\r\n\r\n").as_bytes()).unwrap();
+        let (mut response, mut buf) = (Vec::new(), [0u8; 1024]);
+        while let Ok(n @ 1..) = stream.read(&mut buf) {
+            response.extend_from_slice(&buf[..n]);
+        }
+        let response = String::from_utf8(response).unwrap();
+        let (head, body) = response.split_once("\r\n\r\n").unwrap();
+        assert!(head.starts_with(&format!("HTTP/1.1 {status}\r\n")), "{request:.20}: {head}");
+        assert!(head.contains(&format!("\r\n{header}\r\n")), "{request:.20}: {head}");
+        assert_eq!(head.contains("\r\nAllow: "), status.starts_with("405"), "{head}");
+        bodies.push(body.to_owned());
+    }
+    bodies
+}
+
+const JSON: &str = "Content-Type: application/json";
+const EXPOSITION: &str = "Content-Type: text/plain; version=0.0.4";
+
+/// `grm mine --metrics-listen`'s front end answers `GET /metrics`, with
+/// or without a query string, with the hub's exposition, and nothing
+/// else: another path is a 404 without the exposition, another method
+/// a 405 that allows GET, and a head twice the 8 KB cap a 400.
+#[test]
+fn metrics_listener_serves_only_get_metrics() {
+    let hub = Arc::new(MetricsHub::new(None, 1, Arc::new(AtomicU64::new(0))));
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
+    let stop = Arc::new(AtomicBool::new(false));
     let server = {
-        let service = Arc::clone(&service);
-        std::thread::spawn(move || serve_http(service, listener))
+        let (hub, stop) = (Arc::clone(&hub), Arc::clone(&stop));
+        std::thread::spawn(move || serve_metrics(hub, listener, stop))
     };
-    let head = |path: &str| {
-        let mut stream = std::net::TcpStream::connect(&addr).unwrap();
-        write!(stream, "GET {path} HTTP/1.1\r\nHost: {addr}\r\n\r\n").unwrap();
-        let mut response = String::new();
-        stream.read_to_string(&mut response).unwrap();
-        response.split_once("\r\n\r\n").unwrap().0.to_owned()
-    };
-    let metrics = head("/metrics");
-    assert!(metrics.starts_with("HTTP/1.1 200 OK\r\n"), "{metrics}");
-    assert!(metrics.contains("\r\nContent-Type: text/plain; version=0.0.4\r\n"), "{metrics}");
-    let stats = head("/stats");
-    assert!(stats.starts_with("HTTP/1.1 200 OK\r\n"), "{stats}");
-    assert!(stats.contains("\r\nContent-Type: application/json\r\n"), "{stats}");
-    let (status, body) = http_request(&addr, "POST", "/shutdown", "").unwrap();
-    assert_eq!(status, 202, "{body}");
+    let over_cap = format!("GET /{}", "a".repeat(16 * 1024));
+    let bodies = check_heads(
+        &addr,
+        &[
+            ("GET /metrics", "200 OK", EXPOSITION),
+            ("GET /metrics?x=1", "200 OK", EXPOSITION),
+            ("GET /other", "404 Not Found", JSON),
+            ("POST /metrics", "405 Method Not Allowed", "Allow: GET"),
+            ("DELETE /metrics", "405 Method Not Allowed", "Allow: GET"),
+            (&over_cap, "400 Bad Request", JSON),
+        ],
+    );
+    for body in &bodies[..2] {
+        assert_eq!(*body, hub.exposition());
+        parse_exposition(body).expect("served exposition well-formed");
+    }
+    assert!(bodies[2..].iter().all(|body| !body.contains("grm_telemetry_events_total")));
+    stop.store(true, Ordering::Relaxed);
     server.join().unwrap().unwrap();
 }
 

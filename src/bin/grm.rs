@@ -267,6 +267,8 @@ fn cmd_mine(args: &[String]) -> Result<(), String> {
     };
     use graph_rule_mining::pipeline::{ResumeState, RunOptions, RunStatus};
     use graph_rule_mining::resil::ChaosConfig;
+    use graph_rule_mining::serve::serve_metrics;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
     let flags = parse_flags(
@@ -454,10 +456,14 @@ fn cmd_mine(args: &[String]) -> Result<(), String> {
             recorder.dropped_handle(),
         ));
         if let Some(addr) = &metrics_listen {
-            let server =
-                hub.serve(addr).map_err(|e| format!("binding metrics listener {addr}: {e}"))?;
-            eprintln!("metrics listener on http://{}/metrics", server.addr);
-            metrics_server = Some(server);
+            let listener = std::net::TcpListener::bind(addr)
+                .map_err(|e| format!("binding metrics listener {addr}: {e}"))?;
+            let local = listener.local_addr().map_err(|e| e.to_string())?;
+            eprintln!("metrics listener on http://{local}/metrics");
+            let stop = Arc::new(AtomicBool::new(false));
+            let (hub, flag) = (Arc::clone(&hub), Arc::clone(&stop));
+            let thread = std::thread::spawn(move || serve_metrics(hub, listener, flag));
+            metrics_server = Some((stop, thread));
         }
         recorder.attach_sink(hub.clone());
         metrics_hub = Some(hub);
@@ -519,8 +525,10 @@ fn cmd_mine(args: &[String]) -> Result<(), String> {
         let written = handle.finish().map_err(|e| format!("writing event stream {path}: {e}"))?;
         eprintln!("event stream ({written} events) written to {path}");
     }
-    if let Some(server) = metrics_server {
-        server.stop();
+    if let Some((stop, thread)) = metrics_server {
+        stop.store(true, Ordering::Relaxed);
+        let served = thread.join().expect("metrics listener thread panicked");
+        served.map_err(|e| format!("serving metrics: {e}"))?;
     }
     if let Some(hub) = metrics_hub {
         drop(hub);
@@ -793,7 +801,10 @@ fn print_mining_report(
 /// CI-style data-quality gate. Prints per-rule status and concrete
 /// violations; exits non-zero when any rule is violated.
 fn cmd_check(args: &[String]) -> Result<(), String> {
-    use graph_rule_mining::metrics::{evaluate_labeled, find_violations_traced, Violation};
+    use graph_rule_mining::cypher::BatchSession;
+    use graph_rule_mining::metrics::{
+        evaluate_labeled, find_violations_traced, record_batch_stats, Violation,
+    };
     use graph_rule_mining::obs::Recorder;
     use graph_rule_mining::rules::{reference_queries, to_nl, ConsistencyRule};
 
@@ -815,9 +826,10 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
     let scope = check_span.scope();
 
     let mut failing = 0usize;
+    let mut session = BatchSession::new(&g);
     for (i, rule) in rules.iter().enumerate() {
         let metrics =
-            evaluate_labeled(&g, &reference_queries(rule), &scope, &format!("rule-{i}"), None)
+            evaluate_labeled(&reference_queries(rule), &scope, &format!("rule-{i}"), &mut session)
                 .map_err(|e| e.to_string())?;
         let holds = metrics.coverage_pct >= 100.0 && metrics.confidence_pct >= 100.0;
         println!(
@@ -848,6 +860,7 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
         }
     }
     println!("\n{} of {} rules hold", rules.len() - failing, rules.len());
+    record_batch_stats(&scope, &session.stats());
     drop(check_span);
     if let Some(path) = trace_path {
         let journal = recorder.snapshot();

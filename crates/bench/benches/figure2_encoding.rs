@@ -1,16 +1,17 @@
 //! Figure 2 bench: the two context strategies' machinery — encoding,
-//! tokenization, window chunking, the model's read of its context,
-//! RAG ingestion and retrieval — plus the incident-vs-adjacency
-//! encoder ablation from DESIGN.md §5.
+//! tokenization, window chunking, the model's read of its context and
+//! its whole mining call, RAG chunk embedding, ingestion and retrieval
+//! — plus the incident-vs-adjacency encoder ablation from DESIGN.md §5.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use grm_core::RAG_QUERY;
 use grm_datasets::{generate, DatasetId, GenConfig};
+use grm_llm::{MiningPrompt, ModelKind, PromptStyle, SimLlm};
 use grm_pgraph::GraphSchema;
 use grm_textenc::{
     chunk, encode_adjacency, encode_incident, token_count, GraphFragment, Tokenized, WindowConfig,
 };
-use grm_vecstore::{RagConfig, Retriever};
+use grm_vecstore::{embed, RagConfig, Retriever};
 
 fn bench_encoding(c: &mut Criterion) {
     let graph =
@@ -34,17 +35,26 @@ fn bench_encoding(c: &mut Criterion) {
     group.finish();
 
     // What the simulated model does with each SWA window (its fragment
-    // graph and that graph's schema), and the RAG coverage count.
+    // graph and that graph's schema), the whole model call over the
+    // window prompts, and the RAG coverage count.
     let windows = encoded.chunk(WindowConfig::default()).windows;
+    let prompts: Vec<MiningPrompt> = windows
+        .iter()
+        .map(|w| MiningPrompt::counted(PromptStyle::ZeroShot, w.text.clone(), w.token_len))
+        .collect();
     let mut group = c.benchmark_group("figure2/read");
     group.throughput(Throughput::Bytes(text.len() as u64));
     group.bench_function("swa_windows", |b| {
         b.iter(|| {
             windows
                 .iter()
-                .map(|w| GraphSchema::infer(&GraphFragment::parse(&w.text).into_graph()))
+                .map(|w| GraphSchema::infer(&GraphFragment::read_graph(&w.text)))
                 .collect::<Vec<_>>()
         })
+    });
+    group.bench_function("swa_mine", |b| {
+        let mut model = SimLlm::new(ModelKind::Llama3, 42);
+        b.iter(|| prompts.iter().map(|p| model.mine(p).rules.len()).sum::<usize>())
     });
     group.bench_function("count_elements", |b| b.iter(|| GraphFragment::count_elements(text)));
     group.finish();
@@ -52,6 +62,10 @@ fn bench_encoding(c: &mut Criterion) {
     let mut group = c.benchmark_group("figure2/rag");
     group.bench_function("ingest", |b| {
         b.iter(|| Retriever::ingest(&encoded, RagConfig::default()).chunk_count())
+    });
+    let chunks = encoded.windows(WindowConfig::new(RagConfig::default().chunk_tokens, 0));
+    group.bench_function("embed", |b| {
+        b.iter(|| chunks.iter().map(|w| embed(&w.text).0[0]).sum::<f32>())
     });
     let retriever = Retriever::ingest(&encoded, RagConfig::default());
     group.bench_function("retrieve", |b| b.iter(|| retriever.retrieve(RAG_QUERY).visible_elements));

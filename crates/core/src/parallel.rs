@@ -51,11 +51,17 @@ pub fn mine_parallel(
     target_rules: Option<usize>,
     workers: usize,
 ) -> ParallelMining {
-    let schedule = ChaosConfig::default().schedule(Stage::Mine, contexts.len());
+    let prompts: Vec<MiningPrompt> = contexts
+        .iter()
+        .map(|context| {
+            let mut prompt = MiningPrompt::new(style, context);
+            prompt.target_rules = target_rules;
+            prompt
+        })
+        .collect();
+    let schedule = ChaosConfig::default().schedule(Stage::Mine, prompts.len());
     let job = MineJob {
-        contexts,
-        style,
-        target_rules,
+        prompts: &prompts,
         llm: ResilientLlm::new(cfg.model, cfg.seed),
         schedule: &schedule,
         checkpoints: &HashMap::new(),
@@ -64,14 +70,12 @@ pub fn mine_parallel(
     job.fleet(cfg.model, cfg.seed, workers, &Scope::disabled())
 }
 
-/// What every mining lane of one run shares: the contexts, the prompt
-/// shape, the mine stage's fault schedule and any checkpoints to
-/// replay. `chaos` (`fault_rate > 0`) turns on checkpoint records and
+/// What every mining lane of one run shares: one prompt per context,
+/// the mine stage's fault schedule and any checkpoints to replay.
+/// `chaos` (`fault_rate > 0`) turns on checkpoint records and
 /// per-unit model seeds.
 pub(crate) struct MineJob<'a> {
-    pub contexts: &'a [String],
-    pub style: PromptStyle,
-    pub target_rules: Option<usize>,
+    pub prompts: &'a [MiningPrompt],
     pub llm: ResilientLlm,
     pub schedule: &'a StageSchedule,
     pub checkpoints: &'a HashMap<u64, MiningResponse>,
@@ -89,7 +93,7 @@ pub(crate) struct Lane {
 }
 
 impl MineJob<'_> {
-    /// The mining unit loop: mines the contexts `units` names, in
+    /// The mining unit loop: mines the prompts `units` names, in
     /// order, recording onto `scope`. Live calls draw from `replica`
     /// when given (one model stream per replica), else from per-unit
     /// seeds. With `kill_after = Some(k)` the lane stops once it has
@@ -109,9 +113,7 @@ impl MineJob<'_> {
             let unit = &self.schedule.units[ci];
             let (response, seconds) = unit.run(scope, self.chaos, || {
                 let response = self.llm.respond(unit, replay, replica.as_deref_mut(), |model| {
-                    let mut prompt = MiningPrompt::new(self.style, self.contexts[ci].clone());
-                    prompt.target_rules = self.target_rules;
-                    model.mine(&prompt)
+                    model.mine(&self.prompts[ci])
                 });
                 let seconds = response.seconds;
                 (response, seconds)
@@ -127,7 +129,7 @@ impl MineJob<'_> {
                     r
                 }));
             }
-            if kill_after.is_some_and(|k| done + 1 >= k && done + 1 < self.contexts.len()) {
+            if kill_after.is_some_and(|k| done + 1 >= k && done + 1 < self.prompts.len()) {
                 lane.killed = Some(completed);
                 break;
             }
@@ -135,7 +137,7 @@ impl MineJob<'_> {
         lane
     }
 
-    /// Mines every context with `workers` replicas, one `worker-<id>`
+    /// Mines every prompt with `workers` replicas, one `worker-<id>`
     /// child span per replica under `scope`, each starting at the sim
     /// origin (all replicas begin mining the moment the stage opens),
     /// so `grm trace timeline` can place each worker's busy segment.
@@ -155,7 +157,7 @@ impl MineJob<'_> {
         scope: &Scope,
     ) -> ParallelMining {
         assert!(workers > 0, "at least one worker is required");
-        let n = self.contexts.len();
+        let n = self.prompts.len();
         let workers = workers.min(n.max(1));
         let lanes: Vec<Lane> = std::thread::scope(|ts| {
             let handles: Vec<_> = (0..workers)

@@ -14,7 +14,7 @@
 use std::collections::HashMap;
 
 use grm_cypher::BatchSession;
-use grm_llm::{ResilientLlm, SimLlm, TranslationResponse};
+use grm_llm::{MiningPrompt, ResilientLlm, SimLlm, TranslationResponse};
 use grm_metrics::{
     aggregate, class_counter, classify, correct, evaluate_labeled, record_batch_stats, ClassTally,
     QueryClass, RuleMetrics,
@@ -46,10 +46,11 @@ pub struct MiningPipeline {
     pub config: PipelineConfig,
 }
 
-/// The model context(s) of one run, with the lineage origins of each.
+/// The mining prompts of one run, with the lineage origins of each.
 struct Contexts {
-    /// One prompt context per window, or the single RAG/summary text.
-    texts: Vec<String>,
+    /// One prompt per window, or the single RAG/summary prompt, each
+    /// carrying its context's token count from the scan that made it.
+    prompts: Vec<MiningPrompt>,
     /// Per context, the stable origin ids (`window-<i>`, `chunk-<i>`,
     /// `summary`) and token spans lineage records trace rules back to.
     origins: Vec<Vec<OriginRef>>,
@@ -64,10 +65,21 @@ impl MiningPipeline {
         MiningPipeline { config }
     }
 
-    /// Builds the model context(s) per the configured strategy, with
-    /// encode/chunk/retrieve spans recorded on `scope`.
-    fn build_contexts(&self, graph: &PropertyGraph, scope: &Scope) -> Contexts {
+    /// Builds the mining prompt(s) per the configured strategy, each
+    /// asking for `target_rules`, with encode/chunk/retrieve spans
+    /// recorded on `scope`.
+    fn build_contexts(
+        &self,
+        graph: &PropertyGraph,
+        target_rules: Option<usize>,
+        scope: &Scope,
+    ) -> Contexts {
         let cfg = &self.config;
+        let prompt = |context: String, tokens: usize| {
+            let mut prompt = MiningPrompt::counted(cfg.prompting, context, tokens);
+            prompt.target_rules = target_rules;
+            prompt
+        };
         // Deterministic graph footprint for the journal's memory
         // records — capacity arithmetic only, so byte-identity
         // comparisons are unaffected. Guarded so untraced runs pay
@@ -105,7 +117,7 @@ impl MiningPipeline {
                 Contexts {
                     windows: ws.len(),
                     broken_patterns: ws.broken_patterns,
-                    texts: ws.windows.into_iter().map(|w| w.text).collect(),
+                    prompts: ws.windows.into_iter().map(|w| prompt(w.text, w.token_len)).collect(),
                     origins,
                     rag_coverage: None,
                 }
@@ -147,8 +159,10 @@ impl MiningPipeline {
                         token_len: *len as u64,
                     })
                     .collect();
+                let context = retrieval.context();
+                let tokens = token_count(&context);
                 Contexts {
-                    texts: vec![retrieval.context()],
+                    prompts: vec![prompt(context, tokens)],
                     origins: vec![origins],
                     windows: 0,
                     broken_patterns: 0,
@@ -157,13 +171,14 @@ impl MiningPipeline {
             }
             ContextStrategy::Summary(sc) => {
                 let text = encode_summary_traced(graph, *sc, scope);
+                let tokens = token_count(&text);
                 let origins = vec![vec![OriginRef {
                     id: "summary".to_owned(),
                     start_token: 0,
-                    token_len: token_count(&text) as u64,
+                    token_len: tokens as u64,
                 }]];
                 Contexts {
-                    texts: vec![text],
+                    prompts: vec![prompt(text, tokens)],
                     origins,
                     windows: 0,
                     broken_patterns: 0,
@@ -247,27 +262,26 @@ impl MiningPipeline {
         let mut model = (!chaos).then(|| {
             SimLlm::new(cfg.model, if serial { cfg.seed } else { cfg.seed ^ 0x7a41_5000 })
         });
-        let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x9e3779b97f4a7c15);
+        let budget = cfg.rule_budget.unwrap_or_else(|| {
+            self.derive_budget(&mut StdRng::seed_from_u64(cfg.seed ^ 0x9e3779b97f4a7c15))
+        });
         let root = recorder.root_scope().span("pipeline");
         let root_scope = root.scope();
 
-        // Steps 1–2: encode and build contexts.
-        let contexts = self.build_contexts(graph, &root_scope);
+        // Steps 1–2: encode and build one prompt per context.
+        let contexts = self.build_contexts(graph, self.per_prompt_target(budget), &root_scope);
 
         // Step 3: mine rules per context. The whole stage schedule is
         // a pure function of the chaos config, so the breaker state
         // cannot depend on worker scheduling.
-        let budget = cfg.rule_budget.unwrap_or_else(|| self.derive_budget(&mut rng));
         let mine_span = root_scope.span("mine");
         let mine_scope = mine_span.scope();
-        let schedule = opts.chaos.schedule(Stage::Mine, contexts.texts.len());
+        let schedule = opts.chaos.schedule(Stage::Mine, contexts.prompts.len());
         if schedule.breaker_trips > 0 {
             mine_scope.add(Counter::BreakerTrips, schedule.breaker_trips);
         }
         let job = MineJob {
-            contexts: &contexts.texts,
-            style: cfg.prompting,
-            target_rules: self.per_prompt_target(budget),
+            prompts: &contexts.prompts,
             llm,
             schedule: &schedule,
             checkpoints: &resume.mined,
@@ -275,7 +289,7 @@ impl MiningPipeline {
         };
         let (mined, mining_seconds) = if serial {
             let kill_after = opts.kill_after.filter(|_| chaos);
-            let lane = job.lane(0..contexts.texts.len(), model.as_mut(), &mine_scope, kill_after);
+            let lane = job.lane(0..contexts.prompts.len(), model.as_mut(), &mine_scope, kill_after);
             if let Some(completed_units) = lane.killed {
                 mine_span.finish();
                 root.finish();
@@ -389,7 +403,7 @@ impl MiningPipeline {
             strategy_name: cfg.strategy.name(),
             prompting: cfg.prompting,
             rules: outcomes,
-            prompts: contexts.texts.len(),
+            prompts: contexts.prompts.len(),
             windows: contexts.windows,
             broken_patterns: contexts.broken_patterns,
             rag_coverage: contexts.rag_coverage,
@@ -574,6 +588,32 @@ mod tests {
             // Small windows so the tiny test graph still chunks.
             strategy: ContextStrategy::SlidingWindow(WindowConfig::new(2000, 200)),
             ..PipelineConfig::new(model, ContextStrategy::default_sliding_window(), prompting)
+        }
+    }
+
+    /// Every prompt's carried context count — a window's `token_len`,
+    /// the RAG context's one scan, the summary origin's count — gives
+    /// the token count of the prompt as rendered.
+    #[test]
+    fn prompts_carry_their_rendered_token_count() {
+        let g = small_graph();
+        let strategies = [
+            ContextStrategy::SlidingWindow(WindowConfig::new(300, 40)),
+            // Every chunk retrieved: the text's last chunk, which ends
+            // in whitespace, is joined before a better-scoring one.
+            ContextStrategy::Rag(RagConfig { chunk_tokens: 64, top_k: usize::MAX }),
+            ContextStrategy::Summary(Default::default()),
+        ];
+        for strategy in strategies {
+            for prompting in PromptStyle::ALL {
+                let cfg = PipelineConfig { strategy, ..sw_config(ModelKind::Llama3, prompting) };
+                let contexts =
+                    MiningPipeline::new(cfg).build_contexts(&g, Some(7), &Scope::disabled());
+                assert!(!contexts.prompts.is_empty());
+                for prompt in &contexts.prompts {
+                    assert_eq!(prompt.token_count(), token_count(&prompt.render()), "{strategy:?}");
+                }
+            }
         }
     }
 

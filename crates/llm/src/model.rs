@@ -70,7 +70,7 @@ impl SimLlm {
     pub fn mine(&mut self, prompt: &MiningPrompt) -> MiningResponse {
         let prompt_tokens = prompt.token_count();
         let rules = generate_rules(
-            &prompt.context,
+            prompt.context(),
             &self.persona,
             prompt.style,
             prompt.target_rules,

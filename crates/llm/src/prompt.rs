@@ -53,7 +53,9 @@ pub const FEW_SHOT_EXAMPLES: [&str; 3] = [
 pub struct MiningPrompt {
     pub style: PromptStyle,
     /// The encoded graph context (a window, or retrieved RAG chunks).
-    pub context: String,
+    context: String,
+    /// `token_count(&context)`, set with the context.
+    context_tokens: usize,
     /// Optional explicit rule-count request ("generate up to N
     /// rules"); the RAG pathway uses this because its single prompt
     /// must elicit the whole rule set at once, where a window prompt
@@ -62,9 +64,25 @@ pub struct MiningPrompt {
 }
 
 impl MiningPrompt {
-    /// A prompt with no explicit rule-count request.
+    /// A prompt with no explicit rule-count request, counting the
+    /// context's tokens.
     pub fn new(style: PromptStyle, context: impl Into<String>) -> Self {
-        MiningPrompt { style, context: context.into(), target_rules: None }
+        let context = context.into();
+        let context_tokens = token_count(&context);
+        MiningPrompt { style, context, context_tokens, target_rules: None }
+    }
+
+    /// [`MiningPrompt::new`] for a context whose token count the scan
+    /// that produced it already holds: a window's `token_len`, or the
+    /// count a lineage origin records.
+    pub fn counted(style: PromptStyle, context: String, context_tokens: usize) -> Self {
+        debug_assert_eq!(token_count(&context), context_tokens, "carried token count");
+        MiningPrompt { style, context, context_tokens, target_rules: None }
+    }
+
+    /// The encoded graph context.
+    pub fn context(&self) -> &str {
+        &self.context
     }
 
     /// Renders the full prompt text sent to the model: a fixed head
@@ -94,15 +112,16 @@ impl MiningPrompt {
     }
 
     /// Token count of the rendered prompt (drives the timing model),
-    /// without rendering it. The head's last token is the `:` of
-    /// `Graph:`, and whitespace rides forward onto the next token, so
-    /// the head's final `\n` joins the context's first token — or is
-    /// the one trailing-whitespace token of an empty or blank context.
+    /// scanning only the fixed head. The head's last token is the `:`
+    /// of `Graph:`, and whitespace rides forward onto the next token,
+    /// so the head's final `\n` joins the context's first token — or
+    /// is the one trailing-whitespace token of an empty or blank
+    /// context.
     pub fn token_count(&self) -> usize {
         let mut head = String::with_capacity(512);
         self.write_head(&mut head);
         head.pop();
-        token_count(&head) + token_count(&self.context).max(1)
+        token_count(&head) + self.context_tokens.max(1)
     }
 }
 

@@ -216,28 +216,48 @@ impl Hash for ValueKey<'_> {
     }
 }
 
-impl fmt::Display for Value {
-    /// Renders a Cypher-compatible literal; used by the text encoders
-    /// so the simulated LLM "sees" values the way a prompt would.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl Value {
+    /// Writes the value's Cypher-compatible literal — its `Display`
+    /// form — to `out`: strings single-quoted with every `'` escaped
+    /// as `\'`, lists as `[a, b]`. The text encoders write straight
+    /// into their buffer with it, so the simulated LLM "sees" values
+    /// the way a prompt would.
+    pub fn write_literal<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
         match self {
-            Value::Null => write!(f, "null"),
-            Value::Bool(b) => write!(f, "{b}"),
-            Value::Int(i) => write!(f, "{i}"),
-            Value::Float(x) => write!(f, "{x}"),
-            Value::Str(s) => write!(f, "'{}'", s.replace('\'', "\\'")),
-            Value::DateTime(t) => write!(f, "datetime({t})"),
+            Value::Null => out.write_str("null"),
+            Value::Bool(b) => write!(out, "{b}"),
+            Value::Int(i) => write!(out, "{i}"),
+            Value::Float(x) => write!(out, "{x}"),
+            Value::Str(s) => {
+                out.write_char('\'')?;
+                let mut rest = s.as_str();
+                while let Some(quote) = rest.find('\'') {
+                    out.write_str(&rest[..quote])?;
+                    out.write_str("\\'")?;
+                    rest = &rest[quote + 1..];
+                }
+                out.write_str(rest)?;
+                out.write_char('\'')
+            }
+            Value::DateTime(t) => write!(out, "datetime({t})"),
             Value::List(vs) => {
-                write!(f, "[")?;
+                out.write_char('[')?;
                 for (i, v) in vs.iter().enumerate() {
                     if i > 0 {
-                        write!(f, ", ")?;
+                        out.write_str(", ")?;
                     }
-                    write!(f, "{v}")?;
+                    v.write_literal(out)?;
                 }
-                write!(f, "]")
+                out.write_char(']')
             }
         }
+    }
+}
+
+impl fmt::Display for Value {
+    /// [`Value::write_literal`].
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write_literal(f)
     }
 }
 
@@ -307,7 +327,13 @@ mod tests {
     #[test]
     fn display_renders_cypher_literals() {
         assert_eq!(Value::from("o'neil").to_string(), "'o\\'neil'");
+        assert_eq!(Value::from("''a\\'").to_string(), "'\\'\\'a\\\\''");
         assert_eq!(Value::List(vec![Value::Int(1), Value::from("x")]).to_string(), "[1, 'x']");
+        let mut out = String::from("k: ");
+        Value::List(vec![Value::Float(-0.5), Value::DateTime(7), Value::Null])
+            .write_literal(&mut out)
+            .unwrap();
+        assert_eq!(out, "k: [-0.5, datetime(7), null]");
     }
 
     #[test]

@@ -9,7 +9,15 @@
 //! window boundary fail to parse and are *dropped*, which is precisely
 //! the context-fragmentation effect §3.1.1/§4.5 of the paper discusses.
 
-use grm_pgraph::{GraphSchema, PropertyGraph, PropertyMap, Value};
+use std::collections::HashMap;
+
+use grm_pgraph::{PropertyGraph, PropertyMap, Value};
+
+/// Deepest list nesting a literal may have: the vendored `serde_json`'s
+/// `MAX_DEPTH`, so no value loaded from a graph file nests deeper. A
+/// deeper line is skipped like any other malformed one, which also
+/// bounds the reader's recursion.
+const MAX_LIST_DEPTH: usize = 128;
 
 /// A node recovered from encoded text.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,26 +54,19 @@ impl GraphFragment {
         let mut frag = GraphFragment::default();
         let mut props = PropertyMap::new();
         for line in element_lines(text) {
-            let mut insert = |key: &str, lit: Literal| {
-                props.insert(key.to_owned(), lit.value());
-            };
-            match read_line(line, &mut insert) {
-                Some(Element::Edge { src, label, dst, dst_labels }) => {
-                    frag.edges.push(FragmentEdge {
-                        src,
-                        label: label.to_owned(),
-                        props: std::mem::take(&mut props),
-                        dst,
-                        dst_labels: split_labels(dst_labels),
-                    });
-                }
-                Some(Element::Node { id, labels }) => {
-                    frag.nodes.push(FragmentNode {
-                        id,
-                        labels: split_labels(labels),
-                        props: std::mem::take(&mut props),
-                    });
-                }
+            match read_line::<true>(line, &mut props) {
+                Some(Element::Edge(e)) => frag.edges.push(FragmentEdge {
+                    src: e.src,
+                    label: e.label.to_owned(),
+                    props: std::mem::take(&mut props),
+                    dst: e.dst,
+                    dst_labels: split_labels(e.dst_labels),
+                }),
+                Some(Element::Node { id, labels }) => frag.nodes.push(FragmentNode {
+                    id,
+                    labels: split_labels(labels),
+                    props: std::mem::take(&mut props),
+                }),
                 None => {
                     props.clear();
                     frag.skipped_lines += 1;
@@ -78,38 +79,42 @@ impl GraphFragment {
     /// `parse(text).nodes.len() + parse(text).edges.len()`: the same
     /// grammar, read without building a label, key or value.
     pub fn count_elements(text: &str) -> usize {
-        element_lines(text).filter(|line| read_line(line, &mut |_, _| {}).is_some()).count()
+        let mut unread = PropertyMap::new();
+        element_lines(text).filter(|line| read_line::<false>(line, &mut unread).is_some()).count()
     }
 
-    /// Rebuilds a small property graph from the fragment — the
-    /// "mental model" the simulated LLM reasons over. Edges whose
-    /// source node is outside the fragment are dropped (their source
-    /// labels are unknown); unseen targets become label-only stubs.
-    /// Labels, keys and values move into the graph.
-    pub fn into_graph(self) -> PropertyGraph {
+    /// Reads `text` into the small property graph the simulated LLM
+    /// reasons over — its "mental model" — in the one read that
+    /// [`GraphFragment::parse`] makes. Each node line becomes a graph
+    /// node as it is read, in text order, and a node id described
+    /// twice keeps its last description. Then each edge line, in text
+    /// order, becomes an edge when the fragment describes its source
+    /// node; an edge whose source is outside the fragment is dropped
+    /// (its source labels are unknown). A target the fragment does
+    /// not describe becomes a label-only stub, and only a new stub
+    /// copies the labels its edge line names.
+    pub fn read_graph(text: &str) -> PropertyGraph {
         let mut g = PropertyGraph::new();
-        let mut ids = std::collections::HashMap::new();
-        for n in self.nodes {
-            let id = g.add_node(n.labels, n.props);
-            ids.insert(n.id, id);
+        let mut ids = HashMap::new();
+        let mut edges = Vec::new();
+        let mut props = PropertyMap::new();
+        for line in element_lines(text) {
+            match read_line::<true>(line, &mut props) {
+                Some(Element::Node { id, labels }) => {
+                    ids.insert(id, g.add_node(labels.split(':'), std::mem::take(&mut props)));
+                }
+                Some(Element::Edge(e)) => edges.push((e, std::mem::take(&mut props))),
+                None => props.clear(),
+            }
         }
-        for e in self.edges {
+        for (e, props) in edges {
             let Some(&src) = ids.get(&e.src) else { continue };
-            let dst =
-                *ids.entry(e.dst).or_insert_with(|| g.add_node(e.dst_labels, PropertyMap::new()));
-            g.add_edge(src, dst, e.label, e.props);
+            let dst = *ids
+                .entry(e.dst)
+                .or_insert_with(|| g.add_node(e.dst_labels.split(':'), PropertyMap::new()));
+            g.add_edge(src, dst, e.label, props);
         }
         g
-    }
-
-    /// [`GraphFragment::into_graph`] of a copy of the fragment.
-    pub fn to_graph(&self) -> PropertyGraph {
-        self.clone().into_graph()
-    }
-
-    /// Infers the schema of [`GraphFragment::to_graph`].
-    pub fn sketch(&self) -> GraphSchema {
-        GraphSchema::infer(&self.to_graph())
     }
 
     /// Fraction of all graph elements this fragment covers, given the
@@ -135,71 +140,70 @@ fn split_labels(labels: &str) -> Vec<String> {
 }
 
 /// One encoder line as the grammar reads it, borrowed from the line.
-/// Its properties went to the caller's callback as they were read.
+/// Its properties went into the caller's map as they were read.
 enum Element<'a> {
     Node { id: u32, labels: &'a str },
-    Edge { src: u32, label: &'a str, dst: u32, dst_labels: &'a str },
+    Edge(EdgeLine<'a>),
 }
 
-/// The fragment grammar: reads one trimmed line as an edge, else as a
-/// node, calling `prop` for each `key: literal` pair in line order.
-/// At most one of the two readings reaches the properties: both need
-/// a `u32` right after `Node n`, and what follows it (` -[` or
-/// ` with labels `) decides which one parses it. So a line that fails
-/// after `prop` was called is skipped.
-fn read_line<'a>(
-    line: &'a str,
-    prop: &mut impl FnMut(&'a str, Literal<'a>),
-) -> Option<Element<'a>> {
-    edge_line(line, prop).or_else(|| node_line(line, prop))
+/// `Node n<src> -[<label> {..}]-> Node n<dst> (<dst_labels>).`
+struct EdgeLine<'a> {
+    src: u32,
+    label: &'a str,
+    dst: u32,
+    dst_labels: &'a str,
 }
 
-/// `Node n0 with labels A:B has properties {k: v}.`
-fn node_line<'a>(
-    line: &'a str,
-    prop: &mut impl FnMut(&'a str, Literal<'a>),
-) -> Option<Element<'a>> {
-    let rest = line.strip_prefix("Node n")?;
-    let (id_str, rest) = rest.split_once(" with labels ")?;
-    let id: u32 = id_str.parse().ok()?;
-    let (labels, rest) = rest.split_once(" has properties ")?;
-    let props_str = rest.strip_suffix('.')?;
-    read_props(props_str, prop)?;
-    Some(Element::Node { id, labels })
+/// The fragment grammar, read forward over one trimmed line. The
+/// bytes right after `Node n<id>` choose the reading: ` -[` an edge,
+/// ` with labels ` a node, anything else no element. With `BUILD`,
+/// each `key: literal` pair goes into `props` in line order (a line
+/// that fails after that leaves them for the caller to clear);
+/// without it only the grammar is checked and `props` is untouched.
+fn read_line<'a, const BUILD: bool>(line: &'a str, props: &mut PropertyMap) -> Option<Element<'a>> {
+    let (id, rest) = node_id(line.strip_prefix("Node n")?)?;
+    if let Some(rest) = rest.strip_prefix(" -[") {
+        // `TYPE {k: v}]-> Node n5 (Match).` The first `]-> Node n`
+        // ends the type and its properties.
+        let (head, rest) = rest.split_once("]-> Node n")?;
+        let (dst, rest) = node_id(rest)?;
+        let dst_labels = rest.strip_prefix(" (")?.strip_suffix(").")?;
+        let (label, props_str) = head.split_once(' ').unwrap_or((head, "{}"));
+        read_props::<BUILD>(props_str, props)?;
+        Some(Element::Edge(EdgeLine { src: id, label, dst, dst_labels }))
+    } else {
+        // `A:B has properties {k: v}.`
+        let rest = rest.strip_prefix(" with labels ")?;
+        let (labels, rest) = rest.split_once(" has properties ")?;
+        read_props::<BUILD>(rest.strip_suffix('.')?, props)?;
+        Some(Element::Node { id, labels })
+    }
 }
 
-/// `Node n0 -[TYPE {k: v}]-> Node n5 (Match).`
-fn edge_line<'a>(
-    line: &'a str,
-    prop: &mut impl FnMut(&'a str, Literal<'a>),
-) -> Option<Element<'a>> {
-    let rest = line.strip_prefix("Node n")?;
-    let (src_str, rest) = rest.split_once(" -[")?;
-    let src: u32 = src_str.parse().ok()?;
-    let (head, rest) = rest.split_once("]-> Node n")?;
-    let (label, props_str) = match head.split_once(' ') {
-        Some((l, p)) => (l, p),
-        None => (head, "{}"),
-    };
-    read_props(props_str, prop)?;
-    let (dst_str, rest) = rest.split_once(" (")?;
-    let dst: u32 = dst_str.parse().ok()?;
-    let dst_labels = rest.strip_suffix(").")?;
-    Some(Element::Edge { src, label, dst, dst_labels })
+/// Reads the node id at the start of `s` — what `u32`'s `FromStr`
+/// accepts: an optional `+`, then digits — returning it and the rest.
+fn node_id(s: &str) -> Option<(u32, &str)> {
+    let sign = usize::from(s.starts_with('+'));
+    let end = sign + s[sign..].bytes().take_while(u8::is_ascii_digit).count();
+    Some((s[..end].parse().ok()?, &s[end..]))
 }
 
-/// `{k: v, k2: v2}` — must consume the whole string.
-fn read_props<'a>(s: &'a str, prop: &mut impl FnMut(&'a str, Literal<'a>)) -> Option<()> {
+/// `{k: v, k2: v2}` — must be all of `s`. A key is ASCII letters,
+/// digits and `_`.
+fn read_props<const BUILD: bool>(s: &str, props: &mut PropertyMap) -> Option<()> {
     let inner = s.strip_prefix('{')?.strip_suffix('}')?;
     let mut rest = inner.trim();
     while !rest.is_empty() {
-        let (key, after) = rest.split_once(':')?;
-        let key = key.trim();
-        if key.is_empty() || !key.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
+        let key_len = rest.bytes().take_while(|b| b.is_ascii_alphanumeric() || *b == b'_').count();
+        if key_len == 0 {
             return None;
         }
-        let (lit, remainder) = literal(after.trim())?;
-        prop(key, lit);
+        let (key, after) = rest.split_at(key_len);
+        let after = after.trim_start().strip_prefix(':')?;
+        let (value, remainder) = literal::<BUILD>(after.trim_start(), 0)?;
+        if BUILD {
+            props.insert(key.to_owned(), value);
+        }
         rest = remainder.trim_start();
         if let Some(r) = rest.strip_prefix(',') {
             rest = r.trim_start();
@@ -210,116 +214,113 @@ fn read_props<'a>(s: &'a str, prop: &mut impl FnMut(&'a str, Literal<'a>)) -> Op
     Some(())
 }
 
-/// One property literal as the grammar read it: its extent in the
-/// line, plus any scalar it already had to parse to accept it.
-enum Literal<'a> {
-    /// `null`, a boolean, a number or a `datetime(..)`.
-    Scalar(Value),
-    /// A quoted string's body, escapes still in place.
-    Str(&'a str),
-    /// A whole list literal, brackets included, every item well formed.
-    List(&'a str),
-}
-
-impl Literal<'_> {
-    /// Builds the value the literal denotes.
-    fn value(self) -> Value {
-        match self {
-            Literal::Scalar(v) => v,
-            Literal::Str(body) if !body.contains('\\') => Value::Str(body.to_owned()),
-            Literal::Str(body) => {
-                let mut out = String::with_capacity(body.len());
-                let mut chars = body.chars();
-                while let Some(c) = chars.next() {
-                    out.push(if c == '\\' { chars.next().expect("read escape") } else { c });
+/// Reads one literal at the start of `s`, nested `depth` lists deep,
+/// returning its value and the rest of `s`. A list's items are built
+/// as they are read. Without `BUILD` a string or list reads as
+/// `Value::Null`, so nothing is copied; scalars are parsed either
+/// way, since a malformed one fails the line.
+fn literal<const BUILD: bool>(s: &str, depth: usize) -> Option<(Value, &str)> {
+    match *s.as_bytes().first()? {
+        b'\'' => {
+            // String with backslash escapes. Every byte of a
+            // multi-byte character is >= 0x80, so stepping over an
+            // escape's first byte never lands on a quote or a
+            // backslash.
+            let body = &s[1..];
+            let bytes = body.as_bytes();
+            let mut escaped = false;
+            let mut i = 0;
+            while i < bytes.len() {
+                match bytes[i] {
+                    b'\\' => {
+                        escaped = true;
+                        i += 2;
+                    }
+                    b'\'' => {
+                        let value = if !BUILD {
+                            Value::Null
+                        } else if escaped {
+                            Value::Str(unescape(&body[..i]))
+                        } else {
+                            Value::Str(body[..i].to_owned())
+                        };
+                        return Some((value, &body[i + 1..]));
+                    }
+                    _ => i += 1,
                 }
-                Value::Str(out)
             }
-            Literal::List(list) => {
-                let mut items = Vec::new();
-                list_items(&list[1..], &mut |item| items.push(item.value())).expect("read list");
-                Value::List(items)
+            None // unterminated
+        }
+        b'[' => {
+            if depth == MAX_LIST_DEPTH {
+                return None;
             }
+            let mut items = Vec::new();
+            let mut rest = s[1..].trim_start();
+            if let Some(r) = rest.strip_prefix(']') {
+                rest = r;
+            } else {
+                loop {
+                    let (item, r) = literal::<BUILD>(rest, depth + 1)?;
+                    if BUILD {
+                        items.push(item);
+                    }
+                    rest = r.trim_start();
+                    match rest.strip_prefix(',') {
+                        Some(r) => rest = r.trim_start(),
+                        None => {
+                            rest = rest.strip_prefix(']')?;
+                            break;
+                        }
+                    }
+                }
+            }
+            Some((if BUILD { Value::List(items) } else { Value::Null }, rest))
+        }
+        b'd' => {
+            let (num, rest) = s.strip_prefix("datetime(")?.split_once(')')?;
+            Some((Value::DateTime(num.trim().parse().ok()?), rest))
+        }
+        b'n' => Some((Value::Null, s.strip_prefix("null")?)),
+        b't' => Some((Value::Bool(true), s.strip_prefix("true")?)),
+        b'f' => Some((Value::Bool(false), s.strip_prefix("false")?)),
+        _ => {
+            // Number: consume [-0-9.] prefix.
+            let end = s
+                .bytes()
+                .enumerate()
+                .take_while(|(i, b)| b.is_ascii_digit() || *b == b'.' || (*i == 0 && *b == b'-'))
+                .count();
+            if end == 0 {
+                return None;
+            }
+            let (num, rest) = s.split_at(end);
+            let value = if num.contains('.') {
+                Value::Float(num.parse().ok()?)
+            } else {
+                Value::Int(num.parse().ok()?)
+            };
+            Some((value, rest))
         }
     }
 }
 
-/// Reads one literal, returning it and the remaining input.
-fn literal(s: &str) -> Option<(Literal<'_>, &str)> {
-    if let Some(rest) = s.strip_prefix('\'') {
-        // String with backslash escapes. Every byte of a multi-byte
-        // character is >= 0x80, so stepping over an escape's first
-        // byte never lands on a quote or a backslash.
-        let bytes = rest.as_bytes();
-        let mut i = 0;
-        while i < bytes.len() {
-            match bytes[i] {
-                b'\\' => i += 2,
-                b'\'' => return Some((Literal::Str(&rest[..i]), &rest[i + 1..])),
-                _ => i += 1,
-            }
-        }
-        return None; // unterminated
+/// A string body with each `\x` escape replaced by `x`. The reader
+/// accepted the body, so every backslash has a character after it.
+fn unescape(body: &str) -> String {
+    let mut out = String::with_capacity(body.len());
+    let mut chars = body.chars();
+    while let Some(c) = chars.next() {
+        out.push(if c == '\\' { chars.next().expect("read escape") } else { c });
     }
-    if let Some(rest) = s.strip_prefix("datetime(") {
-        let (num, rest) = rest.split_once(')')?;
-        return Some((Literal::Scalar(Value::DateTime(num.trim().parse().ok()?)), rest));
-    }
-    if let Some(items) = s.strip_prefix('[') {
-        let rest = list_items(items, &mut |_| {})?;
-        return Some((Literal::List(&s[..s.len() - rest.len()]), rest));
-    }
-    for (word, value) in
-        [("null", Value::Null), ("true", Value::Bool(true)), ("false", Value::Bool(false))]
-    {
-        if let Some(rest) = s.strip_prefix(word) {
-            return Some((Literal::Scalar(value), rest));
-        }
-    }
-    // Number: consume [-0-9.] prefix.
-    let end = s
-        .bytes()
-        .enumerate()
-        .take_while(|(i, b)| b.is_ascii_digit() || *b == b'.' || (*i == 0 && *b == b'-'))
-        .count();
-    if end == 0 {
-        return None;
-    }
-    let (num, rest) = s.split_at(end);
-    let value = if num.contains('.') {
-        Value::Float(num.parse().ok()?)
-    } else {
-        Value::Int(num.parse().ok()?)
-    };
-    Some((Literal::Scalar(value), rest))
-}
-
-/// Reads the items of a list whose `[` is consumed, through its `]`,
-/// returning the input after the `]`.
-fn list_items<'a>(s: &'a str, item: &mut impl FnMut(Literal<'a>)) -> Option<&'a str> {
-    let mut rest = s.trim_start();
-    if let Some(r) = rest.strip_prefix(']') {
-        return Some(r);
-    }
-    loop {
-        let (lit, r) = literal(rest)?;
-        item(lit);
-        rest = r.trim_start();
-        if let Some(r) = rest.strip_prefix(',') {
-            rest = r.trim_start();
-        } else if let Some(r) = rest.strip_prefix(']') {
-            return Some(r);
-        } else {
-            return None;
-        }
-    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::incident::encode_incident;
-    use grm_pgraph::props;
+    use grm_pgraph::{props, GraphSchema, NodeId};
 
     fn tiny() -> PropertyGraph {
         let mut g = PropertyGraph::new();
@@ -358,30 +359,28 @@ mod tests {
     }
 
     #[test]
-    fn sketch_recovers_schema() {
+    fn read_graph_recovers_schema() {
         let g = tiny();
-        let frag = GraphFragment::parse(&encode_incident(&g));
-        let schema = frag.sketch();
+        let schema = GraphSchema::infer(&GraphFragment::read_graph(&encode_incident(&g)));
         assert!(schema.has_node_label("Person"));
         assert!(schema.node_has_property("Match", "date"));
         assert!(schema.signature("PLAYED_IN").unwrap().connects("Person", "Match"));
     }
 
     #[test]
-    fn sketch_from_partial_fragment_is_partial() {
+    fn partial_fragment_reads_a_partial_schema() {
         let g = tiny();
         let text = encode_incident(&g);
         // Keep only the Person node line (drop Match + the edge).
         let person_line: String =
             text.lines().filter(|l| l.contains("Person")).map(|l| format!("{l}\n")).collect();
-        let frag = GraphFragment::parse(&person_line);
-        let schema = frag.sketch();
+        let schema = GraphSchema::infer(&GraphFragment::read_graph(&person_line));
         assert!(schema.has_node_label("Person"));
         assert!(!schema.has_node_label("Match"));
     }
 
     fn parse_value(s: &str) -> Option<(Value, &str)> {
-        literal(s).map(|(lit, rest)| (lit.value(), rest))
+        literal::<true>(s, 0)
     }
 
     #[test]
@@ -424,6 +423,47 @@ mod tests {
         let frag = GraphFragment::parse("Node n0 -[FOLLOWS {}]-> Node n1 (User).\n");
         assert_eq!(frag.edges.len(), 1);
         assert!(frag.edges[0].props.is_empty());
+    }
+
+    #[test]
+    fn read_graph_keeps_later_targets_and_drops_unknown_sources() {
+        let text = "Node n7 -[X {}]-> Node n0 (A).\n\
+                    Node n0 -[Y {w: 1}]-> Node n1 (B:C).\n\
+                    Node n0 -[Z {}]-> Node n1 (Ignored).\n\
+                    Node n0 -[Z {}]-> Node n2 (D).\n\
+                    Node n0 with labels A has properties {k: 'v'}.\n\
+                    Node n2 with labels D has properties {}.\n";
+        let g = GraphFragment::read_graph(text);
+        // n0 and n2 are described; n1 is a stub with its first edge's labels.
+        assert_eq!(g.node_count(), 3);
+        assert_eq!(g.edge_count(), 3);
+        assert_eq!(g.node(NodeId(0)).props["k"], Value::from("v"));
+        assert_eq!(g.node(NodeId(2)).labels, vec!["B", "C"]);
+        let targets: Vec<(u32, &str)> = g.edges().map(|e| (e.dst.0, e.label.as_str())).collect();
+        assert_eq!(targets, vec![(2, "Y"), (2, "Z"), (1, "Z")]);
+    }
+
+    #[test]
+    fn list_nesting_is_capped_at_the_json_depth() {
+        let line = |depth: usize| {
+            let (open, close) = ("[".repeat(depth), "]".repeat(depth));
+            format!("Node n0 with labels A has properties {{k: {open}1{close}}}.\n")
+        };
+        let frag = GraphFragment::parse(&line(128));
+        assert_eq!(frag.skipped_lines, 0);
+        let mut value = &frag.nodes[0].props["k"];
+        for _ in 0..128 {
+            let Value::List(items) = value else { panic!("expected a list, got {value}") };
+            value = &items[0];
+        }
+        assert_eq!(value, &Value::Int(1));
+        // One level deeper is malformed, and so is a line far past any
+        // stack: both are skipped without aborting.
+        let deep = line(129) + &line(200_000);
+        let frag = GraphFragment::parse(&deep);
+        assert_eq!((frag.nodes.len(), frag.skipped_lines), (0, 2));
+        assert_eq!(GraphFragment::count_elements(&deep), 0);
+        assert_eq!(GraphFragment::read_graph(&deep).node_count(), 0);
     }
 
     #[test]

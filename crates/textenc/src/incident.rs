@@ -14,24 +14,52 @@
 
 use std::fmt::Write as _;
 
-use grm_pgraph::{Node, PropertyGraph, PropertyMap};
+use grm_pgraph::{Edge, Node, PropertyGraph, PropertyMap};
 
+/// Writes `{k: v, k2: v2}`, each value through
+/// [`grm_pgraph::Value::write_literal`].
 fn write_props(out: &mut String, props: &PropertyMap) {
     out.push('{');
     for (i, (k, v)) in props.iter().enumerate() {
         if i > 0 {
             out.push_str(", ");
         }
-        let _ = write!(out, "{k}: {v}");
+        out.push_str(k);
+        out.push_str(": ");
+        let _ = v.write_literal(out);
     }
     out.push('}');
 }
 
-fn write_node_header(out: &mut String, node: &Node) {
-    let _ = write!(out, "Node n{} with labels {}", node.id.0, node.labels.join(":"));
+/// Writes `labels` joined by `:`.
+fn write_labels(out: &mut String, labels: &[String]) {
+    for (i, label) in labels.iter().enumerate() {
+        if i > 0 {
+            out.push(':');
+        }
+        out.push_str(label);
+    }
+}
+
+/// `Node n0 with labels A:B has properties {k: v}.` and a newline.
+pub(crate) fn write_node_line(out: &mut String, node: &Node) {
+    let _ = write!(out, "Node n{} with labels ", node.id.0);
+    write_labels(out, &node.labels);
     out.push_str(" has properties ");
     write_props(out, &node.props);
     out.push_str(".\n");
+}
+
+/// `Node n0 -[TYPE {k: v}]-> Node n5 (Match).` and a newline, where
+/// `dst` is the edge's target node.
+pub(crate) fn write_edge_line(out: &mut String, edge: &Edge, dst: &Node) {
+    let _ = write!(out, "Node n{} -[", edge.src.0);
+    out.push_str(&edge.label);
+    out.push(' ');
+    write_props(out, &edge.props);
+    let _ = write!(out, "]-> Node n{} (", edge.dst.0);
+    write_labels(out, &dst.labels);
+    out.push_str(").\n");
 }
 
 /// The incident encoding: for every node, a descriptor line followed
@@ -46,12 +74,9 @@ pub fn encode_incident(g: &PropertyGraph) -> String {
     let mut out = String::with_capacity(g.node_count() * 64 + g.edge_count() * 48);
     let _ = writeln!(out, "Graph with {} nodes and {} edges.", g.node_count(), g.edge_count());
     for node in g.nodes() {
-        write_node_header(&mut out, node);
+        write_node_line(&mut out, node);
         for edge in g.out_edges(node.id) {
-            let dst = g.node(edge.dst);
-            let _ = write!(out, "Node n{} -[{} ", node.id.0, edge.label);
-            write_props(&mut out, &edge.props);
-            let _ = writeln!(out, "]-> Node n{} ({}).", edge.dst.0, dst.labels.join(":"));
+            write_edge_line(&mut out, edge, g.node(edge.dst));
         }
     }
     out
@@ -63,14 +88,20 @@ pub fn encode_adjacency(g: &PropertyGraph) -> String {
     let mut out = String::with_capacity(g.node_count() * 80);
     let _ = writeln!(out, "Graph with {} nodes and {} edges.", g.node_count(), g.edge_count());
     for node in g.nodes() {
-        let _ = write!(out, "n{} ({}) ", node.id.0, node.labels.join(":"));
+        let _ = write!(out, "n{} (", node.id.0);
+        write_labels(&mut out, &node.labels);
+        out.push_str(") ");
         write_props(&mut out, &node.props);
-        let neighbours: Vec<String> =
-            g.out_edges(node.id).map(|e| format!("{}->n{}", e.label, e.dst.0)).collect();
-        if neighbours.is_empty() {
-            out.push_str(" -> none");
-        } else {
-            let _ = write!(out, " -> {}", neighbours.join(", "));
+        out.push_str(" -> ");
+        let mut neighbours = g.out_edges(node.id).peekable();
+        if neighbours.peek().is_none() {
+            out.push_str("none");
+        }
+        for (i, e) in neighbours.enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            let _ = write!(out, "{}->n{}", e.label, e.dst.0);
         }
         out.push('\n');
     }

@@ -21,6 +21,8 @@ use std::fmt::Write as _;
 
 use grm_pgraph::{EdgeId, NodeId, PropertyGraph};
 
+use crate::incident::{write_edge_line, write_node_line};
+
 /// Configuration of the summarizer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SummaryConfig {
@@ -66,15 +68,7 @@ pub fn encode_summary(g: &PropertyGraph, config: SummaryConfig) -> String {
     for label in g.node_labels() {
         let ids: Vec<NodeId> = g.nodes_with_label(&label).map(|n| n.id).collect();
         for idx in strided(ids.len(), config.nodes_per_label) {
-            let node = g.node(ids[idx]);
-            let _ = write!(
-                out,
-                "Node n{} with labels {} has properties ",
-                node.id.0,
-                node.labels.join(":")
-            );
-            write_props(&mut out, &node.props);
-            out.push_str(".\n");
+            write_node_line(&mut out, g.node(ids[idx]));
         }
     }
     // Stratified edge exemplars.
@@ -84,33 +78,11 @@ pub fn encode_summary(g: &PropertyGraph, config: SummaryConfig) -> String {
             let edge = g.edge(ids[idx]);
             // Emit the source node line too, so the fragment decoder
             // (which needs the source's labels) keeps the edge.
-            let src = g.node(edge.src);
-            let _ = write!(
-                out,
-                "Node n{} with labels {} has properties ",
-                src.id.0,
-                src.labels.join(":")
-            );
-            write_props(&mut out, &src.props);
-            out.push_str(".\n");
-            let dst = g.node(edge.dst);
-            let _ = write!(out, "Node n{} -[{} ", edge.src.0, edge.label);
-            write_props(&mut out, &edge.props);
-            let _ = writeln!(out, "]-> Node n{} ({}).", edge.dst.0, dst.labels.join(":"));
+            write_node_line(&mut out, g.node(edge.src));
+            write_edge_line(&mut out, edge, g.node(edge.dst));
         }
     }
     out
-}
-
-fn write_props(out: &mut String, props: &grm_pgraph::PropertyMap) {
-    out.push('{');
-    for (i, (k, v)) in props.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let _ = write!(out, "{k}: {v}");
-    }
-    out.push('}');
 }
 
 #[cfg(test)]
@@ -118,7 +90,7 @@ mod tests {
     use super::*;
     use crate::decode::GraphFragment;
     use crate::tokenizer::token_count;
-    use grm_pgraph::{props, Value};
+    use grm_pgraph::{props, GraphSchema, Value};
 
     fn banded_graph() -> PropertyGraph {
         let mut g = PropertyGraph::new();
@@ -161,10 +133,9 @@ mod tests {
     fn exemplar_edges_are_decodable() {
         let g = banded_graph();
         let summary = encode_summary(&g, SummaryConfig::default());
-        let frag = GraphFragment::parse(&summary);
-        assert!(!frag.edges.is_empty());
-        let sketch = frag.sketch();
-        assert!(sketch.signature("FOLLOWS").unwrap().connects("User", "User"));
+        assert!(!GraphFragment::parse(&summary).edges.is_empty());
+        let schema = GraphSchema::infer(&GraphFragment::read_graph(&summary));
+        assert!(schema.signature("FOLLOWS").unwrap().connects("User", "User"));
     }
 
     #[test]

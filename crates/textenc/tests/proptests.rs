@@ -2,9 +2,10 @@
 //! decoding, including differential tests against the straightforward
 //! definitions in [`reference`].
 
-use grm_pgraph::{props, PropertyGraph, Value};
+use grm_pgraph::{props, PropertyGraph, PropertyMap, Value};
 use grm_textenc::{
-    chunk, encode_incident, token_count, tokenize, GraphFragment, Tokenized, WindowConfig,
+    chunk, encode_adjacency, encode_incident, encode_summary, token_count, tokenize, GraphFragment,
+    SummaryConfig, Tokenized, WindowConfig,
 };
 use proptest::prelude::*;
 
@@ -132,13 +133,124 @@ proptest! {
     }
 }
 
-/// Straightforward definitions the text path is checked against: a
-/// tokenizer that collects every piece, a chunker that concatenates
-/// token pieces and scans every window for every node block, and a
-/// fragment parser and graph builder that copy every value.
+/// Straightforward definitions the text path is checked against:
+/// encoders that `format!` every line and literal, a tokenizer that
+/// collects every piece, a chunker that concatenates token pieces and
+/// scans every window for every node block, and a fragment parser and
+/// graph builder that copy every value.
 mod reference {
-    use grm_pgraph::{PropertyGraph, PropertyMap, Value};
-    use grm_textenc::{BrokenPattern, FragmentEdge, FragmentNode, GraphFragment, Window};
+    use std::fmt::Write as _;
+
+    use grm_pgraph::{EdgeId, NodeId, PropertyGraph, PropertyMap, Value};
+    use grm_textenc::{
+        BrokenPattern, FragmentEdge, FragmentNode, GraphFragment, SummaryConfig, Window,
+    };
+
+    /// A value's literal, built by `format!` with one `replace` per
+    /// string.
+    fn literal(v: &Value) -> String {
+        match v {
+            Value::Null => "null".to_owned(),
+            Value::Bool(b) => format!("{b}"),
+            Value::Int(i) => format!("{i}"),
+            Value::Float(x) => format!("{x}"),
+            Value::Str(s) => format!("'{}'", s.replace('\'', "\\'")),
+            Value::DateTime(t) => format!("datetime({t})"),
+            Value::List(vs) => {
+                format!("[{}]", vs.iter().map(literal).collect::<Vec<_>>().join(", "))
+            }
+        }
+    }
+
+    fn props_literal(props: &PropertyMap) -> String {
+        let pairs: Vec<String> =
+            props.iter().map(|(k, v)| format!("{k}: {}", literal(v))).collect();
+        format!("{{{}}}", pairs.join(", "))
+    }
+
+    fn write_node(g: &PropertyGraph, id: NodeId) -> String {
+        let node = g.node(id);
+        format!(
+            "Node n{} with labels {} has properties {}.\n",
+            id.0,
+            node.labels.join(":"),
+            props_literal(&node.props)
+        )
+    }
+
+    fn write_edge(g: &PropertyGraph, id: EdgeId) -> String {
+        let edge = g.edge(id);
+        format!(
+            "Node n{} -[{} {}]-> Node n{} ({}).\n",
+            edge.src.0,
+            edge.label,
+            props_literal(&edge.props),
+            edge.dst.0,
+            g.node(edge.dst).labels.join(":")
+        )
+    }
+
+    fn header(g: &PropertyGraph) -> String {
+        format!("Graph with {} nodes and {} edges.\n", g.node_count(), g.edge_count())
+    }
+
+    pub fn encode_incident(g: &PropertyGraph) -> String {
+        let mut out = header(g);
+        for node in g.nodes() {
+            out += &write_node(g, node.id);
+            for edge in g.out_edges(node.id) {
+                out += &write_edge(g, edge.id);
+            }
+        }
+        out
+    }
+
+    pub fn encode_adjacency(g: &PropertyGraph) -> String {
+        let mut out = header(g);
+        for node in g.nodes() {
+            let neighbours: Vec<String> =
+                g.out_edges(node.id).map(|e| format!("{}->n{}", e.label, e.dst.0)).collect();
+            let neighbours =
+                if neighbours.is_empty() { "none".to_owned() } else { neighbours.join(", ") };
+            let labels = node.labels.join(":");
+            let props = props_literal(&node.props);
+            let _ = writeln!(out, "n{} ({labels}) {props} -> {neighbours}", node.id.0);
+        }
+        out
+    }
+
+    pub fn encode_summary(g: &PropertyGraph, config: SummaryConfig) -> String {
+        let strided = |n: usize, k: usize| {
+            let k = k.min(n);
+            (0..k).map(move |i| i * n / k.max(1))
+        };
+        let mut out = format!(
+            "Graph summary: {} nodes and {} edges in total.\n",
+            g.node_count(),
+            g.edge_count()
+        );
+        for label in g.node_labels() {
+            let _ = writeln!(out, "Label {} has {} nodes.", label, g.label_count(&label));
+        }
+        for label in g.edge_labels() {
+            let count = g.edge_label_count(&label);
+            let _ = writeln!(out, "Relationship {label} has {count} edges.");
+        }
+        for label in g.node_labels() {
+            let ids: Vec<NodeId> = g.nodes_with_label(&label).map(|n| n.id).collect();
+            for idx in strided(ids.len(), config.nodes_per_label) {
+                out += &write_node(g, ids[idx]);
+            }
+        }
+        for label in g.edge_labels() {
+            let ids: Vec<EdgeId> = g.edges_with_label(&label).map(|e| e.id).collect();
+            for idx in strided(ids.len(), config.edges_per_type) {
+                out += &write_node(g, g.edge(ids[idx]).src);
+                out += &write_edge(g, ids[idx]);
+            }
+        }
+        out
+    }
 
     pub fn tokenize(text: &str) -> Vec<&str> {
         let mut out = Vec::new();
@@ -278,7 +390,7 @@ mod reference {
             if key.is_empty() || !key.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
                 return None;
             }
-            let (value, remainder) = value(after.trim())?;
+            let (value, remainder) = value(after.trim(), 0)?;
             props.insert(key.to_owned(), value);
             rest = remainder.trim_start();
             if let Some(r) = rest.strip_prefix(',') {
@@ -290,7 +402,9 @@ mod reference {
         Some(props)
     }
 
-    fn value(s: &str) -> Option<(Value, &str)> {
+    /// One literal, `depth` lists deep; lists nest at most 128 deep,
+    /// the graph loader's JSON depth.
+    fn value(s: &str, depth: usize) -> Option<(Value, &str)> {
         if let Some(rest) = s.strip_prefix('\'') {
             let mut out = String::new();
             let mut chars = rest.char_indices();
@@ -308,13 +422,16 @@ mod reference {
             return Some((Value::DateTime(num.trim().parse().ok()?), rest));
         }
         if let Some(mut rest) = s.strip_prefix('[') {
+            if depth == 128 {
+                return None;
+            }
             let mut items = Vec::new();
             rest = rest.trim_start();
             if let Some(r) = rest.strip_prefix(']') {
                 return Some((Value::List(items), r));
             }
             loop {
-                let (v, r) = value(rest)?;
+                let (v, r) = value(rest, depth + 1)?;
                 items.push(v);
                 rest = r.trim_start();
                 if let Some(r) = rest.strip_prefix(',') {
@@ -447,14 +564,18 @@ fn truncated_encoding() -> impl Strategy<Value = String> {
         })
 }
 
-/// A property literal: quoted strings with escapes, numbers,
-/// datetimes, keywords, and lists nested two deep.
+/// A property literal: quoted strings with escapes, numbers (some
+/// that no number type accepts), datetimes, keywords, and lists
+/// nested two deep.
 fn literal() -> BoxedStrategy<String> {
     let leaf = prop_oneof![
         "'[a-z é\\\\']{0,6}'",
         "'[a-z]{0,2}\\\\'[a-zé]{0,2}\\\\\\\\'",
         "[-]{0,1}[0-9]{1,3}",
         "[0-9]{1,2}[.][0-9]{0,2}",
+        "[0-9][.][0-9][.][0-9]",
+        "[1-9][0-9]{19}",
+        Just("-".to_owned()),
         "datetime\\([ ]{0,1}[-]{0,1}[0-9]{1,4}\\)",
         Just("null".to_owned()),
         Just("false".to_owned()),
@@ -535,6 +656,20 @@ proptest! {
         prop_assert_eq!(tokenized.windows(cfg), windows);
     }
 
+    /// A window carries its text's token count: prompts take it as
+    /// theirs instead of scanning the window again.
+    #[test]
+    fn window_token_len_counts_its_text(
+        text in any_text(),
+        size in 1usize..40,
+        overlap in 0usize..40,
+    ) {
+        let cfg = WindowConfig::new(size, overlap % size);
+        for w in Tokenized::new(text).chunk(cfg).windows {
+            prop_assert_eq!(token_count(&w.text), w.token_len);
+        }
+    }
+
     /// `parse` reads what the reference parser reads, and
     /// `count_elements` counts exactly its nodes and edges.
     #[test]
@@ -547,13 +682,12 @@ proptest! {
         prop_assert_eq!(GraphFragment::count_elements(&text), frag.nodes.len() + frag.edges.len());
     }
 
-    /// The moving graph builder builds the copying reference's graph,
-    /// node by node and edge by edge.
+    /// The one-read graph builder builds the copying reference's graph
+    /// of the reference parse, node by node and edge by edge.
     #[test]
-    fn into_graph_matches_reference(text in any_text()) {
-        let frag = GraphFragment::parse(&text);
-        let expected = reference::to_graph(&frag);
-        let g = frag.into_graph();
+    fn read_graph_matches_reference(text in any_text()) {
+        let expected = reference::to_graph(&reference::parse(&text));
+        let g = GraphFragment::read_graph(&text);
         prop_assert_eq!(g.node_count(), expected.node_count());
         prop_assert_eq!(g.edge_count(), expected.edge_count());
         for (a, b) in g.nodes().zip(expected.nodes()) {
@@ -562,5 +696,76 @@ proptest! {
         for (a, b) in g.edges().zip(expected.edges()) {
             prop_assert_eq!((a.src, a.dst, &a.label, &a.props), (b.src, b.dst, &b.label, &b.props));
         }
+    }
+}
+
+/// Values with everything a literal can hold: quotes, backslashes and
+/// non-ASCII text in strings, negative, fractional and non-finite
+/// floats, datetimes, and lists nested two deep.
+fn arb_value() -> BoxedStrategy<Value> {
+    let special = prop_oneof![
+        Just(-0.0),
+        Just(f64::NAN),
+        Just(f64::NEG_INFINITY),
+        Just(0.1),
+        Just(-2.5e-8),
+        Just(1e300),
+    ];
+    let leaf = prop_oneof![
+        Just(Value::Null),
+        any::<bool>().prop_map(Value::Bool),
+        any::<i64>().prop_map(Value::Int),
+        any::<f64>().prop_map(Value::Float),
+        special.prop_map(Value::Float),
+        "[a-z '\\\\é✓İẞΣ,:{}\\[\\]]{0,8}".prop_map(Value::Str),
+        any::<i64>().prop_map(Value::DateTime),
+    ]
+    .boxed();
+    let list = |item: BoxedStrategy<Value>| prop::collection::vec(item, 0..3).prop_map(Value::List);
+    let shallow = prop_oneof![leaf.clone(), list(leaf.clone())].boxed();
+    prop_oneof![leaf, list(shallow)].boxed()
+}
+
+/// Graphs whose nodes carry one or two labels and whose nodes and
+/// edges carry [`arb_value`] properties.
+fn arb_graph() -> impl Strategy<Value = PropertyGraph> {
+    (
+        prop::collection::vec(
+            (0usize..4, prop::collection::vec(("[a-z_]{1,4}", arb_value()), 0..4)),
+            1..8,
+        ),
+        prop::collection::vec(
+            (0u8..8, 0u8..8, prop::collection::vec(("[a-z]{1,3}", arb_value()), 0..3)),
+            0..12,
+        ),
+    )
+        .prop_map(|(nodes, edges)| {
+            const LABELS: [&[&str]; 4] = [&["User"], &["Person", "Coach"], &["Match"], &["A", "B"]];
+            let mut g = PropertyGraph::new();
+            for (labels, kvs) in &nodes {
+                g.add_node(LABELS[*labels].iter().copied(), kvs.iter().cloned().collect());
+            }
+            for (i, (s, d, kvs)) in edges.into_iter().enumerate() {
+                let n = nodes.len() as u32;
+                let (src, dst) = (u32::from(s) % n, u32::from(d) % n);
+                let label = ["FOLLOWS", "PLAYED_IN"][i % 2];
+                let props: PropertyMap = kvs.into_iter().collect();
+                g.add_edge(grm_pgraph::NodeId(src), grm_pgraph::NodeId(dst), label, props);
+            }
+            g
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Every encoder writes, byte for byte, what the `format!`-built
+    /// reference writes.
+    #[test]
+    fn encoders_match_reference(g in arb_graph(), per_label in 1usize..4) {
+        prop_assert_eq!(encode_incident(&g), reference::encode_incident(&g));
+        prop_assert_eq!(encode_adjacency(&g), reference::encode_adjacency(&g));
+        let cfg = SummaryConfig { nodes_per_label: per_label, edges_per_type: per_label };
+        prop_assert_eq!(encode_summary(&g, cfg), reference::encode_summary(&g, cfg));
     }
 }

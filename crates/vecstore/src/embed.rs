@@ -27,41 +27,68 @@ impl Embedding {
     }
 }
 
-/// FNV-1a 64-bit — stable across platforms and runs.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+/// FNV-1a 64-bit offset basis and prime — stable across platforms
+/// and runs.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// Trigram hashes are FNV-1a xor this, so a trigram and a three-letter
+/// word land in different buckets.
+const TRIGRAM_SALT: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// One FNV-1a step.
+fn fnv1a_step(hash: u64, byte: u8) -> u64 {
+    (hash ^ u64::from(byte)).wrapping_mul(FNV_PRIME)
+}
+
+/// Adds `weight` to the bucket of `hash`, signed by one hash bit:
+/// signed hashing halves collision bias.
+fn add_hashed(counts: &mut [i32; DIM], hash: u64, weight: i32) {
+    let sign = if (hash >> 32) & 1 == 0 { 1 } else { -1 };
+    counts[(hash % DIM as u64) as usize] += sign * weight;
 }
 
 /// Embeds `text` into a [`DIM`]-dimensional normalised vector.
+///
+/// One pass over the lowercased bytes hashes each word unigram
+/// (maximal ASCII-alphanumeric run, weight 2: they carry topical
+/// signal) and each byte trigram (weight 1: sub-token similarity).
+/// ASCII text is lowercased byte by byte as it is read; other text is
+/// lowercased with `to_lowercase` first, which can change its byte
+/// length. Every bucket sums whole numbers, so the order of the
+/// increments cannot change the vector.
 pub fn embed(text: &str) -> Embedding {
-    let mut v = vec![0f32; DIM];
-    let lower = text.to_lowercase();
-    // Word unigrams (alphanumeric runs) carry topical signal.
-    for word in lower.split(|c: char| !c.is_ascii_alphanumeric()) {
-        if word.is_empty() {
-            continue;
+    let lowered;
+    let bytes = if text.is_ascii() {
+        text.as_bytes()
+    } else {
+        lowered = text.to_lowercase();
+        lowered.as_bytes()
+    };
+    let mut counts = [0i32; DIM];
+    let mut word = FNV_OFFSET;
+    let mut in_word = false;
+    let (mut prev2, mut prev1) = (0u8, 0u8);
+    for (i, &raw) in bytes.iter().enumerate() {
+        let b = raw.to_ascii_lowercase();
+        if b.is_ascii_alphanumeric() {
+            word = fnv1a_step(word, b);
+            in_word = true;
+        } else if in_word {
+            add_hashed(&mut counts, word, 2);
+            word = FNV_OFFSET;
+            in_word = false;
         }
-        let h = fnv1a(word.as_bytes());
-        let idx = (h % DIM as u64) as usize;
-        // Signed hashing halves collision bias.
-        let sign = if (h >> 32) & 1 == 0 { 1.0 } else { -1.0 };
-        v[idx] += 2.0 * sign;
-    }
-    // Character trigrams capture sub-token similarity.
-    let bytes = lower.as_bytes();
-    if bytes.len() >= 3 {
-        for win in bytes.windows(3) {
-            let h = fnv1a(win) ^ 0x9e37_79b9_7f4a_7c15;
-            let idx = (h % DIM as u64) as usize;
-            let sign = if (h >> 32) & 1 == 0 { 1.0 } else { -1.0 };
-            v[idx] += sign;
+        if i >= 2 {
+            let trigram = [prev2, prev1, b].into_iter().fold(FNV_OFFSET, fnv1a_step);
+            add_hashed(&mut counts, trigram ^ TRIGRAM_SALT, 1);
         }
+        (prev2, prev1) = (prev1, b);
     }
+    if in_word {
+        add_hashed(&mut counts, word, 2);
+    }
+    let mut v: Vec<f32> = counts.iter().map(|&c| c as f32).collect();
     // L2 normalise.
     let norm = v.iter().map(|x| x * x).sum::<f32>().sqrt();
     if norm > 0.0 {

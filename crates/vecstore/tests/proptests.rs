@@ -1,6 +1,8 @@
-//! Property-based tests for the embedder and the vector store.
+//! Property-based tests for the embedder and the vector store,
+//! including a differential test of the one-pass embedder against the
+//! straightforward definition in [`reference`].
 
-use grm_vecstore::{embed, VectorStore};
+use grm_vecstore::{embed, VectorStore, DIM};
 use proptest::prelude::*;
 
 proptest! {
@@ -61,5 +63,76 @@ proptest! {
         let target = &chunks[pick.index(chunks.len())];
         let hits = store.top_k(target, 1);
         prop_assert_eq!(&hits[0].entry.text, target);
+    }
+}
+
+/// The embedder as first written: lowercase the whole text, hash every
+/// word of the split, then every byte window of three, accumulating
+/// in `f32`.
+mod reference {
+    use grm_vecstore::DIM;
+
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for &b in bytes {
+            hash ^= u64::from(b);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        hash
+    }
+
+    pub fn embed(text: &str) -> Vec<f32> {
+        let mut v = vec![0f32; DIM];
+        let lower = text.to_lowercase();
+        for word in lower.split(|c: char| !c.is_ascii_alphanumeric()) {
+            if word.is_empty() {
+                continue;
+            }
+            let h = fnv1a(word.as_bytes());
+            let sign = if (h >> 32) & 1 == 0 { 1.0 } else { -1.0 };
+            v[(h % DIM as u64) as usize] += 2.0 * sign;
+        }
+        let bytes = lower.as_bytes();
+        if bytes.len() >= 3 {
+            for win in bytes.windows(3) {
+                let h = fnv1a(win) ^ 0x9e37_79b9_7f4a_7c15;
+                let sign = if (h >> 32) & 1 == 0 { 1.0 } else { -1.0 };
+                v[(h % DIM as u64) as usize] += sign;
+            }
+        }
+        let norm = v.iter().map(|x| x * x).sum::<f32>().sqrt();
+        if norm > 0.0 {
+            for x in &mut v {
+                *x /= norm;
+            }
+        }
+        v
+    }
+}
+
+/// Text the embedder meets — encoder lines, mixed case, punctuation —
+/// plus characters whose lowercase has another byte length (`İ` grows,
+/// `ẞ` shrinks) or depends on context (`Σ`).
+fn embed_text() -> impl Strategy<Value = String> {
+    prop_oneof![
+        ".{0,200}",
+        "[a-zA-Z0-9 _.,:{}'\n]{0,200}",
+        "[a-zA-Z İẞΣσé✓_:-]{0,60}",
+        Just("Node n0 with labels Person has properties {name: 'ADA', ID: 7}.".to_owned()),
+        Just("ΣΑΣ İSTANBUL STRAẞE".to_owned()),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The one-pass embedder gives the reference's vector, bit for bit.
+    #[test]
+    fn embed_matches_reference(text in embed_text()) {
+        let got = embed(&text).0;
+        let expected = reference::embed(&text);
+        prop_assert_eq!(got.len(), DIM);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&got), bits(&expected));
     }
 }

@@ -10,6 +10,7 @@
 //! artefacts at every step so the Figure 2 mechanics are visible.
 
 use graph_rule_mining::datasets::{generate, DatasetId, GenConfig};
+use graph_rule_mining::pgraph::GraphSchema;
 use graph_rule_mining::pipeline::RAG_QUERY;
 use graph_rule_mining::textenc::{
     encode_adjacency, encode_incident, token_count, GraphFragment, Tokenized, WindowConfig,
@@ -61,8 +62,7 @@ fn main() {
     }
 
     // 3. What the model actually "knows" inside one window.
-    let frag = GraphFragment::parse(&windows.windows[0].text);
-    let sketch = frag.sketch();
+    let sketch = GraphSchema::infer(&GraphFragment::read_graph(&windows.windows[0].text));
     println!("\nschema visible in window 0 alone:");
     print!("{}", sketch.summary());
 

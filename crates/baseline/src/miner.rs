@@ -36,9 +36,8 @@ pub struct MinedRule {
 /// hallucinates — but it also has no taste: everything above the
 /// thresholds is emitted, in coverage-then-support order.
 pub fn mine_exhaustive(g: &PropertyGraph, config: MinerConfig) -> Vec<MinedRule> {
-    let schema = GraphSchema::infer(g);
     let mut out = Vec::new();
-    for rule in enumerate_candidates(g, &schema, &config) {
+    for rule in enumerate_candidates(g, g.schema(), &config) {
         let Ok(metrics) = evaluate(g, &reference_queries(&rule)) else {
             continue;
         };

@@ -1,7 +1,8 @@
 //! Figure 2 bench: the two context strategies' machinery — encoding,
 //! tokenization, window chunking, the model's read of its context and
-//! its whole mining call, RAG chunk embedding, ingestion and retrieval
-//! — plus the incident-vs-adjacency encoder ablation from DESIGN.md §5.
+//! its whole mining call, RAG chunk embedding, ingestion and retrieval,
+//! whole-graph schema inference — plus the incident-vs-adjacency
+//! encoder ablation from DESIGN.md §5.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use grm_core::RAG_QUERY;
@@ -69,6 +70,18 @@ fn bench_encoding(c: &mut Criterion) {
     });
     let retriever = Retriever::ingest(&encoded, RagConfig::default());
     group.bench_function("retrieve", |b| b.iter(|| retriever.retrieve(RAG_QUERY).visible_elements));
+    group.finish();
+
+    // The whole-graph schema a run's translate and evaluate stages
+    // read (inferred once per graph, then memoised), on the
+    // warm-mine benchmark's two graph sizes.
+    let twitter =
+        generate(DatasetId::Twitter, &GenConfig { seed: 42, scale: 0.05, clean: false }).graph;
+    let mut group = c.benchmark_group("figure2/schema");
+    for (name, g) in [("whole_graph/wwc2019", &graph), ("whole_graph/twitter", &twitter)] {
+        group.throughput(Throughput::Elements((g.node_count() + g.edge_count()) as u64));
+        group.bench_function(name, |b| b.iter(|| GraphSchema::infer(g).node_props.len()));
+    }
     group.finish();
 }
 

@@ -320,7 +320,7 @@ impl MiningPipeline {
         }
         merge_span.finish();
 
-        let schema = GraphSchema::infer(graph);
+        let schema = graph.schema();
         let schema_summary = schema.summary();
 
         // Step 5: translate each selected rule under its unit plan.
@@ -377,7 +377,7 @@ impl MiningPipeline {
                 i,
                 m,
                 &resp,
-                &schema,
+                schema,
                 &contexts.origins,
                 &evaluate_scope,
                 &mut correctness,

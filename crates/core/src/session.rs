@@ -25,7 +25,7 @@ use std::collections::HashSet;
 
 use grm_llm::explain_rule;
 use grm_metrics::{classify, evaluate, QueryClass, RuleMetrics};
-use grm_pgraph::{GraphSchema, PropertyGraph};
+use grm_pgraph::PropertyGraph;
 use grm_rules::{reference_queries, to_nl, ConsistencyRule};
 
 use crate::config::PipelineConfig;
@@ -74,7 +74,6 @@ fn family_key(rule: &ConsistencyRule) -> String {
 
 /// An interactive mining session over one graph.
 pub struct InteractiveSession {
-    schema: GraphSchema,
     graph: PropertyGraph,
     /// Remaining candidates, best-ranked first.
     queue: Vec<ConsistencyRule>,
@@ -98,7 +97,6 @@ impl InteractiveSession {
         let report = MiningPipeline::new(config).run(graph);
         let queue: Vec<ConsistencyRule> = report.rules.into_iter().map(|o| o.rule).collect();
         InteractiveSession {
-            schema: GraphSchema::infer(graph),
             graph: graph.clone(),
             queue,
             pending: None,
@@ -127,7 +125,7 @@ impl InteractiveSession {
     /// Scores a rule's reference translation, if it is sound.
     fn score(&self, rule: &ConsistencyRule) -> (Option<RuleMetrics>, bool) {
         let queries = reference_queries(rule);
-        let assessment = classify(&queries.satisfied, &self.schema);
+        let assessment = classify(&queries.satisfied, self.graph.schema());
         let hallucinated = assessment.class == QueryClass::HallucinatedProperty;
         let metrics = evaluate(&self.graph, &queries).ok();
         (metrics, hallucinated)
@@ -152,7 +150,7 @@ impl InteractiveSession {
             let (metrics, suspected_hallucination) = self.score(&rule);
             let proposal = Proposal {
                 nl: to_nl(&rule),
-                explanation: explain_rule(&rule, &self.schema),
+                explanation: explain_rule(&rule, self.graph.schema()),
                 metrics,
                 suspected_hallucination,
                 rule: rule.clone(),

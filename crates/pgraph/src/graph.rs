@@ -10,7 +10,9 @@ use std::collections::BTreeMap;
 use std::collections::HashMap;
 use std::fmt;
 use std::mem::size_of;
+use std::sync::OnceLock;
 
+use crate::schema::GraphSchema;
 use crate::value::Value;
 
 /// Deterministically ordered property map. `BTreeMap` (not `HashMap`)
@@ -76,12 +78,15 @@ impl Edge {
     }
 }
 
-/// The property-graph store.
+/// The property-graph store. It only grows: [`PropertyGraph::add_node`]
+/// and [`PropertyGraph::add_edge`] are its only mutations.
 ///
 /// Indexes maintained incrementally on insert:
 /// * node-label index (`label -> Vec<NodeId>`),
 /// * edge-type index (`type -> Vec<EdgeId>`),
 /// * out/in adjacency (`NodeId -> Vec<EdgeId>`).
+///
+/// The inferred schema is memoised on first use and dropped on insert.
 #[derive(Debug, Default, Clone)]
 pub struct PropertyGraph {
     nodes: Vec<Node>,
@@ -90,6 +95,7 @@ pub struct PropertyGraph {
     edge_label_index: HashMap<String, Vec<EdgeId>>,
     out_adj: Vec<Vec<EdgeId>>,
     in_adj: Vec<Vec<EdgeId>>,
+    schema: OnceLock<GraphSchema>,
 }
 
 impl PropertyGraph {
@@ -109,6 +115,7 @@ impl PropertyGraph {
             edge_label_index: HashMap::new(),
             out_adj: Vec::with_capacity(n),
             in_adj: Vec::with_capacity(n),
+            schema: OnceLock::new(),
         }
     }
 
@@ -126,6 +133,7 @@ impl PropertyGraph {
         for l in &labels {
             index_label(&mut self.node_label_index, l, id);
         }
+        self.schema.take();
         self.nodes.push(Node { id, labels, props });
         self.out_adj.push(Vec::new());
         self.in_adj.push(Vec::new());
@@ -151,6 +159,7 @@ impl PropertyGraph {
         let id = EdgeId(self.edges.len() as u32);
         let label = label.into();
         index_label(&mut self.edge_label_index, &label, id);
+        self.schema.take();
         self.out_adj[src.0 as usize].push(id);
         self.in_adj[dst.0 as usize].push(id);
         self.edges.push(Edge { id, src, dst, label, props });
@@ -181,12 +190,6 @@ impl PropertyGraph {
     /// Panics on an id not issued by this graph.
     pub fn edge(&self, id: EdgeId) -> &Edge {
         &self.edges[id.0 as usize]
-    }
-
-    /// Mutable node access (used by the violation injector in
-    /// `grm-datasets` to drop or corrupt properties).
-    pub fn node_mut(&mut self, id: NodeId) -> &mut Node {
-        &mut self.nodes[id.0 as usize]
     }
 
     /// All nodes in insertion order.
@@ -262,6 +265,14 @@ impl PropertyGraph {
     /// In-degree of `n`.
     pub fn in_degree(&self, n: NodeId) -> usize {
         self.in_adj[n.0 as usize].len()
+    }
+
+    /// The graph's schema, inferred by [`GraphSchema::infer`] on the
+    /// first call and kept until the next `add_node` or `add_edge`.
+    /// Every run that borrows the graph reads the same schema, so a
+    /// graph mined many times infers it once.
+    pub fn schema(&self) -> &GraphSchema {
+        self.schema.get_or_init(|| GraphSchema::infer(self))
     }
 
     /// Distinct node labels, sorted (deterministic reporting).
@@ -467,13 +478,6 @@ mod tests {
         let (g, _, _) = tiny();
         assert_eq!(g.node_labels(), vec!["Coach", "Person"]);
         assert_eq!(g.edge_labels(), vec!["KNOWS"]);
-    }
-
-    #[test]
-    fn mutation_updates_properties() {
-        let (mut g, a, _) = tiny();
-        g.node_mut(a).props.remove("name");
-        assert!(g.node(a).prop("name").is_null());
     }
 
     #[test]

@@ -236,6 +236,31 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_numbers_are_json_errors() {
+        let doc = |src: &str, id: &str| {
+            format!(
+                r#"{{"nodes": [{{"labels": ["A"], "props": {{"id": {{"Int": {id}}}}}}}],
+                    "edges": [{{"src": {src}, "dst": 0, "label": "E", "props": {{}}}}]}}"#
+            )
+        };
+        assert!(from_json(&doc("0", "-9223372036854775808")).is_ok());
+        for (src, id, number) in [
+            ("4294967296", "1", "4294967296"),
+            ("-4294967296", "1", "-4294967296"),
+            ("-1", "1", "-1"),
+            ("0", "9223372036854775808", "9223372036854775808"),
+            ("0", "1e300", "1e300"),
+        ] {
+            match from_json(&doc(src, id)) {
+                Err(IoError::Json(e)) => assert!(e.to_string().contains(number), "{e}"),
+                other => panic!("src {src}, id {id}: {other:?}"),
+            }
+        }
+        let max: u64 = serde_json::from_str("18446744073709551615").unwrap();
+        assert_eq!(max, u64::MAX);
+    }
+
+    #[test]
     fn malformed_json_rejected() {
         assert!(matches!(from_json("{nodes:"), Err(IoError::Json(_))));
     }

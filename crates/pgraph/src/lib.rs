@@ -8,10 +8,11 @@
 //!   comparison semantics;
 //! * [`PropertyGraph`] — node/edge store with label and adjacency
 //!   indexes, the target of Cypher execution in `grm-cypher`;
-//! * [`GraphSchema`] — single-pass schema inference (labels, property
-//!   keys, presence/uniqueness statistics, relationship endpoint
-//!   signatures) that feeds prompt construction and semantic query
-//!   validation;
+//! * [`GraphSchema`] — schema inference in one pass per label (labels,
+//!   property keys, presence/uniqueness statistics, relationship
+//!   endpoint signatures) that feeds prompt construction and semantic
+//!   query validation; [`PropertyGraph::schema`] infers a graph's
+//!   schema once and keeps it;
 //! * [`GraphStats`] / [`DegreeStats`] — the Table-1 style dataset
 //!   summaries;
 //! * [`GraphFootprint`] — deterministic byte accounting of the store
@@ -26,8 +27,9 @@
 //! let t = g.add_node(["Tweet"], props([("id", 1i64)]));
 //! g.add_edge(ada, t, "POSTS", Default::default());
 //!
-//! let schema = GraphSchema::infer(&g);
+//! let schema = g.schema();
 //! assert!(schema.signature("POSTS").unwrap().connects("Person", "Tweet"));
+//! assert_eq!(*schema, GraphSchema::infer(&g));
 //! ```
 
 pub mod dbhits;
@@ -44,4 +46,4 @@ pub use graph::{
 pub use io::{from_json, to_json, to_json_pretty, GraphDoc, IoError};
 pub use schema::{EdgeSignature, GraphSchema, PropertyStats};
 pub use stats::{Cardinality, DegreeStats, GraphStats};
-pub use value::{Value, ValueKey};
+pub use value::{TypeSet, Value, ValueKey};

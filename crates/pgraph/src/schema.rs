@@ -2,37 +2,31 @@
 //!
 //! Neo4j exposes `db.schema.visualization()`; the paper's pipeline
 //! feeds schema facts (labels, relationship types, property keys) into
-//! the Cypher-generation prompt. We infer the same facts by a single
-//! pass over the store. The inferred schema is also what the semantic
-//! analyzer in `grm-cypher` validates queries against — a property
-//! absent from the schema is how a *hallucinated* property (error
-//! class 2 of §4.4) is detected.
+//! the Cypher-generation prompt. We infer the same facts by one pass
+//! per label over the store's label and type indexes. The inferred
+//! schema is also what the semantic analyzer in `grm-cypher` validates
+//! queries against — a property absent from the schema is how a
+//! *hallucinated* property (error class 2 of §4.4) is detected.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::BTreeMap;
 
-use crate::graph::PropertyGraph;
-use crate::value::{Value, ValueKey};
+use crate::graph::{PropertyGraph, PropertyMap};
+use crate::value::{TypeSet, ValueKey};
 
 /// Observed statistics for one property key under one label.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PropertyStats {
     /// How many elements with the label carry the key (non-null).
     pub present: usize,
     /// How many elements carry the label at all.
     pub total: usize,
-    /// Value type names observed, e.g. `{"STRING"}`.
-    pub types: BTreeSet<&'static str>,
+    /// Value types observed, e.g. `STRING`.
+    pub types: TypeSet,
     /// Number of distinct values observed (exact; datasets are small).
     pub distinct: usize,
-    /// Up to [`SAMPLE_LIMIT`](Self::SAMPLE_LIMIT) sample values,
-    /// rendered as literals.
-    pub samples: Vec<String>,
 }
 
 impl PropertyStats {
-    /// Max sample literals retained per property.
-    pub const SAMPLE_LIMIT: usize = 5;
-
     /// Fraction of labelled elements carrying the key.
     pub fn presence_ratio(&self) -> f64 {
         if self.total == 0 {
@@ -57,7 +51,7 @@ impl PropertyStats {
 
 /// Endpoint signature of a relationship type: which (source-label,
 /// target-label) pairs it was observed to connect, with counts.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EdgeSignature {
     /// `(src_label, dst_label) -> occurrence count`.
     pub endpoints: BTreeMap<(String, String), usize>,
@@ -72,7 +66,7 @@ impl EdgeSignature {
 }
 
 /// Inferred schema of a property graph.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GraphSchema {
     /// `node label -> property key -> stats`.
     pub node_props: BTreeMap<String, BTreeMap<String, PropertyStats>>,
@@ -82,106 +76,82 @@ pub struct GraphSchema {
     pub edge_signatures: BTreeMap<String, EdgeSignature>,
 }
 
-/// Per-(label, key) tally during inference: the stats plus the
-/// distinct values seen, keyed by the graph's own strings and values.
-type Tally<'g> = HashMap<&'g str, HashMap<&'g str, (PropertyStats, HashSet<ValueKey<'g>>)>>;
-
-fn observe<'g>(
-    per_label: &mut HashMap<&'g str, (PropertyStats, HashSet<ValueKey<'g>>)>,
-    key: &'g str,
-    value: &'g Value,
-) {
-    if value.is_null() {
-        return;
-    }
-    let (stats, seen) = per_label.entry(key).or_default();
-    stats.present += 1;
-    stats.types.insert(value.type_name());
-    if stats.samples.len() < PropertyStats::SAMPLE_LIMIT {
-        stats.samples.push(value.to_string());
-    }
-    seen.insert(ValueKey(value));
+/// One label's tally: its element count, and per property key the
+/// key's types and non-null values, borrowed from the graph. Keys sit
+/// in a `BTreeMap` on the borrowed key, so a property costs one
+/// O(log k) lookup and no hashing.
+#[derive(Default)]
+struct LabelTally<'g> {
+    total: usize,
+    keys: BTreeMap<&'g str, (TypeSet, Vec<ValueKey<'g>>)>,
 }
 
-/// Freezes a tally into the schema's owned maps, filling each
-/// property's label total and distinct count.
-fn freeze(
-    tally: Tally<'_>,
-    total: impl Fn(&str) -> usize,
-) -> BTreeMap<String, BTreeMap<String, PropertyStats>> {
-    tally
-        .into_iter()
-        .map(|(label, per_label)| {
-            let total = total(label);
-            let props = per_label
-                .into_iter()
-                .map(|(key, (mut stats, seen))| {
-                    stats.total = total;
-                    stats.distinct = seen.len();
-                    (key.to_owned(), stats)
-                })
-                .collect();
-            (label.to_owned(), props)
-        })
-        .collect()
+impl<'g> LabelTally<'g> {
+    fn add(&mut self, props: &'g PropertyMap) {
+        self.total += 1;
+        for (key, value) in props {
+            if !value.is_null() {
+                let (types, values) = self.keys.entry(key.as_str()).or_default();
+                types.insert(value);
+                values.push(ValueKey(value));
+            }
+        }
+    }
+
+    /// The label's property stats; sorting each key's values counts
+    /// the distinct ones.
+    fn finish(self) -> BTreeMap<String, PropertyStats> {
+        let total = self.total;
+        self.keys
+            .into_iter()
+            .map(|(key, (types, mut values))| {
+                let present = values.len();
+                values.sort_unstable();
+                values.dedup();
+                (key.to_owned(), PropertyStats { present, total, types, distinct: values.len() })
+            })
+            .collect()
+    }
 }
 
 impl GraphSchema {
-    /// Infers the schema in one pass over the graph. The pass keys
-    /// its tallies on the graph's own label, key and value borrows,
-    /// so it allocates per distinct (label, key) pair and per sample,
-    /// not per property read.
+    /// Infers the schema in one pass per node label and per edge type
+    /// over the graph's indexes. A multi-label node counts under each
+    /// of its labels, a label-less one under none. The whole graph's
+    /// schema is memoised by [`PropertyGraph::schema`].
     pub fn infer(g: &PropertyGraph) -> Self {
-        let mut node_tally: Tally<'_> = HashMap::new();
-        let mut edge_tally: Tally<'_> = HashMap::new();
-        let mut endpoints: HashMap<&str, HashMap<(&str, &str), usize>> = HashMap::new();
-
-        for node in g.nodes() {
-            for label in &node.labels {
-                let per_label = node_tally.entry(label.as_str()).or_default();
-                for (key, value) in &node.props {
-                    observe(per_label, key, value);
+        let node_props = g
+            .node_labels()
+            .into_iter()
+            .map(|label| {
+                let mut tally = LabelTally::default();
+                for node in g.nodes_with_label(&label) {
+                    tally.add(&node.props);
                 }
-            }
-        }
-        for edge in g.edges() {
-            let per_label = edge_tally.entry(edge.label.as_str()).or_default();
-            for (key, value) in &edge.props {
-                observe(per_label, key, value);
-            }
-            let sig = endpoints.entry(edge.label.as_str()).or_default();
-            let src = g.node(edge.src);
-            let dst = g.node(edge.dst);
-            for sl in &src.labels {
-                for dl in &dst.labels {
-                    *sig.entry((sl.as_str(), dl.as_str())).or_insert(0) += 1;
-                }
-            }
-        }
-
-        let mut schema = GraphSchema {
-            node_props: freeze(node_tally, |l| g.label_count(l)),
-            edge_props: freeze(edge_tally, |l| g.edge_label_count(l)),
-            edge_signatures: endpoints
-                .into_iter()
-                .map(|(label, sig)| {
-                    let endpoints = sig
-                        .into_iter()
-                        .map(|((s, d), n)| ((s.to_owned(), d.to_owned()), n))
-                        .collect();
-                    (label.to_owned(), EdgeSignature { endpoints })
-                })
-                .collect(),
-        };
-        // Labels with no properties at all still belong to the schema.
-        for label in g.node_labels() {
-            schema.node_props.entry(label).or_default();
-        }
+                (label, tally.finish())
+            })
+            .collect();
+        let mut edge_props = BTreeMap::new();
+        let mut edge_signatures = BTreeMap::new();
         for label in g.edge_labels() {
-            schema.edge_props.entry(label.clone()).or_default();
-            schema.edge_signatures.entry(label).or_default();
+            let mut tally = LabelTally::default();
+            let mut endpoints: BTreeMap<(&str, &str), usize> = BTreeMap::new();
+            for edge in g.edges_with_label(&label) {
+                tally.add(&edge.props);
+                for src in &g.node(edge.src).labels {
+                    for dst in &g.node(edge.dst).labels {
+                        *endpoints.entry((src, dst)).or_insert(0) += 1;
+                    }
+                }
+            }
+            let endpoints = endpoints
+                .into_iter()
+                .map(|((src, dst), n)| ((src.to_owned(), dst.to_owned()), n))
+                .collect();
+            edge_props.insert(label.clone(), tally.finish());
+            edge_signatures.insert(label, EdgeSignature { endpoints });
         }
-        schema
+        GraphSchema { node_props, edge_props, edge_signatures }
     }
 
     /// True when the node label exists.
@@ -317,6 +287,23 @@ mod tests {
         let s = GraphSchema::infer(&PropertyGraph::new());
         assert_eq!(s.node_labels().count(), 0);
         assert_eq!(s.edge_labels().count(), 0);
+    }
+
+    #[test]
+    fn a_label_with_50_000_distinct_keys() {
+        // Each node's keys sort before the previous node's, so a
+        // sorted-vector merge would insert every key at its front.
+        const KEYS: usize = 50_000;
+        let mut g = PropertyGraph::new();
+        for n in 0..KEYS / 50 {
+            let keys = (0..50).map(|j| (format!("k{:05}", KEYS - 50 * (n + 1) + j), j as i64));
+            g.add_node(["Wide"], props(keys));
+        }
+        let s = GraphSchema::infer(&g);
+        let wide = &s.node_props["Wide"];
+        assert_eq!(wide.len(), KEYS);
+        assert!(wide.values().all(|p| (p.present, p.total, p.distinct) == (1, KEYS / 50, 1)));
+        assert!(wide["k00000"].types.contains("INTEGER"));
     }
 
     #[test]

@@ -33,19 +33,27 @@ pub enum Value {
     List(Vec<Value>),
 }
 
+/// [`Value::type_name`] of each variant, in declaration order.
+const TYPE_NAMES: [&str; 7] = ["NULL", "BOOLEAN", "INTEGER", "FLOAT", "STRING", "DATETIME", "LIST"];
+
 impl Value {
+    /// Position of the value's variant in declaration order.
+    fn type_index(&self) -> usize {
+        match self {
+            Value::Null => 0,
+            Value::Bool(_) => 1,
+            Value::Int(_) => 2,
+            Value::Float(_) => 3,
+            Value::Str(_) => 4,
+            Value::DateTime(_) => 5,
+            Value::List(_) => 6,
+        }
+    }
+
     /// Human-readable type name, used in schema reports and error
     /// messages.
     pub fn type_name(&self) -> &'static str {
-        match self {
-            Value::Null => "NULL",
-            Value::Bool(_) => "BOOLEAN",
-            Value::Int(_) => "INTEGER",
-            Value::Float(_) => "FLOAT",
-            Value::Str(_) => "STRING",
-            Value::DateTime(_) => "DATETIME",
-            Value::List(_) => "LIST",
-        }
+        TYPE_NAMES[self.type_index()]
     }
 
     /// True when the value is `Null`.
@@ -142,23 +150,59 @@ impl Value {
     }
 }
 
-/// The typed grouping key of a [`Value`]: `Hash + Eq` where two
+/// A set of [`Value`] types, one bit per variant: the types a schema
+/// property was observed holding.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TypeSet(u8);
+
+impl TypeSet {
+    /// Adds `value`'s type.
+    pub fn insert(&mut self, value: &Value) {
+        self.0 |= 1 << value.type_index();
+    }
+
+    /// True when a value whose [`Value::type_name`] is `name` was
+    /// added.
+    pub fn contains(&self, name: &str) -> bool {
+        TYPE_NAMES.iter().position(|n| *n == name).is_some_and(|i| self.0 & (1 << i) != 0)
+    }
+
+    /// Number of distinct types added.
+    pub fn len(&self) -> usize {
+        self.0.count_ones() as usize
+    }
+
+    /// True when nothing was added.
+    pub fn is_empty(&self) -> bool {
+        self.0 == 0
+    }
+}
+
+/// The typed grouping key of a [`Value`]: `Hash + Ord` where two
 /// values are equal exactly when they have the same variant and the
 /// same content. Floats compare by bits with every NaN mapped to one
 /// value (so `0.0` and `-0.0` differ, as their renderings do), `Null`
 /// equals `Null`, and lists compare element-wise. DISTINCT, grouping
-/// and `count(DISTINCT …)` key on it; it borrows, so a lookup never
-/// copies the value.
+/// and `count(DISTINCT …)` key on it, and schema inference sorts it
+/// to count distinct values; it borrows, so a lookup never copies the
+/// value.
 #[derive(Debug, Clone, Copy)]
 pub struct ValueKey<'a>(pub &'a Value);
 
 impl ValueKey<'_> {
-    fn float_bits(f: f64) -> u64 {
+    /// `f` with every NaN mapped to one NaN.
+    fn canonical(f: f64) -> f64 {
         if f.is_nan() {
-            f64::NAN.to_bits()
+            f64::NAN
         } else {
-            f.to_bits()
+            f
         }
+    }
+
+    /// Lists element by element; out of line, so the scalar arms of
+    /// [`Ord::cmp`] inline into a sort.
+    fn cmp_lists(a: &[Value], b: &[Value]) -> Ordering {
+        a.iter().map(ValueKey).cmp(b.iter().map(ValueKey))
     }
 }
 
@@ -168,7 +212,9 @@ impl PartialEq for ValueKey<'_> {
             (Value::Null, Value::Null) => true,
             (Value::Bool(a), Value::Bool(b)) => a == b,
             (Value::Int(a), Value::Int(b)) => a == b,
-            (Value::Float(a), Value::Float(b)) => Self::float_bits(*a) == Self::float_bits(*b),
+            (Value::Float(a), Value::Float(b)) => {
+                Self::canonical(*a).to_bits() == Self::canonical(*b).to_bits()
+            }
             (Value::Str(a), Value::Str(b)) => a == b,
             (Value::DateTime(a), Value::DateTime(b)) => a == b,
             (Value::List(a), Value::List(b)) => {
@@ -180,6 +226,32 @@ impl PartialEq for ValueKey<'_> {
 }
 
 impl Eq for ValueKey<'_> {}
+
+impl Ord for ValueKey<'_> {
+    /// Variants in declaration order, then content: floats by
+    /// `total_cmp` after the NaN mapping (so `-0.0 < 0.0`), lists
+    /// element by element. `Equal` exactly when `==` holds.
+    #[inline]
+    fn cmp(&self, other: &Self) -> Ordering {
+        match (self.0, other.0) {
+            (Value::Bool(a), Value::Bool(b)) => a.cmp(b),
+            (Value::Int(a), Value::Int(b)) => a.cmp(b),
+            (Value::Float(a), Value::Float(b)) => {
+                Self::canonical(*a).total_cmp(&Self::canonical(*b))
+            }
+            (Value::Str(a), Value::Str(b)) => a.cmp(b),
+            (Value::DateTime(a), Value::DateTime(b)) => a.cmp(b),
+            (Value::List(a), Value::List(b)) => Self::cmp_lists(a, b),
+            (a, b) => a.type_index().cmp(&b.type_index()),
+        }
+    }
+}
+
+impl PartialOrd for ValueKey<'_> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
 
 impl Hash for ValueKey<'_> {
     fn hash<H: Hasher>(&self, state: &mut H) {
@@ -195,7 +267,7 @@ impl Hash for ValueKey<'_> {
             }
             Value::Float(f) => {
                 state.write_u8(3);
-                Self::float_bits(*f).hash(state);
+                Self::canonical(*f).to_bits().hash(state);
             }
             Value::Str(s) => {
                 state.write_u8(4);
@@ -359,6 +431,53 @@ mod tests {
             [joined.clone(), split, joined, Value::Float(f64::NAN), Value::Float(-f64::NAN)];
         let distinct: HashSet<ValueKey<'_>> = values.iter().map(ValueKey).collect();
         assert_eq!(distinct.len(), 3);
+    }
+
+    #[test]
+    fn value_key_order_agrees_with_equality() {
+        let values = [
+            Value::Null,
+            Value::Bool(false),
+            Value::Bool(true),
+            Value::Int(1),
+            Value::Float(1.0),
+            Value::Float(0.0),
+            Value::Float(-0.0),
+            Value::Float(f64::NAN),
+            Value::Float(-f64::NAN),
+            Value::Float(f64::NEG_INFINITY),
+            Value::from("a"),
+            Value::DateTime(1),
+            Value::List(vec![]),
+            Value::List(vec![Value::Int(1)]),
+            Value::List(vec![Value::Int(1), Value::Null]),
+            Value::List(vec![Value::Float(1.0)]),
+        ];
+        for a in &values {
+            for b in &values {
+                let (ka, kb) = (ValueKey(a), ValueKey(b));
+                assert_eq!(ka.cmp(&kb) == Ordering::Equal, ka == kb, "{a:?} vs {b:?}");
+                assert_eq!(ka.cmp(&kb), kb.cmp(&ka).reverse(), "{a:?} vs {b:?}");
+            }
+        }
+        assert!(ValueKey(&Value::Float(-0.0)) < ValueKey(&Value::Float(0.0)));
+        assert!(ValueKey(&Value::Int(9)) < ValueKey(&Value::Float(1.0)));
+        let mut keys: Vec<ValueKey<'_>> = values.iter().map(ValueKey).collect();
+        keys.sort();
+        keys.dedup();
+        assert_eq!(keys.len(), values.len() - 1); // the two NaNs are one
+    }
+
+    #[test]
+    fn type_sets_hold_variant_names() {
+        let mut types = TypeSet::default();
+        assert!(types.is_empty());
+        for v in [Value::from("x"), Value::Int(1), Value::from("y"), Value::List(vec![])] {
+            types.insert(&v);
+        }
+        assert_eq!(types.len(), 3);
+        assert!(types.contains("STRING") && types.contains("INTEGER") && types.contains("LIST"));
+        assert!(!types.contains("FLOAT") && !types.contains("NULL") && !types.contains("string"));
     }
 
     #[test]

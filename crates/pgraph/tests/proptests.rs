@@ -1,6 +1,13 @@
-//! Property-based tests for the value model and the graph store.
+//! Property-based tests for the value model, the graph store, schema
+//! inference and the JSON loader.
 
-use grm_pgraph::{props, PropertyGraph, Value};
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, BTreeSet};
+
+use grm_pgraph::{
+    from_json, props, to_json, GraphSchema, IoError, NodeId, PropertyGraph, PropertyMap,
+    PropertyStats, Value, ValueKey,
+};
 use proptest::prelude::*;
 
 fn arb_value() -> impl Strategy<Value = Value> {
@@ -114,6 +121,374 @@ proptest! {
                 prop_assert!(stats.present <= stats.total);
                 prop_assert!(stats.distinct <= stats.present);
                 prop_assert!((0.0..=1.0).contains(&stats.presence_ratio()));
+            }
+        }
+    }
+}
+
+/// The inference `GraphSchema::infer` replaced, kept as the reference
+/// it is compared against: one pass over all nodes and edges, hash
+/// tallies keyed on the graph's borrowed labels, keys and values.
+mod reference {
+    use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+
+    use grm_pgraph::{PropertyGraph, Value, ValueKey};
+
+    /// `(present, total, types, distinct)` of one property key.
+    pub type Stats = (usize, usize, BTreeSet<&'static str>, usize);
+    /// `label -> key -> stats`.
+    pub type Props = BTreeMap<String, BTreeMap<String, Stats>>;
+    /// `edge type -> (src label, dst label) -> count`.
+    pub type Signatures = BTreeMap<String, BTreeMap<(String, String), usize>>;
+
+    type Tally<'g> =
+        HashMap<&'g str, HashMap<&'g str, (usize, BTreeSet<&'static str>, HashSet<ValueKey<'g>>)>>;
+
+    fn observe<'g>(
+        per_label: &mut HashMap<&'g str, (usize, BTreeSet<&'static str>, HashSet<ValueKey<'g>>)>,
+        key: &'g str,
+        value: &'g Value,
+    ) {
+        if value.is_null() {
+            return;
+        }
+        let (present, types, seen) = per_label.entry(key).or_default();
+        *present += 1;
+        types.insert(value.type_name());
+        seen.insert(ValueKey(value));
+    }
+
+    fn freeze(tally: Tally<'_>, total: impl Fn(&str) -> usize) -> Props {
+        tally
+            .into_iter()
+            .map(|(label, per_label)| {
+                let total = total(label);
+                let props = per_label
+                    .into_iter()
+                    .map(|(key, (present, types, seen))| {
+                        (key.to_owned(), (present, total, types, seen.len()))
+                    })
+                    .collect();
+                (label.to_owned(), props)
+            })
+            .collect()
+    }
+
+    pub fn infer(g: &PropertyGraph) -> (Props, Props, Signatures) {
+        let mut node_tally: Tally<'_> = HashMap::new();
+        let mut edge_tally: Tally<'_> = HashMap::new();
+        let mut endpoints: HashMap<&str, HashMap<(&str, &str), usize>> = HashMap::new();
+        for node in g.nodes() {
+            for label in &node.labels {
+                let per_label = node_tally.entry(label.as_str()).or_default();
+                for (key, value) in &node.props {
+                    observe(per_label, key, value);
+                }
+            }
+        }
+        for edge in g.edges() {
+            let per_label = edge_tally.entry(edge.label.as_str()).or_default();
+            for (key, value) in &edge.props {
+                observe(per_label, key, value);
+            }
+            let sig = endpoints.entry(edge.label.as_str()).or_default();
+            for sl in &g.node(edge.src).labels {
+                for dl in &g.node(edge.dst).labels {
+                    *sig.entry((sl.as_str(), dl.as_str())).or_insert(0) += 1;
+                }
+            }
+        }
+        let mut node_props = freeze(node_tally, |l| g.label_count(l));
+        let mut edge_props = freeze(edge_tally, |l| g.edge_label_count(l));
+        let mut signatures: Signatures = endpoints
+            .into_iter()
+            .map(|(label, sig)| {
+                let sig = sig.into_iter().map(|((s, d), n)| ((s.to_owned(), d.to_owned()), n));
+                (label.to_owned(), sig.collect())
+            })
+            .collect();
+        for label in g.node_labels() {
+            node_props.entry(label).or_default();
+        }
+        for label in g.edge_labels() {
+            edge_props.entry(label.clone()).or_default();
+            signatures.entry(label).or_default();
+        }
+        (node_props, edge_props, signatures)
+    }
+}
+
+/// `schema` in the reference's shape.
+fn as_reference(
+    schema: &GraphSchema,
+) -> (reference::Props, reference::Props, reference::Signatures) {
+    const TYPES: [&str; 7] = ["NULL", "BOOLEAN", "INTEGER", "FLOAT", "STRING", "DATETIME", "LIST"];
+    let props = |m: &BTreeMap<String, BTreeMap<String, PropertyStats>>| -> reference::Props {
+        m.iter()
+            .map(|(label, keys)| {
+                let keys = keys.iter().map(|(key, s)| {
+                    let types: BTreeSet<&'static str> =
+                        TYPES.into_iter().filter(|t| s.types.contains(t)).collect();
+                    assert_eq!(types.len(), s.types.len(), "{label}.{key}");
+                    (key.clone(), (s.present, s.total, types, s.distinct))
+                });
+                (label.clone(), keys.collect())
+            })
+            .collect()
+    };
+    let signatures =
+        schema.edge_signatures.iter().map(|(t, sig)| (t.clone(), sig.endpoints.clone())).collect();
+    (props(&schema.node_props), props(&schema.edge_props), signatures)
+}
+
+/// Few distinct values, so they repeat: NaNs of both signs, both
+/// zeros, an `Int` beside an equal `Float`, and lists nested two deep.
+fn arb_schema_value() -> BoxedStrategy<Value> {
+    let float =
+        prop_oneof![Just(1.0), Just(0.0), Just(-0.0), Just(f64::NAN), Just(-f64::NAN), Just(2.5)];
+    let leaf = prop_oneof![
+        Just(Value::Null),
+        any::<bool>().prop_map(Value::Bool),
+        (-1i64..3).prop_map(Value::Int),
+        float.prop_map(Value::Float),
+        "[ab]{0,2}".prop_map(Value::Str),
+        (0i64..2).prop_map(Value::DateTime),
+    ]
+    .boxed();
+    let list = |item: BoxedStrategy<Value>| prop::collection::vec(item, 0..3).prop_map(Value::List);
+    let shallow = prop_oneof![leaf.clone(), list(leaf.clone())].boxed();
+    prop_oneof![leaf.clone(), leaf, list(shallow)].boxed()
+}
+
+/// One insert into a graph under construction.
+#[derive(Debug, Clone)]
+enum Insert {
+    Node { labels: usize, props: PropertyMap },
+    Edge { src: u8, dst: u8, self_loop: bool, label: usize, props: PropertyMap },
+}
+
+/// Insert sequences whose nodes carry zero, one or two labels (`Bare`
+/// never has properties, and `void` is always null) and whose edges
+/// include self-loops and a property-free type `T`.
+fn arb_inserts() -> impl Strategy<Value = Vec<Insert>> {
+    let props = || {
+        (prop::collection::vec(("[a-d]", arb_schema_value()), 0..4), any::<bool>()).prop_map(
+            |(kvs, void)| {
+                let mut props: PropertyMap = kvs.into_iter().collect();
+                if void {
+                    props.insert("void".into(), Value::Null);
+                }
+                props
+            },
+        )
+    };
+    let node = (0usize..NODE_LABELS.len(), props())
+        .prop_map(|(labels, props)| Insert::Node { labels, props })
+        .boxed();
+    let edge = (any::<u8>(), any::<u8>(), any::<bool>(), 0usize..EDGE_TYPES.len(), props())
+        .prop_map(|(src, dst, self_loop, label, props)| Insert::Edge {
+            src,
+            dst,
+            self_loop,
+            label,
+            props,
+        });
+    prop::collection::vec(prop_oneof![node.clone(), node, edge], 1..40)
+}
+
+const NODE_LABELS: [&[&str]; 5] = [&[], &["A"], &["A", "B"], &["B"], &["Bare"]];
+const EDGE_TYPES: [&str; 3] = ["R", "S", "T"];
+
+/// Applies one insert; an edge before any node is skipped.
+fn apply(g: &mut PropertyGraph, insert: &Insert) {
+    match insert {
+        Insert::Node { labels, props } => {
+            let labels = NODE_LABELS[*labels];
+            let props = if labels == ["Bare"] { PropertyMap::new() } else { props.clone() };
+            g.add_node(labels.iter().copied(), props);
+        }
+        Insert::Edge { src, dst, self_loop, label, props } => {
+            let n = g.node_count() as u32;
+            if n == 0 {
+                return;
+            }
+            let src = NodeId(u32::from(*src) % n);
+            let dst = if *self_loop { src } else { NodeId(u32::from(*dst) % n) };
+            let label = EDGE_TYPES[*label];
+            let props = if label == "T" { PropertyMap::new() } else { props.clone() };
+            g.add_edge(src, dst, label, props);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// One pass per label infers what the hash tally inferred.
+    #[test]
+    fn infer_matches_reference(inserts in arb_inserts()) {
+        let mut g = PropertyGraph::new();
+        for insert in &inserts {
+            apply(&mut g, insert);
+        }
+        prop_assert_eq!(as_reference(&GraphSchema::infer(&g)), reference::infer(&g));
+    }
+
+    /// The memoised schema is never stale: it equals a fresh inference
+    /// after every insert, each made with the memo filled.
+    #[test]
+    fn memoised_schema_follows_every_insert(inserts in arb_inserts()) {
+        let mut g = PropertyGraph::new();
+        prop_assert_eq!(g.schema(), &GraphSchema::infer(&g));
+        for insert in &inserts {
+            apply(&mut g, insert);
+            prop_assert_eq!(g.schema(), &GraphSchema::infer(&g));
+        }
+        let copy = g.clone();
+        prop_assert_eq!(copy.schema(), g.schema());
+    }
+
+    /// Sorting value keys agrees with their equality and is a total
+    /// order.
+    #[test]
+    fn value_key_order_agrees_with_equality(
+        a in arb_schema_value(),
+        b in arb_schema_value(),
+        c in arb_schema_value(),
+    ) {
+        let (a, b, c) = (ValueKey(&a), ValueKey(&b), ValueKey(&c));
+        prop_assert_eq!(a.cmp(&b) == Ordering::Equal, a == b);
+        prop_assert_eq!(a.cmp(&b), b.cmp(&a).reverse());
+        if a <= b && b <= c {
+            prop_assert!(a <= c);
+        }
+    }
+}
+
+/// `v` with every non-finite float replaced by 0.5: JSON writes them
+/// as `null`, which does not load back as a float.
+fn finite(v: &Value) -> Value {
+    match v {
+        Value::Float(f) if !f.is_finite() => Value::Float(0.5),
+        Value::List(vs) => Value::List(vs.iter().map(finite).collect()),
+        other => other.clone(),
+    }
+}
+
+/// Graphs that round-trip through JSON.
+fn arb_doc() -> impl Strategy<Value = PropertyGraph> {
+    arb_inserts().prop_map(|inserts| {
+        let mut g = PropertyGraph::new();
+        for mut insert in inserts {
+            let (Insert::Node { props, .. } | Insert::Edge { props, .. }) = &mut insert;
+            props.values_mut().for_each(|v| *v = finite(v));
+            apply(&mut g, &insert);
+        }
+        g
+    })
+}
+
+/// Text near JSON: its punctuation, digits, number signs and the
+/// letters of its keywords, plus arbitrary bytes.
+fn arb_text() -> impl Strategy<Value = String> {
+    prop_oneof![
+        "[{}\\[\\]\":,0-9.eE+\\- \\\\nultrfasIDSgb]{0,48}",
+        ".{0,32}",
+        prop::collection::vec(any::<u8>(), 0..48)
+            .prop_map(|bytes| String::from_utf8_lossy(&bytes).into_owned()),
+    ]
+}
+
+/// Endpoints no `u32` holds.
+const BAD_ENDPOINTS: [&str; 6] =
+    ["-1", "-4294967296", "4294967296", "18446744073709551616", "1e300", "0.5"];
+/// Integer values no `i64` holds.
+const BAD_INTEGERS: [&str; 6] = [
+    "9223372036854775808",
+    "18446744073709551616",
+    "-18446744073709551617",
+    "1e300",
+    "-1e300",
+    "0.5",
+];
+
+/// `json` with the number after one occurrence of `field` (picked by
+/// `at`) replaced by `number`; `None` when `field` does not occur.
+fn replace_number(
+    json: &str,
+    field: &str,
+    at: prop::sample::Index,
+    number: &str,
+) -> Option<String> {
+    let starts: Vec<usize> = json.match_indices(field).map(|(i, _)| i + field.len()).collect();
+    if starts.is_empty() {
+        return None;
+    }
+    let start = starts[at.index(starts.len())];
+    let len = json[start..]
+        .find(|c: char| !(c.is_ascii_digit() || "-+.eE".contains(c)))
+        .unwrap_or(json.len() - start);
+    Some(format!("{}{number}{}", &json[..start], &json[start + len..]))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// Arbitrary text loads or errs; the loader never panics.
+    #[test]
+    fn arbitrary_text_never_panics_the_loader(text in arb_text()) {
+        let _ = from_json(&text);
+    }
+
+    /// A valid document with bytes cut, replaced or inserted, or cut
+    /// short, loads or errs; the loader never panics.
+    #[test]
+    fn mutated_documents_never_panic_the_loader(
+        g in arb_doc(),
+        edits in prop::collection::vec((any::<prop::sample::Index>(), 0u8..4, "[{}\\[\\]\":,0-9.e\\-n]"), 1..4),
+    ) {
+        let mut bytes = to_json(&g).expect("a graph serializes").into_bytes();
+        for (at, kind, byte) in edits {
+            let i = at.index(bytes.len() + 1);
+            match kind {
+                0 if i < bytes.len() => {
+                    bytes.remove(i);
+                }
+                1 if i < bytes.len() => bytes[i] = byte.as_bytes()[0],
+                2 => bytes.insert(i, byte.as_bytes()[0]),
+                _ => bytes.truncate(i),
+            }
+        }
+        let _ = from_json(&String::from_utf8_lossy(&bytes));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A negative or out-of-range endpoint, and an integer value out of
+    /// `i64`'s range, are JSON errors wherever they sit; an endpoint
+    /// past the last node is a dangling edge.
+    #[test]
+    fn out_of_range_numbers_are_load_errors(
+        g in arb_doc(),
+        at in any::<prop::sample::Index>(),
+        pick in any::<prop::sample::Index>(),
+    ) {
+        let json = to_json(&g).expect("a graph serializes");
+        prop_assert!(from_json(&json).is_ok());
+        let n = g.node_count() as u64;
+        let past_end = [n.to_string(), (n + 1).to_string(), u32::MAX.to_string()];
+        for field in ["\"src\":", "\"dst\":"] {
+            if let Some(doc) = replace_number(&json, field, at, BAD_ENDPOINTS[pick.index(BAD_ENDPOINTS.len())]) {
+                prop_assert!(matches!(from_json(&doc), Err(IoError::Json(_))), "{}", doc);
+                let doc = replace_number(&json, field, at, &past_end[pick.index(past_end.len())]).unwrap();
+                prop_assert!(matches!(from_json(&doc), Err(IoError::DanglingEdge { .. })), "{}", doc);
+            }
+        }
+        for field in ["{\"Int\":", "{\"DateTime\":"] {
+            if let Some(doc) = replace_number(&json, field, at, BAD_INTEGERS[pick.index(BAD_INTEGERS.len())]) {
+                prop_assert!(matches!(from_json(&doc), Err(IoError::Json(_))), "{}", doc);
             }
         }
     }

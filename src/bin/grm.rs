@@ -38,9 +38,7 @@ use std::process::ExitCode;
 use graph_rule_mining::cypher::execute;
 use graph_rule_mining::datasets::{generate, DatasetId, GenConfig};
 use graph_rule_mining::llm::{ModelKind, PromptStyle};
-use graph_rule_mining::pgraph::{
-    from_json, to_json_pretty, GraphSchema, GraphStats, PropertyGraph,
-};
+use graph_rule_mining::pgraph::{from_json, to_json_pretty, GraphStats, PropertyGraph};
 use graph_rule_mining::pipeline::{ContextStrategy, MiningPipeline, PipelineConfig};
 use graph_rule_mining::textenc::{
     encode_adjacency, encode_incident, encode_summary, SummaryConfig,
@@ -230,7 +228,7 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
 fn cmd_schema(args: &[String]) -> Result<(), String> {
     let flags = parse_flags(args, "", "graph")?;
     let g = load_graph(&flags)?;
-    print!("{}", GraphSchema::infer(&g).summary());
+    print!("{}", g.schema().summary());
     Ok(())
 }
 

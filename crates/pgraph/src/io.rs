@@ -14,7 +14,7 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
+use serde::{Content, DeError, Deserialize, Serialize};
 
 use crate::graph::{PropertyGraph, PropertyMap};
 use crate::value::Value;
@@ -25,10 +25,45 @@ pub enum ValueDoc {
     Null,
     Bool(bool),
     Int(i64),
-    Float(f64),
+    Float(FloatDoc),
     Str(String),
     DateTime(i64),
     List(Vec<ValueDoc>),
+}
+
+/// A float on the wire. JSON has no number for NaN or ±inf, so they
+/// are the strings `"NaN"`, `"inf"` and `"-inf"`; a finite float is a
+/// JSON number. The `null` that older files hold for any of them reads
+/// as NaN.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FloatDoc(pub f64);
+
+impl Serialize for FloatDoc {
+    fn to_content(&self) -> Content {
+        match self.0 {
+            f if f.is_finite() => Content::Float(f),
+            f if f.is_nan() => Content::Str("NaN".to_owned()),
+            f if f > 0.0 => Content::Str("inf".to_owned()),
+            _ => Content::Str("-inf".to_owned()),
+        }
+    }
+}
+
+impl Deserialize for FloatDoc {
+    fn from_content(content: &Content) -> Result<Self, DeError> {
+        match content {
+            Content::Null => Ok(FloatDoc(f64::NAN)),
+            Content::Str(s) => match s.as_str() {
+                "NaN" => Ok(FloatDoc(f64::NAN)),
+                "inf" => Ok(FloatDoc(f64::INFINITY)),
+                "-inf" => Ok(FloatDoc(f64::NEG_INFINITY)),
+                _ => Err(DeError::custom(format!(
+                    "expected a number, \"NaN\", \"inf\" or \"-inf\", found {s:?}"
+                ))),
+            },
+            other => f64::from_content(other).map(FloatDoc),
+        }
+    }
 }
 
 impl From<&Value> for ValueDoc {
@@ -37,7 +72,7 @@ impl From<&Value> for ValueDoc {
             Value::Null => ValueDoc::Null,
             Value::Bool(b) => ValueDoc::Bool(*b),
             Value::Int(i) => ValueDoc::Int(*i),
-            Value::Float(f) => ValueDoc::Float(*f),
+            Value::Float(f) => ValueDoc::Float(FloatDoc(*f)),
             Value::Str(s) => ValueDoc::Str(s.clone()),
             Value::DateTime(t) => ValueDoc::DateTime(*t),
             Value::List(vs) => ValueDoc::List(vs.iter().map(ValueDoc::from).collect()),
@@ -51,7 +86,7 @@ impl From<ValueDoc> for Value {
             ValueDoc::Null => Value::Null,
             ValueDoc::Bool(b) => Value::Bool(b),
             ValueDoc::Int(i) => Value::Int(i),
-            ValueDoc::Float(f) => Value::Float(f),
+            ValueDoc::Float(FloatDoc(f)) => Value::Float(f),
             ValueDoc::Str(s) => Value::Str(s),
             ValueDoc::DateTime(t) => Value::DateTime(t),
             ValueDoc::List(vs) => Value::List(vs.into_iter().map(Value::from).collect()),
@@ -249,6 +284,9 @@ mod tests {
             ("-4294967296", "1", "-4294967296"),
             ("-1", "1", "-1"),
             ("0", "9223372036854775808", "9223372036854775808"),
+            ("0", "-9223372036854775809", "-9223372036854775809"),
+            ("0", "18446744073709551616", "18446744073709551616"),
+            ("18446744073709551616", "1", "18446744073709551616"),
             ("0", "1e300", "1e300"),
         ] {
             match from_json(&doc(src, id)) {
@@ -258,6 +296,49 @@ mod tests {
         }
         let max: u64 = serde_json::from_str("18446744073709551615").unwrap();
         assert_eq!(max, u64::MAX);
+    }
+
+    #[test]
+    fn non_finite_floats_round_trip() {
+        let mut g = PropertyGraph::new();
+        let floats = [("inf", f64::INFINITY), ("nan", f64::NAN), ("neg", -f64::INFINITY)];
+        g.add_node(["A"], props(floats.into_iter().chain([("x", 0.5)])));
+        let json = to_json(&g).unwrap();
+        let wire = r#""inf":{"Float":"inf"},"nan":{"Float":"NaN"},"neg":{"Float":"-inf"},"x":{"Float":0.5}"#;
+        assert!(json.contains(wire), "{json}");
+        let back = from_json(&json).unwrap();
+        let p = &back.node(crate::graph::NodeId(0)).props;
+        assert!(matches!(p["nan"], Value::Float(f) if f.is_nan()));
+        assert_eq!(
+            (&p["inf"], &p["neg"]),
+            (&Value::Float(f64::INFINITY), &Value::Float(-f64::INFINITY))
+        );
+
+        let legacy =
+            r#"{"nodes": [{"labels": ["A"], "props": {"x": {"Float": null}}}], "edges": []}"#;
+        let g = from_json(legacy).unwrap();
+        assert!(
+            matches!(g.node(crate::graph::NodeId(0)).props["x"], Value::Float(f) if f.is_nan())
+        );
+        for other in [r#""Infinity""#, r#""nan""#, "true"] {
+            let doc = legacy.replace("null", other);
+            assert!(matches!(from_json(&doc), Err(IoError::Json(_))), "{doc}");
+        }
+    }
+
+    #[test]
+    fn a_node_with_descending_keys_loads_in_one_sort() {
+        let keys: Vec<String> =
+            (0..100_000).rev().map(|i| format!(r#""k{i:06}": {{"Int": {i}}}"#)).collect();
+        let json = format!(
+            r#"{{"nodes": [{{"labels": ["A"], "props": {{{}}}}}], "edges": []}}"#,
+            keys.join(", ")
+        );
+        let start = std::time::Instant::now();
+        let g = from_json(&json).unwrap();
+        assert!(start.elapsed() < std::time::Duration::from_secs(1), "{:?}", start.elapsed());
+        let p = &g.node(crate::graph::NodeId(0)).props;
+        assert_eq!((p.len(), &p["k000007"]), (100_000, &Value::Int(7)));
     }
 
     #[test]

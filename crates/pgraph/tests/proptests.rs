@@ -242,10 +242,19 @@ fn as_reference(
 }
 
 /// Few distinct values, so they repeat: NaNs of both signs, both
-/// zeros, an `Int` beside an equal `Float`, and lists nested two deep.
+/// zeros, both infinities, an `Int` beside an equal `Float`, and lists
+/// nested two deep.
 fn arb_schema_value() -> BoxedStrategy<Value> {
-    let float =
-        prop_oneof![Just(1.0), Just(0.0), Just(-0.0), Just(f64::NAN), Just(-f64::NAN), Just(2.5)];
+    let float = prop_oneof![
+        Just(1.0),
+        Just(0.0),
+        Just(-0.0),
+        Just(f64::NAN),
+        Just(-f64::NAN),
+        Just(f64::INFINITY),
+        Just(f64::NEG_INFINITY),
+        Just(2.5)
+    ];
     let leaf = prop_oneof![
         Just(Value::Null),
         any::<bool>().prop_map(Value::Bool),
@@ -365,27 +374,22 @@ proptest! {
     }
 }
 
-/// `v` with every non-finite float replaced by 0.5: JSON writes them
-/// as `null`, which does not load back as a float.
-fn finite(v: &Value) -> Value {
-    match v {
-        Value::Float(f) if !f.is_finite() => Value::Float(0.5),
-        Value::List(vs) => Value::List(vs.iter().map(finite).collect()),
-        other => other.clone(),
-    }
-}
-
-/// Graphs that round-trip through JSON.
+/// Graphs to write as JSON, NaN and ±inf included.
 fn arb_doc() -> impl Strategy<Value = PropertyGraph> {
     arb_inserts().prop_map(|inserts| {
         let mut g = PropertyGraph::new();
-        for mut insert in inserts {
-            let (Insert::Node { props, .. } | Insert::Edge { props, .. }) = &mut insert;
-            props.values_mut().for_each(|v| *v = finite(v));
-            apply(&mut g, &insert);
+        for insert in &inserts {
+            apply(&mut g, insert);
         }
         g
     })
+}
+
+/// `a` and `b` hold the same keys with the same values as
+/// [`ValueKey`]s, since NaN ≠ NaN.
+fn same_entries(a: &PropertyMap, b: &PropertyMap) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b).all(|((ka, va), (kb, vb))| ka == kb && ValueKey(va) == ValueKey(vb))
 }
 
 /// Text near JSON: its punctuation, digits, number signs and the
@@ -466,6 +470,22 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
+    /// Every graph loads back from its JSON with the same labels,
+    /// endpoints and values, non-finite floats included.
+    #[test]
+    fn json_round_trip_keeps_every_value(g in arb_doc()) {
+        let back = from_json(&to_json(&g).expect("a graph serializes")).expect("it loads back");
+        prop_assert_eq!((back.node_count(), back.edge_count()), (g.node_count(), g.edge_count()));
+        for (a, b) in g.nodes().zip(back.nodes()) {
+            prop_assert_eq!(&a.labels, &b.labels);
+            prop_assert!(same_entries(&a.props, &b.props), "{:?} vs {:?}", a.props, b.props);
+        }
+        for (a, b) in g.edges().zip(back.edges()) {
+            prop_assert_eq!((a.src, a.dst, &a.label), (b.src, b.dst, &b.label));
+            prop_assert!(same_entries(&a.props, &b.props), "{:?} vs {:?}", a.props, b.props);
+        }
+    }
+
     /// A negative or out-of-range endpoint, and an integer value out of
     /// `i64`'s range, are JSON errors wherever they sit; an endpoint
     /// past the last node is a dangling edge.
@@ -491,5 +511,81 @@ proptest! {
                 prop_assert!(matches!(from_json(&doc), Err(IoError::Json(_))), "{}", doc);
             }
         }
+    }
+}
+
+/// One step of the property-map model test.
+#[derive(Debug, Clone)]
+enum MapOp {
+    Insert(String, Value),
+    Remove(String),
+    Get(String),
+    /// Every value becomes this one, through `values_mut`.
+    SetAll(Value),
+    /// Both maps become these entries, in this order, repeats included.
+    Collect(Vec<(String, Value)>),
+}
+
+/// Keys from a small alphabet, so inserts repeat and land anywhere.
+fn arb_map_ops() -> impl Strategy<Value = Vec<MapOp>> {
+    let key = || "[a-e]{0,2}";
+    let insert = (key(), arb_schema_value()).prop_map(|(k, v)| MapOp::Insert(k, v)).boxed();
+    let op = prop_oneof![
+        insert.clone(),
+        insert,
+        key().prop_map(MapOp::Remove),
+        key().prop_map(MapOp::Get),
+        arb_schema_value().prop_map(MapOp::SetAll),
+        prop::collection::vec((key(), arb_schema_value()), 0..12).prop_map(MapOp::Collect),
+    ];
+    prop::collection::vec(op, 1..48)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `PropertyMap` behaves as the `BTreeMap` it replaced: after every
+    /// step both hold the same entries in the same order, answer with
+    /// the same values and print the same `Debug`.
+    #[test]
+    fn property_map_matches_a_btree_map(ops in arb_map_ops()) {
+        let same = |a: Option<&Value>, b: Option<&Value>| a.map(ValueKey) == b.map(ValueKey);
+        let mut map = PropertyMap::new();
+        let mut model: BTreeMap<String, Value> = BTreeMap::new();
+        for op in ops {
+            match op {
+                MapOp::Insert(k, v) => {
+                    let (a, b) = (map.insert(k.clone(), v.clone()), model.insert(k, v));
+                    prop_assert!(same(a.as_ref(), b.as_ref()), "{:?} vs {:?}", a, b);
+                }
+                MapOp::Remove(k) => {
+                    let (a, b) = (map.remove(&k), model.remove(&k));
+                    prop_assert!(same(a.as_ref(), b.as_ref()), "{:?} vs {:?}", a, b);
+                }
+                MapOp::Get(k) => {
+                    prop_assert!(same(map.get(&k), model.get(&k)));
+                    prop_assert_eq!(map.contains_key(&k), model.contains_key(&k));
+                    if let Some(v) = model.get(&k) {
+                        prop_assert!(ValueKey(&map[k.as_str()]) == ValueKey(v));
+                    }
+                }
+                MapOp::SetAll(v) => {
+                    map.values_mut().for_each(|x| *x = v.clone());
+                    model.values_mut().for_each(|x| *x = v.clone());
+                }
+                MapOp::Collect(entries) => {
+                    map = entries.iter().cloned().collect();
+                    model = entries.into_iter().collect();
+                }
+            }
+            prop_assert_eq!((map.len(), map.is_empty()), (model.len(), model.is_empty()));
+            prop_assert!(map.keys().eq(model.keys()));
+            prop_assert!(map.values().map(ValueKey).eq(model.values().map(ValueKey)));
+            prop_assert!(map.iter().map(|(k, v)| (k, ValueKey(v))).eq(model.iter().map(|(k, v)| (k, ValueKey(v)))));
+            prop_assert_eq!(format!("{map:?}"), format!("{model:?}"));
+        }
+        let owned: Vec<(String, Value)> = map.into_iter().collect();
+        let expected: Vec<(String, Value)> = model.into_iter().collect();
+        prop_assert_eq!(format!("{owned:?}"), format!("{expected:?}"));
     }
 }

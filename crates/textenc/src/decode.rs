@@ -52,23 +52,23 @@ impl GraphFragment {
     /// lines are counted in `skipped_lines`.
     pub fn parse(text: &str) -> GraphFragment {
         let mut frag = GraphFragment::default();
-        let mut props = PropertyMap::new();
+        let mut entries = Vec::new();
         for line in element_lines(text) {
-            match read_line::<true>(line, &mut props) {
+            match read_line::<true>(line, &mut entries) {
                 Some(Element::Edge(e)) => frag.edges.push(FragmentEdge {
                     src: e.src,
                     label: e.label.to_owned(),
-                    props: std::mem::take(&mut props),
+                    props: entries.drain(..).collect(),
                     dst: e.dst,
                     dst_labels: split_labels(e.dst_labels),
                 }),
                 Some(Element::Node { id, labels }) => frag.nodes.push(FragmentNode {
                     id,
                     labels: split_labels(labels),
-                    props: std::mem::take(&mut props),
+                    props: entries.drain(..).collect(),
                 }),
                 None => {
-                    props.clear();
+                    entries.clear();
                     frag.skipped_lines += 1;
                 }
             }
@@ -79,7 +79,7 @@ impl GraphFragment {
     /// `parse(text).nodes.len() + parse(text).edges.len()`: the same
     /// grammar, read without building a label, key or value.
     pub fn count_elements(text: &str) -> usize {
-        let mut unread = PropertyMap::new();
+        let mut unread = Vec::new();
         element_lines(text).filter(|line| read_line::<false>(line, &mut unread).is_some()).count()
     }
 
@@ -93,18 +93,21 @@ impl GraphFragment {
     /// (its source labels are unknown). A target the fragment does
     /// not describe becomes a label-only stub, and only a new stub
     /// copies the labels its edge line names.
+    ///
+    /// A line's properties are read into one reused buffer, and each
+    /// element gets its map from it in one exact-size allocation.
     pub fn read_graph(text: &str) -> PropertyGraph {
         let mut g = PropertyGraph::new();
         let mut ids = HashMap::new();
         let mut edges = Vec::new();
-        let mut props = PropertyMap::new();
+        let mut entries = Vec::new();
         for line in element_lines(text) {
-            match read_line::<true>(line, &mut props) {
+            match read_line::<true>(line, &mut entries) {
                 Some(Element::Node { id, labels }) => {
-                    ids.insert(id, g.add_node(labels.split(':'), std::mem::take(&mut props)));
+                    ids.insert(id, g.add_node(labels.split(':'), entries.drain(..).collect()));
                 }
-                Some(Element::Edge(e)) => edges.push((e, std::mem::take(&mut props))),
-                None => props.clear(),
+                Some(Element::Edge(e)) => edges.push((e, entries.drain(..).collect())),
+                None => entries.clear(),
             }
         }
         for (e, props) in edges {
@@ -135,12 +138,16 @@ fn element_lines(text: &str) -> impl Iterator<Item = &str> {
     text.lines().map(str::trim).filter(|line| !line.is_empty() && !line.starts_with("Graph with "))
 }
 
+/// One line's properties in line order, before they become a
+/// [`PropertyMap`].
+type Entries = Vec<(String, Value)>;
+
 fn split_labels(labels: &str) -> Vec<String> {
     labels.split(':').map(str::to_owned).collect()
 }
 
 /// One encoder line as the grammar reads it, borrowed from the line.
-/// Its properties went into the caller's map as they were read.
+/// Its properties went into the caller's buffer as they were read.
 enum Element<'a> {
     Node { id: u32, labels: &'a str },
     Edge(EdgeLine<'a>),
@@ -157,10 +164,13 @@ struct EdgeLine<'a> {
 /// The fragment grammar, read forward over one trimmed line. The
 /// bytes right after `Node n<id>` choose the reading: ` -[` an edge,
 /// ` with labels ` a node, anything else no element. With `BUILD`,
-/// each `key: literal` pair goes into `props` in line order (a line
-/// that fails after that leaves them for the caller to clear);
-/// without it only the grammar is checked and `props` is untouched.
-fn read_line<'a, const BUILD: bool>(line: &'a str, props: &mut PropertyMap) -> Option<Element<'a>> {
+/// each `key: literal` pair is appended to `props` in line order (a
+/// line that fails after that leaves them for the caller to clear);
+/// collecting them into a [`PropertyMap`] sorts them, once, only when
+/// the keys arrived out of order, and keeps the last of a repeated key.
+/// Without `BUILD` only the grammar is checked and `props` is
+/// untouched.
+fn read_line<'a, const BUILD: bool>(line: &'a str, props: &mut Entries) -> Option<Element<'a>> {
     let (id, rest) = node_id(line.strip_prefix("Node n")?)?;
     if let Some(rest) = rest.strip_prefix(" -[") {
         // `TYPE {k: v}]-> Node n5 (Match).` The first `]-> Node n`
@@ -190,7 +200,7 @@ fn node_id(s: &str) -> Option<(u32, &str)> {
 
 /// `{k: v, k2: v2}` — must be all of `s`. A key is ASCII letters,
 /// digits and `_`.
-fn read_props<const BUILD: bool>(s: &str, props: &mut PropertyMap) -> Option<()> {
+fn read_props<const BUILD: bool>(s: &str, props: &mut Entries) -> Option<()> {
     let inner = s.strip_prefix('{')?.strip_suffix('}')?;
     let mut rest = inner.trim();
     while !rest.is_empty() {
@@ -202,7 +212,7 @@ fn read_props<const BUILD: bool>(s: &str, props: &mut PropertyMap) -> Option<()>
         let after = after.trim_start().strip_prefix(':')?;
         let (value, remainder) = literal::<BUILD>(after.trim_start(), 0)?;
         if BUILD {
-            props.insert(key.to_owned(), value);
+            props.push((key.to_owned(), value));
         }
         rest = remainder.trim_start();
         if let Some(r) = rest.strip_prefix(',') {
@@ -464,6 +474,30 @@ mod tests {
         assert_eq!((frag.nodes.len(), frag.skipped_lines), (0, 2));
         assert_eq!(GraphFragment::count_elements(&deep), 0);
         assert_eq!(GraphFragment::read_graph(&deep).node_count(), 0);
+    }
+
+    #[test]
+    fn out_of_order_keys_are_sorted_and_the_last_repeat_wins() {
+        let text = "Node n0 with labels A has properties {b: 1, a: 2, b: 3}.\n\
+                    Node n0 -[E {z: 1, y: 2}]-> Node n0 (A).\n";
+        let frag = GraphFragment::parse(text);
+        let keys = |p: &PropertyMap| p.iter().map(|(k, v)| format!("{k}={v}")).collect::<Vec<_>>();
+        assert_eq!(keys(&frag.nodes[0].props), ["a=2", "b=3"]);
+        assert_eq!(keys(&frag.edges[0].props), ["y=2", "z=1"]);
+        let g = GraphFragment::read_graph(text);
+        assert_eq!(g.node(NodeId(0)).props, frag.nodes[0].props);
+        assert_eq!(g.edges().next().unwrap().props, frag.edges[0].props);
+    }
+
+    #[test]
+    fn a_line_with_descending_keys_reads_in_one_sort() {
+        let pairs: Vec<String> = (0..100_000).rev().map(|i| format!("k{i:06}: {i}")).collect();
+        let line = format!("Node n0 with labels A has properties {{{}}}.\n", pairs.join(", "));
+        let start = std::time::Instant::now();
+        let g = GraphFragment::read_graph(&line);
+        assert!(start.elapsed() < std::time::Duration::from_secs(1), "{:?}", start.elapsed());
+        let props = &g.node(NodeId(0)).props;
+        assert_eq!((props.len(), &props["k000007"]), (100_000, &Value::Int(7)));
     }
 
     #[test]
